@@ -121,6 +121,12 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["sup_norm"] <= 1e-4
 
+    def test_l1_at_classical_order_passes(self):
+        code, out, _ = run_cli("verify", "--beta", "1", "--method", "l1",
+                               "--steps", "2000")
+        assert code == 0
+        assert json.loads(out)["sup_norm"] <= 1e-4
+
     def test_pc_passes(self):
         code, out, _ = run_cli("verify", "--beta", "0.7", "--method", "pc")
         assert code == 0

@@ -8,11 +8,13 @@ import pytest
 
 from felog.euler_beta import build_sequence
 from felog.fracops import (
+    B0,
     QuadratureGrid,
     caputo_l1,
     caputo_l1_all,
     caputo_termwise,
     caputo_termwise_array,
+    fractional_integral_midpoint,
     graded_grid,
     levy_tail_laplace,
     make_grid,
@@ -134,12 +136,30 @@ class TestCaputoL1:
         out = caputo_l1_all(vals, g)
         assert out[24] == caputo_l1(vals, g, 25)
 
+    @pytest.mark.parametrize("spacing", ("uniform", "graded"))
+    def test_classical_order_gives_the_slope(self, spacing):
+        # at beta = 1 the newest cell's moment is the whole kernel mass, so
+        # linear data returns its slope at every node
+        g = make_grid(1.0, 64, spacing, 1.0)
+        out = caputo_l1_all(3.0 * g.nodes - 1.0, g)
+        assert np.allclose(out, 3.0, rtol=1e-13, atol=0.0)
+
     def test_index_bounds(self):
         g = uniform_grid(1.0, 10, 0.5)
         with pytest.raises(ValueError):
             caputo_l1(lambda s: s, g, 0)
         with pytest.raises(ValueError):
             caputo_l1(lambda s: s, g, 11)
+
+
+class TestFractionalIntegral:
+    @pytest.mark.parametrize("beta", (0.3, 0.7, 1.0))
+    def test_constant_data_is_exact(self, beta):
+        # the cell moments telescope: I^beta[1](t) = t^beta / Gamma(beta + 1)
+        g = graded_grid(2.0, 200, beta)
+        out = fractional_integral_midpoint(np.ones(200), g)
+        exact = g.nodes[1:] ** beta / math.exp(ln_gamma(beta + 1.0))
+        assert np.allclose(out, exact, rtol=1e-12, atol=1e-15)
 
 
 class TestVerify:
@@ -278,6 +298,58 @@ class TestStableLevyTail:
             stable_levy_tail(0.5, 0.0)
 
 
+def solve_pc_direct(beta, m, t_end, h, corrector_tol=1e-12, max_corrector_iters=20):
+    """Reference stepper: the same scheme with both history sums taken as
+    direct O(N^2) dot products."""
+    n_steps = int(math.ceil(t_end / h - 1e-12))
+    t = np.arange(n_steps + 1) * h
+    u = np.empty(n_steps + 1)
+    u[0] = 0.5
+    f = np.empty(n_steps + 1)
+
+    def rhs(x):
+        return (x - x * x) / m
+
+    f[0] = rhs(u[0])
+
+    idx = np.arange(n_steps + 2, dtype=float)
+    # predictor kernel: (j+1)^b - j^b ; corrector interior kernel:
+    # (j+1)^(b+1) + (j-1)^(b+1) - 2 j^(b+1)
+    pow_b = idx**beta
+    pow_b1 = idx ** (beta + 1.0)
+    pred_k = pow_b[1:] - pow_b[:-1]
+    corr_k = np.empty(n_steps + 1)
+    corr_k[0] = 1.0  # weight of the newest node
+    corr_k[1:] = pow_b1[2:] + pow_b1[:-2] - 2.0 * pow_b1[1:-1]
+
+    c_pred = h**beta / beta / math.exp(ln_gamma(beta))
+    c_corr = h**beta / math.exp(ln_gamma(beta + 2.0))
+
+    for n in range(n_steps):
+        hist_pred = float(np.dot(f[: n + 1], pred_k[n::-1]))
+        u_pred = 0.5 + c_pred * hist_pred
+
+        # corrector history: interior kernel over j=1..n plus the j=0 weight
+        a0 = pow_b1[n] - (n - beta) * pow_b[n + 1]
+        hist = a0 * f[0]
+        if n >= 1:
+            hist += float(np.dot(f[1 : n + 1], corr_k[n:0:-1]))
+        base = 0.5 + c_corr * hist
+
+        u_new = base + c_corr * rhs(u_pred)
+        for _ in range(max_corrector_iters):
+            u_next = base + c_corr * rhs(u_new)
+            if abs(u_next - u_new) <= corrector_tol:
+                u_new = u_next
+                break
+            u_new = u_next
+        else:
+            raise ArithmeticError("corrector iteration did not converge")
+        u[n + 1] = u_new
+        f[n + 1] = rhs(u_new)
+    return t, u
+
+
 class TestSolvePC:
     def test_initial_value_exact(self):
         t, u = solve_pc(0.7, 1.0, 0.5, 1e-3)
@@ -310,3 +382,29 @@ class TestSolvePC:
             solve_pc(0.5, 0.5, 1.0, 1e-3)
         with pytest.raises(ValueError):
             solve_pc(0.5, 1.0, 1.0, -1e-3)
+
+    @pytest.mark.parametrize(
+        "args",
+        (
+            (math.nan, 1.0, 1.0, 1e-3),
+            (0.5, math.inf, 1.0, 1e-3),
+            (0.5, math.nan, 1.0, 1e-3),
+            (0.5, 1.0, math.inf, 1e-3),
+            (0.5, 1.0, 1.0, math.nan),
+            (0.5, 1.0, 1.0, math.inf),
+        ),
+    )
+    def test_non_finite_inputs_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            solve_pc(*args)
+
+    @pytest.mark.parametrize("n_steps", (1, 2, B0 - 1, B0, B0 + 1, 2 * B0, 4 * B0 + 3, 16_000))
+    @pytest.mark.parametrize("beta", (0.3, 0.5, 0.75, 1.0))
+    @pytest.mark.parametrize("m", (1.0, 2.0))
+    def test_matches_direct_history_sums(self, n_steps, beta, m):
+        h = 2.0**-13  # a power of two, so that t_end / h is exactly n_steps
+        t, u = solve_pc(beta, m, n_steps * h, h)
+        t_ref, u_ref = solve_pc_direct(beta, m, n_steps * h, h)
+        assert u.size == n_steps + 1
+        assert np.array_equal(t, t_ref)
+        assert float(np.max(np.abs(u - u_ref))) <= 1e-13
