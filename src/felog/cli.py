@@ -5,6 +5,11 @@ stdout or --out as JSON (one object per invocation) or CSV (comma separator,
 header row, LF endings); floats serialize with shortest round-trip
 representation. The default format comes from FELOG_FORMAT when set.
 
+This module owns the text formats: each subcommand builds one JSON payload
+and one table, and :func:`_emit` writes whichever --format asks for. CSV
+cells are empty for a missing value, ``true``/``false`` for a flag, and
+``repr`` for a float.
+
 Exit codes: 0 success or verification pass, 1 verification failure, 2 usage
 error, 3 I/O failure.
 """
@@ -18,16 +23,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .euler_beta import build_sequence
-from .fracops import VERIFY_METHODS, make_grid, verify
+from .fracops import make_grid, verify
 from .series_solution import SeriesSolution, compare_classical, radius_report
 
-__all__ = ["RunConfig", "VERIFY_TOLERANCES", "main"]
+__all__ = ["VERIFY_TOLERANCES", "main"]
 
 #: Default pass thresholds per verification method (override with --tol).
 VERIFY_TOLERANCES = {
@@ -45,168 +48,119 @@ DEFAULT_VERIFY_WINDOW = 0.7
 _PC_DEFAULT_STEP = 1e-3
 
 
-@dataclass
-class RunConfig:
-    """Resolved flags for one invocation."""
-
-    beta: float
-    m: float
-    n_terms: int
-    t0: Optional[float]
-    t1: Optional[float]
-    steps: int
-    method: str
-    format: str
-    out_path: Optional[str]
-    tol: Optional[float]
-    grid: str
-
-    def validate(self) -> None:
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.t0 is not None and self.t1 is not None and not self.t0 < self.t1:
-            raise ValueError("t0 must be less than t1")
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
 
 
-def _json_safe(x: float):
-    return x if math.isfinite(x) else None
-
-
-def _write(text: str, out_path: Optional[str]) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _emit(args: argparse.Namespace, payload: dict, header, rows) -> None:
+    """Write ``payload`` as JSON, or ``header`` and ``rows`` as CSV, to
+    stdout or --out."""
+    if args.format == "json":
+        text = json.dumps(payload)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+        text = buf.getvalue()
+    if args.out is None:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def _cfg_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        beta=args.beta,
-        m=args.m,
-        n_terms=args.n_terms,
-        t0=getattr(args, "t0", None),
-        t1=getattr(args, "t1", None),
-        steps=getattr(args, "steps", 200),
-        method=getattr(args, "method", "termwise"),
-        format=args.format,
-        out_path=args.out,
-        tol=getattr(args, "tol", None),
-        grid=getattr(args, "grid", "graded"),
-    )
-    cfg.validate()
-    return cfg
+def _t_grid(args: argparse.Namespace) -> np.ndarray:
+    if not args.t0 < args.t1:
+        raise ValueError("t0 must be less than t1")
+    return np.linspace(args.t0, args.t1, args.steps + 1)
 
 
-def cmd_coeffs(cfg: RunConfig) -> int:
-    seq = build_sequence(cfg.beta, cfg.m, cfg.n_terms)
-    if cfg.format == "json":
-        _write(seq.to_json(), cfg.out_path)
-    else:
-        _write(seq.to_csv(), cfg.out_path)
+def cmd_coeffs(args: argparse.Namespace) -> int:
+    payload = build_sequence(args.beta, args.m, args.n_terms).to_json_dict()
+    rows = [[k, g, raw["sign"], raw["log10_mag"]]
+            for k, (g, raw) in enumerate(zip(payload["g"], payload["raw"]))]
+    _emit(args, payload, ["k", "g_k", "sign", "log10_mag"], rows)
     return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    sol = SeriesSolution.build(cfg.beta, cfg.m, cfg.n_terms)
-    t0 = cfg.t0 if cfg.t0 is not None else 0.0
-    t1 = cfg.t1 if cfg.t1 is not None else 2.0
-    if not t0 < t1:
-        raise ValueError("t0 must be less than t1")
-    t = np.linspace(t0, t1, cfg.steps + 1)
+def cmd_eval(args: argparse.Namespace) -> int:
+    t = _t_grid(args)
+    sol = SeriesSolution.build(args.beta, args.m, args.n_terms)
     res = sol.evaluate(t)
-    in_dom = np.atleast_1d(res.in_domain)
-    if not np.all(in_dom):
+    if not np.all(res.in_domain):
         print(
-            f"warning: {int(np.sum(~in_dom))} of {t.size} rows lie past the "
+            f"warning: {int(np.sum(~res.in_domain))} of {t.size} rows lie past the "
             f"empirical radius {sol.domain_edge:.6g}; values there are extrapolation",
             file=sys.stderr,
         )
-    if cfg.format == "json":
-        payload = {
-            "beta": cfg.beta,
-            "m": cfg.m,
-            "n_terms": cfg.n_terms,
-            "t": t.tolist(),
-            "w": np.atleast_1d(res.w).tolist(),
-            "tail_bound": [_json_safe(float(x)) for x in np.atleast_1d(res.tail_bound)],
-            "in_domain": [bool(b) for b in in_dom],
-        }
-        _write(json.dumps(payload), cfg.out_path)
-    else:
-        _write(sol.curve_csv(t), cfg.out_path)
+    t, w, tail, in_dom = (a.tolist() for a in (t, res.w, res.tail_bound, res.in_domain))
+    payload = {
+        "beta": args.beta,
+        "m": args.m,
+        "n_terms": args.n_terms,
+        "t": t,
+        "w": w,
+        "tail_bound": [x if math.isfinite(x) else None for x in tail],
+        "in_domain": in_dom,
+    }
+    _emit(args, payload, ["t", "w", "tail_bound", "in_domain"], zip(t, w, tail, in_dom))
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    method = "predictor_corrector" if cfg.method == "pc" else cfg.method
-    if method not in VERIFY_METHODS:
-        raise ValueError(f"unknown method {cfg.method!r}; choose from termwise, l1, integro, pc")
-    sol = SeriesSolution.build(cfg.beta, cfg.m, cfg.n_terms)
+def cmd_verify(args: argparse.Namespace) -> int:
+    method = "predictor_corrector" if args.method == "pc" else args.method
+    sol = SeriesSolution.build(args.beta, args.m, args.n_terms)
 
     grid = None
     if method != "termwise":
-        t1 = cfg.t1 if cfg.t1 is not None else DEFAULT_VERIFY_WINDOW * sol.domain_edge
-        grid = make_grid(t1, cfg.steps, cfg.grid, cfg.beta)
+        t1 = args.t1 if args.t1 is not None else DEFAULT_VERIFY_WINDOW * sol.domain_edge
+        grid = make_grid(t1, args.steps, args.grid, args.beta)
     report = verify(sol, method, grid, pc_step=_PC_DEFAULT_STEP)
 
-    tol = cfg.tol if cfg.tol is not None else VERIFY_TOLERANCES[method]
+    tol = args.tol if args.tol is not None else VERIFY_TOLERANCES[method]
     passed = report.sup_norm <= tol
-    if cfg.format == "json":
-        payload = report.to_json_dict()
-        payload.update({"tol": tol, "passed": passed})
-        _write(json.dumps(payload), cfg.out_path)
-    else:
-        _write(report.to_csv(), cfg.out_path)
+    payload = report.to_json_dict()
+    payload.update({"tol": tol, "passed": passed})
+    _emit(args, payload, ["t", "residual"], zip(payload["t"], payload["residual"]))
+    if args.format == "csv":
         print(f"sup_norm = {report.sup_norm!r}  tol = {tol!r}  passed = {passed}",
               file=sys.stderr)
     return 0 if passed else 1
 
 
-def cmd_radius(cfg: RunConfig) -> int:
-    seq = build_sequence(cfg.beta, cfg.m, cfg.n_terms)
-    report = radius_report(seq)
-    if cfg.format == "json":
-        _write(report.to_json(), cfg.out_path)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["quantity", "value"])
-        for key, value in report.to_json_dict().items():
-            writer.writerow([key, "" if value is None else repr(float(value))])
-        _write(buf.getvalue(), cfg.out_path)
+def cmd_radius(args: argparse.Namespace) -> int:
+    payload = radius_report(build_sequence(args.beta, args.m, args.n_terms)).to_json_dict()
+    _emit(args, payload, ["quantity", "value"], payload.items())
     return 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    t0 = cfg.t0 if cfg.t0 is not None else 0.0
-    t1 = cfg.t1 if cfg.t1 is not None else 2.0
-    t = np.linspace(t0, t1, cfg.steps + 1)
-    max_dev = compare_classical(cfg.m, t, n_terms=cfg.n_terms, beta=cfg.beta)
-    if cfg.format == "json":
-        payload = {
-            "beta": cfg.beta,
-            "m": cfg.m,
-            "n_terms": cfg.n_terms,
-            "t0": t0,
-            "t1": t1,
-            "steps": cfg.steps,
-            "max_abs_deviation": max_dev,
-        }
-        _write(json.dumps(payload), cfg.out_path)
-    else:
-        sol = SeriesSolution.build(1.0, cfg.m, cfg.n_terms)
-        w = np.atleast_1d(sol.evaluate(t).w)
-        closed = 1.0 / (1.0 + np.exp(-t / cfg.m))
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "w_series", "w_closed", "abs_deviation"])
-        for ti, wi, ci in zip(t, w, closed):
-            writer.writerow([repr(float(ti)), repr(float(wi)), repr(float(ci)),
-                             repr(abs(float(wi) - float(ci)))])
-        _write(buf.getvalue(), cfg.out_path)
+def _compare_rows(args: argparse.Namespace, t: np.ndarray):
+    # a generator, so the JSON output never builds the second series
+    w = SeriesSolution.build(1.0, args.m, args.n_terms).evaluate(t).w
+    closed = 1.0 / (1.0 + np.exp(-t / args.m))
+    for ti, wi, ci in zip(t.tolist(), w.tolist(), closed.tolist()):
+        yield ti, wi, ci, abs(wi - ci)
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    t = _t_grid(args)
+    payload = {
+        "beta": args.beta,
+        "m": args.m,
+        "n_terms": args.n_terms,
+        "t0": args.t0,
+        "t1": args.t1,
+        "steps": args.steps,
+        "max_abs_deviation": compare_classical(args.m, t, n_terms=args.n_terms, beta=args.beta),
+    }
+    _emit(args, payload, ["t", "w_series", "w_closed", "abs_deviation"], _compare_rows(args, t))
     return 0
 
 
@@ -239,8 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate the series on a t grid")
     common(p)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--t1", type=float, default=None)
+    p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--t1", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=200, help="number of grid intervals")
 
     p = sub.add_parser("verify", help="run one verification oracle (pass/fail exit code)")
@@ -248,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("termwise", "l1", "integro", "pc"), default="termwise")
     p.add_argument("--t1", type=float, default=None,
                    help="grid end (default: 0.7 * empirical radius)")
-    p.add_argument("--steps", type=int, default=200, help="number of grid cells")
+    p.add_argument("--steps", type=int, default=2000, help="number of grid cells")
     p.add_argument("--grid", choices=("uniform", "graded"), default="graded")
     p.add_argument("--tol", type=float, default=None, help="override the method tolerance")
 
@@ -258,19 +212,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="beta=1 series against the closed form")
     common(p)
     p.set_defaults(beta=1.0)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--t1", type=float, default=None)
+    p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--t1", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=200)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _cfg_from_args(args)
-        return _COMMANDS[args.command](cfg)
+        if "steps" in args and args.steps < 1:
+            raise ValueError("steps must be >= 1")
+        return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

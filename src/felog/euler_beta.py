@@ -14,16 +14,14 @@ even-indexed coefficients come out zero on their own.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .specfun import ln_gamma
+from .specfun import gamma_fn, ln_gamma
 
 __all__ = [
     "BetaEulerSequence",
@@ -31,6 +29,7 @@ __all__ = [
     "build_sequence",
     "closed_form_check",
     "bound_sequences",
+    "majorant_constants",
     "sequence_from_json",
     "EVEN_SNAP_TOL",
 ]
@@ -86,21 +85,6 @@ class BetaEulerSequence:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
-    def to_csv(self) -> str:
-        """Columns k, g_k, sign, log10_mag; zeros leave log10_mag empty."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "g_k", "sign", "log10_mag"])
-        for k in range(self.n_terms):
-            mag = self.raw_log10[k]
-            writer.writerow([
-                k,
-                repr(float(self.g[k])),
-                int(self.raw_sign[k]),
-                repr(float(mag)) if math.isfinite(mag) else "",
-            ])
-        return buf.getvalue()
-
 
 @dataclass(frozen=True)
 class BoundSequences:
@@ -130,6 +114,8 @@ def build_sequence(
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     if not m >= 1.0:
         raise ValueError(f"m must be >= 1, got {m}")
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
     if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 2):
         raise ValueError(f"n_terms must be an integer >= 2, got {n_terms}")
 
@@ -193,8 +179,14 @@ def sequence_from_json(payload: Union[str, dict]) -> BetaEulerSequence:
     )
 
 
-def _gamma(x: float) -> float:
-    return math.exp(ln_gamma(x))
+def majorant_constants(beta: float) -> Tuple[float, float]:
+    """Constants (p, q) of the printed majorant |g_{n+1}| <= p q^(n/2) for
+    m = 1: p = 1/(4 Gamma(beta+1)) is the first number over its normalizer,
+    q = 2p Gamma(2beta+1)/Gamma(3beta+1) the geometric base.
+    """
+    p = 0.25 / gamma_fn(beta + 1.0)
+    q = 2.0 * p * math.exp(ln_gamma(2 * beta + 1.0) - ln_gamma(3 * beta + 1.0))
+    return p, q
 
 
 def closed_form_check(seq: BetaEulerSequence) -> Dict[int, float]:
@@ -208,14 +200,14 @@ def closed_form_check(seq: BetaEulerSequence) -> Dict[int, float]:
     if seq.n_terms < 10:
         raise ValueError("closed_form_check needs at least 10 coefficients")
     beta = seq.beta
-    p = 0.25 / _gamma(beta + 1.0)  # first number over its normalizer
-    g2 = _gamma(2 * beta + 1.0)
-    g3 = _gamma(3 * beta + 1.0)
-    g4 = _gamma(4 * beta + 1.0)
-    g5 = _gamma(5 * beta + 1.0)
-    g6 = _gamma(6 * beta + 1.0)
-    g7 = _gamma(7 * beta + 1.0)
-    g8 = _gamma(8 * beta + 1.0)
+    p, _ = majorant_constants(beta)
+    g2 = gamma_fn(2 * beta + 1.0)
+    g3 = gamma_fn(3 * beta + 1.0)
+    g4 = gamma_fn(4 * beta + 1.0)
+    g5 = gamma_fn(5 * beta + 1.0)
+    g6 = gamma_fn(6 * beta + 1.0)
+    g7 = gamma_fn(7 * beta + 1.0)
+    g8 = gamma_fn(8 * beta + 1.0)
     r23 = g2 / g3
 
     closed = {
@@ -234,7 +226,7 @@ def closed_form_check(seq: BetaEulerSequence) -> Dict[int, float]:
 
     out: Dict[int, float] = {}
     for k, ref in closed.items():
-        from_recurrence = seq.g[k] * seq.m**k * _gamma(beta * k + 1.0)
+        from_recurrence = seq.g[k] * seq.m**k * gamma_fn(beta * k + 1.0)
         out[k] = abs(from_recurrence - ref) / abs(ref)
     return out
 
@@ -250,9 +242,7 @@ def bound_sequences(seq: BetaEulerSequence) -> BoundSequences:
         raise ValueError("bound sequences are defined for m = 1 sequences")
     beta = seq.beta
     gamma_em = 0.5772156649015329
-    p = 0.25 / _gamma(beta + 1.0)
-
-    q_majorant = 2.0 * p * _gamma(2 * beta + 1.0) / _gamma(3 * beta + 1.0)
+    p, q_majorant = majorant_constants(beta)
     base_a = (
         (1.0 / 2.0**beta)
         * ((2 * beta + 1) / (3 * beta + 1)) ** (2 * beta + 0.5)

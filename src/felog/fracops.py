@@ -15,9 +15,6 @@ point; neither side is ground truth alone.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -131,17 +128,6 @@ class ResidualReport:
             "residual": self.residual.tolist(),
             "sup_norm": self.sup_norm,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "residual"])
-        for t, r in zip(self.grid, self.residual):
-            writer.writerow([repr(float(t)), repr(float(r))])
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,6 @@ claimed constant and empirical estimate together and asserts nothing.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,8 +20,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .euler_beta import BetaEulerSequence, build_sequence
-from .specfun import EULER_MASCHERONI, ln_gamma
+from .euler_beta import BetaEulerSequence, build_sequence, majorant_constants
+# ln_gamma is unused here but stays bound: bench/spans.py wraps it in every module
+from .specfun import EULER_MASCHERONI, ln_gamma  # noqa: F401
 
 __all__ = [
     "C1_CLAIMED",
@@ -86,9 +84,6 @@ class RadiusReport:
             "discrepancy_ii": abs(_formula_ii(1.0, self.m) - self.c2_claimed * self.m),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def _formula_i(beta: float, m: float) -> float:
     return (
@@ -124,8 +119,7 @@ def radius_report(seq: BetaEulerSequence) -> RadiusReport:
     r_i = _formula_i(beta, m)
     r_ii = _formula_ii(beta, m) if beta > EULER_MASCHERONI - 0.5 else None
 
-    p = 0.25 / math.exp(ln_gamma(beta + 1.0))
-    q = 2.0 * p * math.exp(ln_gamma(2 * beta + 1.0) - ln_gamma(3 * beta + 1.0))
+    _, q = majorant_constants(beta)
     r_guaranteed = (m * m / q) ** (1.0 / (2.0 * beta))
 
     odd = np.abs(seq.g[1::2])
@@ -159,10 +153,7 @@ class SeriesSolution:
 
     def __init__(self, seq: BetaEulerSequence):
         self.seq = seq
-        p = 0.25 / math.exp(ln_gamma(seq.beta + 1.0))
-        self._q = 2.0 * p * math.exp(
-            ln_gamma(2 * seq.beta + 1.0) - ln_gamma(3 * seq.beta + 1.0)
-        )
+        _, self._q = majorant_constants(seq.beta)
 
     @classmethod
     def build(cls, beta: float, m: float = 1.0, n_terms: int = 64) -> "SeriesSolution":
@@ -189,6 +180,8 @@ class SeriesSolution:
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         t_arr = np.atleast_1d(t_arr)
+        if not np.all(np.isfinite(t_arr)):
+            raise ValueError("t must be finite")
         if np.any(t_arr < 0.0):
             raise ValueError("t must be >= 0")
 
@@ -219,20 +212,6 @@ class SeriesSolution:
 
     def __call__(self, t):
         return self.evaluate(t).w
-
-    def curve_csv(self, t) -> str:
-        """Columns t, w, tail_bound, in_domain."""
-        res = self.evaluate(np.atleast_1d(np.asarray(t, dtype=float)))
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "w", "tail_bound", "in_domain"])
-        for ti, wi, tb, dom in zip(
-            np.atleast_1d(t), np.atleast_1d(res.w), np.atleast_1d(res.tail_bound),
-            np.atleast_1d(res.in_domain),
-        ):
-            writer.writerow([repr(float(ti)), repr(float(wi)), repr(float(tb)),
-                             str(bool(dom)).lower()])
-        return buf.getvalue()
 
 
 def evaluate(sol: SeriesSolution, t) -> EvalResult:
@@ -275,7 +254,8 @@ def remark_bound(beta: float, t: float) -> float:
     if not (0.0 <= t < r):
         raise ValueError(f"t must lie in [0, {r}), got {t}")
     rate = 2.0 ** (1 - 2 * beta) * (3 * beta + 1) / (3 * beta + 1 + 2 * beta * beta)
-    return 0.5 + (0.25 / math.exp(ln_gamma(beta + 1.0))) / (1.0 - rate * t)
+    p, _ = majorant_constants(beta)
+    return 0.5 + p / (1.0 - rate * t)
 
 
 def compare_classical(

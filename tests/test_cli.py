@@ -1,4 +1,8 @@
-"""Command-line contract: subcommand outputs, exit codes, round trips."""
+"""Command-line contract: subcommand outputs, exit codes, round trips.
+
+Most cases call ``felog.cli.main`` in-process; the process exit codes and
+the FELOG_FORMAT default run ``python -m felog.cli`` in a child process.
+"""
 
 import csv
 import io
@@ -11,7 +15,10 @@ import sys
 import numpy as np
 import pytest
 
+from felog.cli import main
 from felog.euler_beta import build_sequence, sequence_from_json
+from felog.fracops import graded_grid, verify
+from felog.series_solution import SeriesSolution, radius_report
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -32,10 +39,23 @@ def run_cli(*args, env_extra=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.fixture
+def cli(capsys, monkeypatch):
+    """``cli(*args) -> (code, stdout, stderr)`` through ``main`` in-process."""
+    monkeypatch.delenv("FELOG_FORMAT", raising=False)
+
+    def call(*args):
+        code = main(list(args))
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    return call
+
+
 class TestCoeffs:
-    def test_csv_contains_third_raw_number(self):
-        code, out, _ = run_cli("coeffs", "--beta", "1.0", "--m", "1.0", "-n", "8",
-                               "--format", "csv")
+    def test_csv_contains_third_raw_number(self, cli):
+        code, out, _ = cli("coeffs", "--beta", "1.0", "--m", "1.0", "-n", "8",
+                           "--format", "csv")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 8
@@ -45,26 +65,26 @@ class TestCoeffs:
         # raw value -1/8: magnitude restored from the log column
         assert 10.0 ** float(row3["log10_mag"]) == pytest.approx(0.125, rel=1e-12)
 
-    def test_beta_out_of_range_is_usage_error(self):
-        code, _, err = run_cli("coeffs", "--beta", "1.5")
+    def test_beta_out_of_range_is_usage_error(self, cli):
+        code, _, err = cli("coeffs", "--beta", "1.5")
         assert code == 2
         assert "beta must lie in (0, 1]" in err
 
-    def test_too_few_terms_is_usage_error(self):
-        code, _, err = run_cli("coeffs", "--beta", "0.5", "-n", "1")
+    def test_too_few_terms_is_usage_error(self, cli):
+        code, _, err = cli("coeffs", "--beta", "0.5", "-n", "1")
         assert code == 2
         assert "n_terms" in err and ">= 2" in err
 
-    def test_json_round_trip_bit_exact(self):
-        code, out, _ = run_cli("coeffs", "--beta", "0.7", "--m", "2.0", "-n", "32",
-                               "--format", "json")
+    def test_json_round_trip_bit_exact(self, cli):
+        code, out, _ = cli("coeffs", "--beta", "0.7", "--m", "2.0", "-n", "32",
+                           "--format", "json")
         assert code == 0
         back = sequence_from_json(out)
         direct = build_sequence(0.7, 2.0, 32)
         assert np.array_equal(back.g, direct.g)
 
-    def test_floats_round_trip_through_text(self):
-        code, out, _ = run_cli("coeffs", "--beta", "0.7", "-n", "16", "--format", "csv")
+    def test_floats_round_trip_through_text(self, cli):
+        code, out, _ = cli("coeffs", "--beta", "0.7", "-n", "16", "--format", "csv")
         assert code == 0
         direct = build_sequence(0.7, 1.0, 16)
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -73,38 +93,44 @@ class TestCoeffs:
 
 
 class TestEval:
-    def test_initial_row(self):
-        code, out, _ = run_cli("eval", "--beta", "1", "--m", "1", "--t0", "0",
-                               "--t1", "2", "--steps", "5", "--format", "csv")
+    def test_initial_row(self, cli):
+        code, out, _ = cli("eval", "--beta", "1", "--m", "1", "--t0", "0",
+                           "--t1", "2", "--steps", "5", "--format", "csv")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert float(rows[0]["t"]) == 0.0
         assert float(rows[0]["w"]) == 0.5
 
-    def test_single_step_hits_closed_form(self):
-        code, out, _ = run_cli("eval", "--beta", "1", "--t1", "1", "--steps", "1",
-                               "--format", "csv")
+    def test_single_step_hits_closed_form(self, cli):
+        code, out, _ = cli("eval", "--beta", "1", "--t1", "1", "--steps", "1",
+                           "--format", "csv")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         last = rows[-1]
         assert float(last["t"]) == 1.0
         assert float(last["w"]) == pytest.approx(0.7310586, abs=1e-7)
 
-    def test_out_of_domain_rows_flagged_with_warning(self):
-        code, out, err = run_cli("eval", "--beta", "0.7", "--t1", "10",
-                                 "--format", "csv")
+    def test_out_of_domain_rows_flagged_with_warning(self, cli):
+        code, out, err = cli("eval", "--beta", "0.7", "--t1", "10", "--format", "csv")
         assert code == 0
         assert "warning" in err
         rows = list(csv.DictReader(io.StringIO(out)))
         flags = [row["in_domain"] == "true" for row in rows]
         assert flags[0] is True and flags[-1] is False
 
-    def test_json_tail_bound_null_when_unbounded(self):
-        code, out, _ = run_cli("eval", "--beta", "0.7", "--t1", "10", "--steps", "4")
+    def test_json_tail_bound_null_when_unbounded(self, cli):
+        code, out, _ = cli("eval", "--beta", "0.7", "--t1", "10", "--steps", "4")
         assert code == 0
         payload = json.loads(out)
         assert payload["tail_bound"][-1] is None
         assert payload["in_domain"][-1] is False
+
+    @pytest.mark.parametrize("flag", (("--m", "inf"), ("--t1", "inf")))
+    def test_non_finite_input_is_usage_error(self, cli, flag):
+        code, out, err = cli("eval", *flag)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
 
 
 class TestVerify:
@@ -115,20 +141,25 @@ class TestVerify:
         assert payload["sup_norm"] <= 1e-12
         assert payload["passed"] is True
 
-    def test_l1_at_2000_steps_passes(self):
-        code, out, _ = run_cli("verify", "--beta", "0.5", "--method", "l1",
-                               "--steps", "2000")
+    def test_l1_at_2000_steps_passes(self, cli):
+        code, out, _ = cli("verify", "--beta", "0.5", "--method", "l1", "--steps", "2000")
         assert code == 0
         assert json.loads(out)["sup_norm"] <= 1e-4
 
-    def test_l1_at_classical_order_passes(self):
-        code, out, _ = run_cli("verify", "--beta", "1", "--method", "l1",
-                               "--steps", "2000")
+    def test_l1_at_classical_order_passes(self, cli):
+        code, out, _ = cli("verify", "--beta", "1", "--method", "l1", "--steps", "2000")
         assert code == 0
         assert json.loads(out)["sup_norm"] <= 1e-4
 
-    def test_pc_passes(self):
-        code, out, _ = run_cli("verify", "--beta", "0.7", "--method", "pc")
+    @pytest.mark.parametrize("beta", ((), ("--beta", "0.7"), ("--beta", "1")))
+    def test_l1_on_default_grid_passes(self, cli, beta):
+        # the default grid must meet the default l1 tolerance on correct code
+        code, out, _ = cli("verify", "--method", "l1", *beta)
+        assert code == 0
+        assert json.loads(out)["sup_norm"] <= 1e-4
+
+    def test_pc_passes(self, cli):
+        code, out, _ = cli("verify", "--beta", "0.7", "--method", "pc")
         assert code == 0
         assert json.loads(out)["sup_norm"] <= 1e-5
 
@@ -144,27 +175,27 @@ class TestVerify:
 
 
 class TestRadius:
-    def test_guaranteed_radius_beta_one(self):
-        code, out, _ = run_cli("radius", "--beta", "1", "--m", "1")
+    def test_guaranteed_radius_beta_one(self, cli):
+        code, out, _ = cli("radius", "--beta", "1", "--m", "1")
         assert code == 0
         payload = json.loads(out)
         assert payload["r_guaranteed"] == pytest.approx(math.sqrt(6.0), abs=1e-10)
         assert payload["r_empirical"] == pytest.approx(math.pi, abs=1e-3)
 
-    def test_formula_ii_null_below_condition(self):
-        code, out, _ = run_cli("radius", "--beta", "0.05")
+    def test_formula_ii_null_below_condition(self, cli):
+        code, out, _ = cli("radius", "--beta", "0.05")
         assert code == 0
         assert json.loads(out)["r_formula_ii"] is None
 
-    def test_m_scaling_of_guaranteed_radius(self):
-        code, out, _ = run_cli("radius", "--beta", "1", "--m", "2")
+    def test_m_scaling_of_guaranteed_radius(self, cli):
+        code, out, _ = cli("radius", "--beta", "1", "--m", "2")
         assert code == 0
         assert json.loads(out)["r_guaranteed"] == pytest.approx(
             math.sqrt(24.0), abs=1e-10
         )
 
-    def test_report_carries_constants_and_discrepancies(self):
-        code, out, _ = run_cli("radius", "--beta", "0.7")
+    def test_report_carries_constants_and_discrepancies(self, cli):
+        code, out, _ = cli("radius", "--beta", "0.7")
         payload = json.loads(out)
         assert payload["c1_claimed"] == 3.074366
         assert payload["c2_claimed"] == 3.116623
@@ -172,22 +203,22 @@ class TestRadius:
 
 
 class TestCompare:
-    def test_within_budget(self):
-        code, out, _ = run_cli("compare", "--m", "1", "--t1", "2", "--steps", "20")
+    def test_within_budget(self, cli):
+        code, out, _ = cli("compare", "--m", "1", "--t1", "2", "--steps", "20")
         assert code == 0
         assert json.loads(out)["max_abs_deviation"] <= 1e-8
 
-    def test_rejects_fractional_order(self):
-        code, _, err = run_cli("compare", "--beta", "0.7")
+    def test_rejects_fractional_order(self, cli):
+        code, _, err = cli("compare", "--beta", "0.7")
         assert code == 2
         assert "beta = 1" in err
 
 
 class TestIOContract:
-    def test_out_file_and_csv_line_endings(self, tmp_path):
+    def test_out_file_and_csv_line_endings(self, cli, tmp_path):
         path = tmp_path / "seq.csv"
-        code, _, _ = run_cli("coeffs", "--beta", "0.5", "-n", "8",
-                             "--format", "csv", "--out", str(path))
+        code, _, _ = cli("coeffs", "--beta", "0.5", "-n", "8",
+                         "--format", "csv", "--out", str(path))
         assert code == 0
         raw = path.read_bytes()
         assert b"\r" not in raw
@@ -204,8 +235,108 @@ class TestIOContract:
         assert code == 0
         assert out.startswith("k,g_k,sign,log10_mag")
 
-    def test_json_is_single_object(self):
-        code, out, _ = run_cli("radius", "--beta", "0.5")
+    def test_json_is_single_object(self, cli):
+        code, out, _ = cli("radius", "--beta", "0.5")
         assert code == 0
         payload = json.loads(out)
         assert isinstance(payload, dict)
+
+    @pytest.mark.parametrize("command", (("eval",), ("verify",),
+                                         ("verify", "--method", "termwise"), ("compare",)))
+    def test_steps_below_one_is_usage_error(self, cli, command):
+        code, _, err = cli(*command, "--steps", "0")
+        assert code == 2
+        assert "steps must be >= 1" in err
+
+
+def _library_table(command):
+    """Argv, CSV header and the expected rows of one subcommand, computed
+    from the library directly."""
+    if command == "coeffs":
+        seq = build_sequence(1.0, 1.0, 8)
+        rows = [[k, g, s, mag if math.isfinite(mag) else None]
+                for k, (g, s, mag) in enumerate(zip(seq.g.tolist(), seq.raw_sign.tolist(),
+                                                    seq.raw_log10.tolist()))]
+        return ["--beta", "1", "-n", "8"], ["k", "g_k", "sign", "log10_mag"], rows
+    if command == "eval":
+        t = np.linspace(0.0, 10.0, 5)
+        res = SeriesSolution.build(0.7).evaluate(t)
+        rows = [list(r) for r in zip(t.tolist(), res.w.tolist(), res.tail_bound.tolist(),
+                                     res.in_domain.tolist())]
+        return (["--beta", "0.7", "--t1", "10", "--steps", "4"],
+                ["t", "w", "tail_bound", "in_domain"], rows)
+    if command == "verify":
+        sol = SeriesSolution.build(0.5)
+        rep = verify(sol, "l1", graded_grid(0.7 * sol.domain_edge, 300, 0.5))
+        rows = [list(r) for r in zip(rep.grid.tolist(), rep.residual.tolist())]
+        return ["--beta", "0.5", "--method", "l1", "--steps", "300"], ["t", "residual"], rows
+    if command == "radius":
+        rows = [list(r) for r in radius_report(build_sequence(0.05, 1.0, 64))
+                .to_json_dict().items()]
+        return ["--beta", "0.05"], ["quantity", "value"], rows
+    t = np.linspace(0.0, 2.0, 5)
+    w = SeriesSolution.build(1.0, 2.0).evaluate(t).w
+    closed = 1.0 / (1.0 + np.exp(-t / 2.0))
+    rows = [[ti, wi, ci, abs(wi - ci)]
+            for ti, wi, ci in zip(t.tolist(), w.tolist(), closed.tolist())]
+    return (["--m", "2", "--t1", "2", "--steps", "4"],
+            ["t", "w_series", "w_closed", "abs_deviation"], rows)
+
+
+def _parse_cell(text):
+    """Empty -> None, true/false -> bool, numbers only in shortest
+    round-trip form."""
+    if text == "":
+        return None
+    if text in ("true", "false"):
+        return text == "true"
+    try:
+        value = int(text)
+    except ValueError:
+        try:
+            value = float(text)
+        except ValueError:
+            return text
+        assert repr(value) == text
+        return value
+    assert str(value) == text
+    return value
+
+
+def _json_rows(command, payload):
+    if command == "coeffs":
+        return [[k, g, raw["sign"], raw["log10_mag"]]
+                for k, (g, raw) in enumerate(zip(payload["g"], payload["raw"]))]
+    if command == "eval":
+        return [list(r) for r in zip(payload["t"], payload["w"], payload["tail_bound"],
+                                     payload["in_domain"])]
+    if command == "verify":
+        return [list(r) for r in zip(payload["t"], payload["residual"])]
+    if command == "radius":
+        return [list(r) for r in payload.items()]
+    return [[payload["max_abs_deviation"]]]
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("command", ("coeffs", "eval", "verify", "radius", "compare"))
+def test_emitted_table_matches_library(cli, command, fmt):
+    argv, header, rows = _library_table(command)
+    code, out, _ = cli(command, *argv, "--format", fmt)
+    assert code == 0
+    if fmt == "csv":
+        lines = list(csv.reader(io.StringIO(out)))
+        assert lines[0] == header
+        assert [[_parse_cell(c) for c in line] for line in lines[1:]] == rows
+    else:
+        if command == "eval":  # JSON has no infinity: an unbounded tail is null
+            rows = [[t, w, tb if math.isfinite(tb) else None, d] for t, w, tb, d in rows]
+        if command == "compare":  # JSON carries only the deviation's maximum
+            rows = [[max(r[3] for r in rows)]]
+        assert _json_rows(command, json.loads(out)) == rows
+    # each table shows the cell kinds the format must render
+    if command == "coeffs":
+        assert rows[2][3] is None  # exact zero: empty log10_mag
+    if command == "eval":
+        assert rows[0][3] is True and rows[-1][3] is False
+    if command == "radius":
+        assert dict(rows)["r_formula_ii"] is None

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from felog.cli import main
 from felog.euler_beta import (
     BetaEulerSequence,
     bound_sequences,
     build_sequence,
     closed_form_check,
+    majorant_constants,
     sequence_from_json,
 )
 from felog.specfun import euler_poly_exact, ln_gamma
@@ -111,6 +113,8 @@ class TestBuildSequence:
             build_sequence(0.5, 0.5, 8)
         with pytest.raises(ValueError):
             build_sequence(0.5, 1.0, 1)
+        with pytest.raises(ValueError, match="finite"):
+            build_sequence(0.5, math.inf, 8)
 
     def test_arrays_are_read_only(self):
         seq = build_sequence(0.5, 1.0, 8)
@@ -158,6 +162,11 @@ class TestBoundSequences:
     def test_q_majorant_beta_one(self):
         bs = bound_sequences(build_sequence(1.0, 1.0, 32))
         assert bs.q_majorant == pytest.approx(1.0 / 6.0, abs=1e-15)
+
+    def test_majorant_constants_beta_one(self):
+        p, q = majorant_constants(1.0)
+        assert p == pytest.approx(0.25, rel=1e-15)
+        assert q == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     @pytest.mark.parametrize("beta", BETA_GRID)
     def test_a0_is_first_coefficient_ratio(self, beta):
@@ -210,9 +219,9 @@ class TestSerialization:
         assert np.array_equal(back.raw_log10[finite], seq.raw_log10[finite])
         assert np.all(np.isneginf(back.raw_log10[~finite]))
 
-    def test_csv_shape_and_zero_rows(self):
-        seq = build_sequence(1.0, 1.0, 8)
-        lines = seq.to_csv().splitlines()
+    def test_csv_shape_and_zero_rows(self, capsys):
+        assert main(["coeffs", "--beta", "1", "--m", "1", "-n", "8", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "k,g_k,sign,log10_mag"
         assert len(lines) == 9
         k2 = lines[3].split(",")

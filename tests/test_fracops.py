@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from felog.cli import main
 from felog.euler_beta import build_sequence
 from felog.fracops import (
     B0,
@@ -224,12 +225,13 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(sol, "l1")
 
-    def test_report_serialization(self):
+    def test_report_serialization(self, capsys):
         sol = SeriesSolution.build(0.5, 1.0, 64)
         rep = verify(sol, "termwise")
         payload = rep.to_json_dict()
         assert set(payload) == {"method", "t", "residual", "sup_norm"}
-        lines = rep.to_csv().splitlines()
+        assert main(["verify", "--beta", "0.5", "--method", "termwise", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "t,residual"
 
 

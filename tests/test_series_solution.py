@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from felog.cli import main
 from felog.euler_beta import build_sequence
 from felog.series_solution import (
     C1_CLAIMED,
@@ -41,6 +42,12 @@ class TestEvaluate:
         sol = SeriesSolution.build(0.5, 1.0, 64)
         with pytest.raises(ValueError):
             sol.evaluate(-0.1)
+
+    @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf, [0.5, math.nan]))
+    def test_non_finite_t_rejected(self, t):
+        sol = SeriesSolution.build(0.5, 1.0, 64)
+        with pytest.raises(ValueError, match="finite"):
+            sol.evaluate(t)
 
     def test_array_evaluation_matches_scalar(self):
         sol = SeriesSolution.build(0.7, 1.0, 64)
@@ -105,9 +112,11 @@ class TestEvaluate:
         for a, b in zip(increments, increments[1:]):
             assert b <= a * bound * (1.0 + 1e-12)
 
-    def test_curve_csv_columns(self):
-        sol = SeriesSolution.build(1.0, 1.0, 64)
-        lines = sol.curve_csv([0.0, 1.0]).splitlines()
+    def test_curve_csv_columns(self, capsys):
+        argv = ["eval", "--beta", "1", "--m", "1", "--t0", "0", "--t1", "1", "--steps", "1",
+                "--format", "csv"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "t,w,tail_bound,in_domain"
         first = lines[1].split(",")
         assert first[0] == "0.0" and first[1] == "0.5" and first[3] == "true"
