@@ -77,6 +77,8 @@ def _emit(args: argparse.Namespace, payload: dict, header, rows) -> None:
 
 
 def _t_grid(args: argparse.Namespace) -> np.ndarray:
+    if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
+        raise ValueError("t0 and t1 must be finite")
     if not args.t0 < args.t1:
         raise ValueError("t0 must be less than t1")
     return np.linspace(args.t0, args.t1, args.steps + 1)
@@ -115,16 +117,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    method = "predictor_corrector" if args.method == "pc" else args.method
     sol = SeriesSolution.build(args.beta, args.m, args.n_terms)
 
     grid = None
-    if method != "termwise":
+    if args.method != "termwise":
         t1 = args.t1 if args.t1 is not None else DEFAULT_VERIFY_WINDOW * sol.domain_edge
         grid = make_grid(t1, args.steps, args.grid, args.beta)
-    report = verify(sol, method, grid, pc_step=_PC_DEFAULT_STEP)
+    report = verify(sol, args.method, grid, pc_step=_PC_DEFAULT_STEP)
 
-    tol = args.tol if args.tol is not None else VERIFY_TOLERANCES[method]
+    tol = args.tol if args.tol is not None else VERIFY_TOLERANCES[report.method]
     passed = report.sup_norm <= tol
     payload = report.to_json_dict()
     payload.update({"tol": tol, "passed": passed})

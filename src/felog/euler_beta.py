@@ -60,6 +60,10 @@ class BetaEulerSequence:
     even_residual: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("g", "raw_sign", "raw_log10", "even_residual"):
+            arr = np.asarray(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.g[0] != 0.5:
             raise ValueError("g_0 must equal 1/2")
         g1 = 0.25 / (self.m * math.exp(ln_gamma(self.beta + 1.0)))
@@ -143,8 +147,6 @@ def build_sequence(
         )
     raw_sign = np.sign(g).astype(int)
 
-    for arr in (g, raw_sign, raw_log10, even_residual):
-        arr.setflags(write=False)
     return BetaEulerSequence(
         beta=float(beta),
         m=float(m),
@@ -166,8 +168,6 @@ def sequence_from_json(payload: Union[str, dict]) -> BetaEulerSequence:
     )
     n_terms = len(g)
     even_residual = np.zeros(n_terms // 2 + 1)  # not serialized; diagnostic only
-    for arr in (g, raw_sign, raw_log10, even_residual):
-        arr.setflags(write=False)
     return BetaEulerSequence(
         beta=float(obj["beta"]),
         m=float(obj["m"]),

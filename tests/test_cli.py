@@ -125,12 +125,15 @@ class TestEval:
         assert payload["tail_bound"][-1] is None
         assert payload["in_domain"][-1] is False
 
-    @pytest.mark.parametrize("flag", (("--m", "inf"), ("--t1", "inf")))
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag", (("--m", "inf"), ("--t1", "inf"),
+                                      ("--t1", "nan"), ("--t0", "nan")))
     def test_non_finite_input_is_usage_error(self, cli, flag):
         code, out, err = cli("eval", *flag)
         assert code == 2
         assert out == ""
         assert "must be finite" in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestVerify:
@@ -168,6 +171,15 @@ class TestVerify:
                                "--tol", "1e-30")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ("l1", "integro", "pc"))
+    @pytest.mark.parametrize("t1", ("inf", "nan", "-1"))
+    def test_bad_grid_end_is_usage_error(self, cli, method, t1):
+        code, out, err = cli("verify", "--method", method, "--t1", t1)
+        assert code == 2
+        assert out == ""
+        assert err == "error: t1 must be finite and positive\n"
 
     def test_unknown_method_is_usage_error(self):
         code, _, _ = run_cli("verify", "--beta", "0.5", "--method", "spectral")
@@ -213,6 +225,14 @@ class TestCompare:
         assert code == 2
         assert "beta = 1" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t1", ("inf", "nan"))
+    def test_non_finite_t1_is_usage_error(self, cli, t1):
+        code, out, err = cli("compare", "--t1", t1)
+        assert code == 2
+        assert out == ""
+        assert err == "error: t0 and t1 must be finite\n"
+
 
 class TestIOContract:
     def test_out_file_and_csv_line_endings(self, cli, tmp_path):
@@ -240,6 +260,16 @@ class TestIOContract:
         assert code == 0
         payload = json.loads(out)
         assert isinstance(payload, dict)
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; scipy is a test oracle
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, felog.cli; print(sorted(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.')))"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout == "[]\n"
 
     @pytest.mark.parametrize("command", (("eval",), ("verify",),
                                          ("verify", "--method", "termwise"), ("compare",)))

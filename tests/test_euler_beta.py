@@ -1,6 +1,7 @@
 """Coefficient recurrence: forced initial values, closed-form cross-checks,
 emergent structure, scaling, and the majorant data."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -120,6 +121,13 @@ class TestBuildSequence:
         seq = build_sequence(0.5, 1.0, 8)
         with pytest.raises(ValueError):
             seq.g[0] = 1.0
+
+    def test_both_constructors_give_read_only_arrays(self):
+        built = build_sequence(0.7, 2.0, 16)
+        writable = dataclasses.replace(built, g=built.g.copy(), raw_sign=built.raw_sign.copy())
+        for seq in (built, sequence_from_json(built.to_json()), writable):
+            for name in ("g", "raw_sign", "raw_log10", "even_residual"):
+                assert not getattr(seq, name).flags.writeable, name
 
 
 class TestClosedForms:

@@ -43,6 +43,13 @@ class TestGrids:
         assert g.nodes[5] == pytest.approx(0.5**4, rel=1e-15)
         assert g.nodes[0] == 0.0 and g.nodes[-1] == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", (uniform_grid, graded_grid))
+    @pytest.mark.parametrize("t1", (math.inf, math.nan, -1.0, 0.0))
+    def test_bad_end_rejected_before_nodes_are_built(self, make, t1):
+        with pytest.raises(ValueError, match="t1 must be finite and positive"):
+            make(t1, 8, 0.5)
+
     def test_make_grid_dispatch(self):
         assert make_grid(1.0, 8, "uniform", 0.5).nodes.size == 9
         with pytest.raises(ValueError):
@@ -253,7 +260,7 @@ class TestSonine:
     def test_half_reduces_to_circle_constant(self):
         assert sonine_check(0.5, [1.0]) <= 1e-12
 
-    @pytest.mark.parametrize("beta", (0.25, 0.5, 0.75))
+    @pytest.mark.parametrize("beta", (0.001, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999))
     def test_identity_across_t(self, beta):
         assert sonine_check(beta, [0.5, 1.0, 3.0]) <= 1e-10
 
