@@ -45,7 +45,6 @@ from .series_solution import (
     RadiusReport,
     SeriesSolution,
     compare_classical,
-    evaluate,
     radius_report,
     remark_bound,
     remark_bound_pole,
@@ -64,7 +63,6 @@ from .fracops import (
     levy_tail_laplace,
     make_grid,
     rl_derivative_termwise,
-    series_derivative,
     solve_pc,
     sonine_check,
     sonine_product_quadrature,
@@ -103,7 +101,6 @@ __all__ = [
     "RadiusReport",
     "SeriesSolution",
     "compare_classical",
-    "evaluate",
     "radius_report",
     "remark_bound",
     "remark_bound_pole",
@@ -121,7 +118,6 @@ __all__ = [
     "levy_tail_laplace",
     "make_grid",
     "rl_derivative_termwise",
-    "series_derivative",
     "solve_pc",
     "sonine_check",
     "sonine_product_quadrature",

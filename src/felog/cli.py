@@ -45,8 +45,6 @@ VERIFY_TOLERANCES = {
 #: stays well below every method tolerance.
 DEFAULT_VERIFY_WINDOW = 0.7
 
-_PC_DEFAULT_STEP = 1e-3
-
 
 def _cell(value) -> str:
     if value is None:
@@ -123,7 +121,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.method != "termwise":
         t1 = args.t1 if args.t1 is not None else DEFAULT_VERIFY_WINDOW * sol.domain_edge
         grid = make_grid(t1, args.steps, args.grid, args.beta)
-    report = verify(sol, args.method, grid, pc_step=_PC_DEFAULT_STEP)
+    report = verify(sol, args.method, grid)
 
     tol = args.tol if args.tol is not None else VERIFY_TOLERANCES[report.method]
     passed = report.sup_norm <= tol

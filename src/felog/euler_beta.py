@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple, Union
 
 import numpy as np
@@ -38,32 +39,24 @@ __all__ = [
 #: are snapped to exact zero, so downstream ratio tests never see sign noise.
 EVEN_SNAP_TOL = 1e-14
 
-_LOG10 = math.log(10.0)
-
 
 @dataclass(frozen=True)
 class BetaEulerSequence:
     """Normalized coefficient sequence for one (beta, m) pair.
 
-    ``g[k]`` is the coefficient of t^(beta*k) in the series; ``raw_sign`` and
-    ``raw_log10`` describe the unnormalized numbers. ``even_residual[j]``
-    records |g_{2j}| as produced by the recurrence before snapping, j >= 1.
-    All arrays are read-only.
+    ``g[k]`` is the coefficient of t^(beta*k) in the series, and ``g`` is
+    read-only. The sequence stores only (beta, m, g); everything else is
+    derived from them: ``n_terms`` is ``g.size``, and ``raw_sign`` and
+    ``raw_log10`` describe the unnormalized numbers
+    E_k = g_k m^k Gamma(beta*k + 1), computed on first use.
     """
 
     beta: float
     m: float
     g: np.ndarray
-    raw_sign: np.ndarray
-    raw_log10: np.ndarray
-    n_terms: int
-    even_residual: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("g", "raw_sign", "raw_log10", "even_residual"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "g", _read_only(np.asarray(self.g)))
         if self.g[0] != 0.5:
             raise ValueError("g_0 must equal 1/2")
         g1 = 0.25 / (self.m * math.exp(ln_gamma(self.beta + 1.0)))
@@ -71,9 +64,22 @@ class BetaEulerSequence:
             raise ValueError("g_1 must equal (1/4) / (m * Gamma(beta+1))")
 
     @property
-    def raw(self):
-        """(sign, log10 magnitude) pairs for the unnormalized numbers."""
-        return list(zip(self.raw_sign.tolist(), self.raw_log10.tolist()))
+    def n_terms(self) -> int:
+        return self.g.size
+
+    @cached_property
+    def raw_sign(self) -> np.ndarray:
+        """Sign of each E_k; 0 where g_k is exactly zero."""
+        return _read_only(np.sign(self.g).astype(int))
+
+    @cached_property
+    def raw_log10(self) -> np.ndarray:
+        """log10 |E_k|; -inf where g_k is exactly zero."""
+        n = self.g.size
+        lg = np.array([ln_gamma(self.beta * k + 1.0) for k in range(n)])
+        with np.errstate(divide="ignore"):  # log10(0) = -inf marks a zero g_k
+            log_g = np.log10(np.abs(self.g))
+        return _read_only(log_g + np.arange(n) * math.log10(self.m) + lg / math.log(10.0))
 
     def to_json_dict(self) -> dict:
         """Schema: { "beta", "m", "g", "raw": [{"sign", "log10_mag"}] }.
@@ -88,6 +94,11 @@ class BetaEulerSequence:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -126,56 +137,24 @@ def build_sequence(
     lg = np.array([ln_gamma(beta * k + 1.0) for k in range(n_terms)])
     g = np.zeros(n_terms)
     g[0] = 0.5
-    even_residual = np.zeros(n_terms // 2 + 1)
     for k in range(n_terms - 1):
         conv = float(np.dot(g[: k + 1], g[k::-1]))
         nxt = math.exp(lg[k] - lg[k + 1]) * (g[k] - conv) / m
-        if (k + 1) % 2 == 0:
-            even_residual[(k + 1) // 2] = abs(nxt)
-            if snap_even and abs(nxt) <= EVEN_SNAP_TOL * max(1.0, abs(g[k])):
-                nxt = 0.0
+        if snap_even and (k + 1) % 2 == 0 and abs(nxt) <= EVEN_SNAP_TOL * max(1.0, abs(g[k])):
+            nxt = 0.0
         g[k + 1] = nxt
-
-    k_arr = np.arange(n_terms)
-    with np.errstate(divide="ignore"):
-        raw_log10 = np.where(
-            g != 0.0,
-            np.log10(np.abs(np.where(g != 0.0, g, 1.0)))
-            + k_arr * math.log10(m)
-            + lg / _LOG10,
-            -np.inf,
-        )
-    raw_sign = np.sign(g).astype(int)
-
-    return BetaEulerSequence(
-        beta=float(beta),
-        m=float(m),
-        g=g,
-        raw_sign=raw_sign,
-        raw_log10=raw_log10,
-        n_terms=int(n_terms),
-        even_residual=even_residual,
-    )
+    return BetaEulerSequence(beta=float(beta), m=float(m), g=g)
 
 
 def sequence_from_json(payload: Union[str, dict]) -> BetaEulerSequence:
-    """Rebuild a sequence from its JSON export (bit-exact in g)."""
+    """Rebuild a sequence from its JSON export, bit-exact in g.
+
+    Only "beta", "m" and "g" are read: the "raw" entries are derived from g,
+    so a stale or edited "raw" list cannot disagree with it.
+    """
     obj = json.loads(payload) if isinstance(payload, str) else payload
-    g = np.array(obj["g"], dtype=float)
-    raw_sign = np.array([entry["sign"] for entry in obj["raw"]], dtype=int)
-    raw_log10 = np.array(
-        [(-math.inf if entry["log10_mag"] is None else entry["log10_mag"]) for entry in obj["raw"]]
-    )
-    n_terms = len(g)
-    even_residual = np.zeros(n_terms // 2 + 1)  # not serialized; diagnostic only
     return BetaEulerSequence(
-        beta=float(obj["beta"]),
-        m=float(obj["m"]),
-        g=g,
-        raw_sign=raw_sign,
-        raw_log10=raw_log10,
-        n_terms=n_terms,
-        even_residual=even_residual,
+        beta=float(obj["beta"]), m=float(obj["m"]), g=np.array(obj["g"], dtype=float)
     )
 
 

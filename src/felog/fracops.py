@@ -41,7 +41,6 @@ __all__ = [
     "caputo_l1",
     "caputo_l1_all",
     "fractional_integral_midpoint",
-    "series_derivative",
     "verify",
     "sonine_check",
     "sonine_product_quadrature",
@@ -107,12 +106,14 @@ def make_grid(t1: float, n: int, spacing: str, beta: float) -> QuadratureGrid:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Pointwise defect of one verification route, with its sup norm."""
+    """Pointwise defect of one verification route at the points ``grid``.
+
+    Stores only the defect; ``sup_norm`` is its largest entry.
+    """
 
     method: str
     grid: np.ndarray
     residual: np.ndarray
-    sup_norm: float
 
     def __post_init__(self) -> None:
         for name in ("grid", "residual"):
@@ -121,10 +122,10 @@ class ResidualReport:
             object.__setattr__(self, name, arr)
         if np.any(self.residual < 0.0):
             raise ValueError("residual entries must be >= 0")
-        if self.residual.size and not math.isclose(
-            self.sup_norm, float(np.max(self.residual)), rel_tol=0.0, abs_tol=0.0
-        ):
-            raise ValueError("sup_norm must equal the max residual entry")
+
+    @property
+    def sup_norm(self) -> float:
+        return float(np.max(self.residual))
 
     def to_json_dict(self) -> dict:
         return {
@@ -241,22 +242,6 @@ def fractional_integral_midpoint(
     return _graded_history(f_mid, t, beta, 1.0 / math.exp(ln_gamma(beta)) / beta)
 
 
-def series_derivative(sol: SeriesSolution, t) -> np.ndarray:
-    """Term-wise derivative sum_k g_k * beta*k * t^(beta*k - 1).
-
-    Unbounded as t -> 0 for beta < 1; callers keep their grids away from the
-    origin.
-    """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr <= 0.0):
-        raise ValueError("the term-wise derivative needs t > 0")
-    seq = sol.seq
-    beta = seq.beta
-    k = np.arange(1, seq.n_terms, dtype=float)
-    powers = np.exp(np.outer(beta * k - 1.0, np.log(t_arr)))
-    return (seq.g[1:] * beta * k) @ powers
-
-
 def verify(
     sol: SeriesSolution,
     method: str,
@@ -269,8 +254,9 @@ def verify(
     termwise: coefficient-wise defect of the recurrence (index grid);
     l1/integro: pointwise defect on the grid nodes with t >= t_min;
     predictor_corrector: deviation from an independently stepped solution
-    on its own uniform grid up to the last grid node. Grids must stay within
-    (0, 0.8 * empirical radius).
+    on its own uniform grid up to the last grid node. Grids must be built
+    for the series' beta, stay within (0, 0.8 * empirical radius) and reach
+    t_min.
     """
     method = "predictor_corrector" if method == "pc" else method
     if method not in VERIFY_METHODS:
@@ -284,25 +270,34 @@ def verify(
             conv = float(np.dot(seq.g[: k + 1], seq.g[k::-1]))
             residual[k] = abs(coeffs[k] - (seq.g[k] - conv) / seq.m)
         idx = np.arange(coeffs.size, dtype=float)
-        return ResidualReport("termwise", idx, residual, float(np.max(residual)))
+        return ResidualReport("termwise", idx, residual)
 
     if grid is None:
         raise ValueError(f"method {method!r} needs a quadrature grid")
+    if grid.beta != seq.beta:
+        raise ValueError(
+            f"grid was built for beta = {grid.beta}, the series has beta = {seq.beta}"
+        )
     edge = 0.8 * sol.domain_edge
     if grid.nodes[-1] > edge * (1.0 + 1e-12):
         raise ValueError(
             f"grid extends to {grid.nodes[-1]:.6g}, past 0.8 * empirical radius = {edge:.6g}"
         )
 
+    if method == "predictor_corrector":
+        t_pc, u_pc = solve_pc(seq.beta, seq.m, float(grid.nodes[-1]), pc_step)
+        keep = _reported(t_pc, t_min)
+        w = np.atleast_1d(sol.evaluate(t_pc[keep]).w)
+        return ResidualReport(method, t_pc[keep], np.abs(w - u_pc[keep]))
+
+    t = grid.nodes[1:]
+    keep = _reported(t, t_min)
     if method == "l1":
         w = np.atleast_1d(sol.evaluate(grid.nodes).w)
         lhs = caputo_l1_all(w, grid)
         rhs = (w[1:] - w[1:] ** 2) / seq.m
-        keep = grid.nodes[1:] >= t_min
         residual = np.abs(lhs - rhs)[keep]
-        return ResidualReport("l1", grid.nodes[1:][keep], residual, float(np.max(residual)))
-
-    if method == "integro":
+    else:
         # The singular-kernel rewriting is checked in its integrated form
         # w(t) - w(0) = I^beta[(w - w^2)/m]: as printed, with w' on the left,
         # the two sides' Laplace symbols differ by a factor lambda and the
@@ -311,18 +306,17 @@ def verify(
         w_mid = np.atleast_1d(sol.evaluate(mids).w)
         f_mid = (w_mid - w_mid**2) / seq.m
         rhs = fractional_integral_midpoint(f_mid, grid)
-        keep = grid.nodes[1:] >= t_min
-        w_nodes = np.atleast_1d(sol.evaluate(grid.nodes[1:][keep]).w)
+        w_nodes = np.atleast_1d(sol.evaluate(t[keep]).w)
         residual = np.abs((w_nodes - 0.5) - rhs[keep])
-        return ResidualReport("integro", grid.nodes[1:][keep], residual, float(np.max(residual)))
+    return ResidualReport(method, t[keep], residual)
 
-    t_pc, u_pc = solve_pc(seq.beta, seq.m, float(grid.nodes[-1]), pc_step)
-    keep = t_pc >= t_min
-    w = np.atleast_1d(sol.evaluate(t_pc[keep]).w)
-    residual = np.abs(w - u_pc[keep])
-    return ResidualReport(
-        "predictor_corrector", t_pc[keep], residual, float(np.max(residual))
-    )
+
+def _reported(t: np.ndarray, t_min: float) -> np.ndarray:
+    """Mask of the points t >= t_min that a report keeps; there must be one."""
+    keep = t >= t_min
+    if not keep.any():
+        raise ValueError(f"no node lies at or after t_min = {t_min:g}; the last is {t[-1]:.6g}")
+    return keep
 
 
 def _beta_integral(a: float, b: float) -> float:

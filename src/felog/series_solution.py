@@ -21,8 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .euler_beta import BetaEulerSequence, build_sequence, majorant_constants
-# ln_gamma is unused here but stays bound: bench/spans.py wraps it in every module
-from .specfun import EULER_MASCHERONI, ln_gamma  # noqa: F401
+from .specfun import EULER_MASCHERONI
 
 __all__ = [
     "C1_CLAIMED",
@@ -30,7 +29,6 @@ __all__ = [
     "EvalResult",
     "RadiusReport",
     "SeriesSolution",
-    "evaluate",
     "radius_report",
     "remark_bound",
     "remark_radius",
@@ -66,8 +64,6 @@ class RadiusReport:
     r_formula_ii: Optional[float]
     r_guaranteed: float
     r_empirical: Optional[float]
-    c1_claimed: float = C1_CLAIMED
-    c2_claimed: float = C2_CLAIMED
     m: float = 1.0
 
     def to_json_dict(self) -> dict:
@@ -78,10 +74,10 @@ class RadiusReport:
             "r_formula_ii": self.r_formula_ii,
             "r_guaranteed": self.r_guaranteed,
             "r_empirical": self.r_empirical,
-            "c1_claimed": self.c1_claimed,
-            "c2_claimed": self.c2_claimed,
-            "discrepancy_i": abs(_formula_i(1.0, self.m) - self.c1_claimed * self.m),
-            "discrepancy_ii": abs(_formula_ii(1.0, self.m) - self.c2_claimed * self.m),
+            "c1_claimed": C1_CLAIMED,
+            "c2_claimed": C2_CLAIMED,
+            "discrepancy_i": abs(_formula_i(1.0, self.m) - C1_CLAIMED * self.m),
+            "discrepancy_ii": abs(_formula_ii(1.0, self.m) - C2_CLAIMED * self.m),
         }
 
 
@@ -212,11 +208,6 @@ class SeriesSolution:
 
     def __call__(self, t):
         return self.evaluate(t).w
-
-
-def evaluate(sol: SeriesSolution, t) -> EvalResult:
-    """Module-level alias for :meth:`SeriesSolution.evaluate`."""
-    return sol.evaluate(t)
 
 
 def remark_radius(beta: float) -> float:

@@ -181,6 +181,15 @@ class TestVerify:
         assert out == ""
         assert err == "error: t1 must be finite and positive\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method, t1", (("l1", "0.04"), ("integro", "0.04"), ("pc", "1e-9")))
+    def test_grid_before_t_min_is_usage_error(self, cli, method, t1):
+        code, out, err = cli("verify", "--method", method, "--t1", t1)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "t_min" in err
+
     def test_unknown_method_is_usage_error(self):
         code, _, _ = run_cli("verify", "--beta", "0.5", "--method", "spectral")
         assert code == 2

@@ -124,10 +124,32 @@ class TestBuildSequence:
 
     def test_both_constructors_give_read_only_arrays(self):
         built = build_sequence(0.7, 2.0, 16)
-        writable = dataclasses.replace(built, g=built.g.copy(), raw_sign=built.raw_sign.copy())
+        writable = dataclasses.replace(built, g=built.g.copy())
         for seq in (built, sequence_from_json(built.to_json()), writable):
-            for name in ("g", "raw_sign", "raw_log10", "even_residual"):
+            for name in ("g", "raw_sign", "raw_log10"):
                 assert not getattr(seq, name).flags.writeable, name
+
+    def test_n_terms_is_g_size(self):
+        for n in (2, 16, 65):
+            seq = build_sequence(0.7, 2.0, n)
+            assert seq.n_terms == seq.g.size == n
+            assert seq.raw_sign.size == seq.raw_log10.size == n
+
+    def test_replace_rederives_raw_numbers(self):
+        seq = build_sequence(0.7, 2.0, 32)
+        # read, and so cache, the parent's raw numbers before replacing g
+        assert seq.raw_sign[5] == 1 and np.isfinite(seq.raw_log10[3])
+        g = seq.g.copy()
+        g[3], g[5] = 0.0, -g[5]
+        edited = dataclasses.replace(seq, g=g)
+        assert edited.n_terms == 32
+        assert edited.raw_sign[3] == 0 and np.isneginf(edited.raw_log10[3])
+        assert edited.raw_sign[5] == -seq.raw_sign[5]
+        assert edited.raw_log10[5] == seq.raw_log10[5]
+        shorter = dataclasses.replace(seq, g=seq.g[:10])
+        assert shorter.n_terms == 10
+        assert np.array_equal(shorter.raw_sign, seq.raw_sign[:10])
+        assert np.array_equal(shorter.raw_log10, seq.raw_log10[:10])
 
 
 class TestClosedForms:
@@ -221,11 +243,25 @@ class TestSerialization:
         back = sequence_from_json(seq.to_json())
         assert isinstance(back, BetaEulerSequence)
         assert back.beta == seq.beta and back.m == seq.m
-        assert np.array_equal(back.g, seq.g)
-        assert np.array_equal(back.raw_sign, seq.raw_sign)
-        finite = np.isfinite(seq.raw_log10)
-        assert np.array_equal(back.raw_log10[finite], seq.raw_log10[finite])
-        assert np.all(np.isneginf(back.raw_log10[~finite]))
+        assert back.n_terms == seq.n_terms
+        for name in ("g", "raw_sign", "raw_log10"):
+            assert getattr(back, name).tobytes() == getattr(seq, name).tobytes(), name
+        zero = seq.g == 0.0
+        assert zero.sum() == 15
+        assert np.all(np.isneginf(back.raw_log10[zero])) and np.all(back.raw_sign[zero] == 0)
+
+    def test_raw_entries_of_payload_are_ignored(self):
+        seq = build_sequence(0.7, 1.0, 16)
+        truncated = seq.to_json_dict()
+        truncated["raw"] = truncated["raw"][:5]
+        flipped = seq.to_json_dict()
+        flipped["raw"][1]["sign"] = -1
+        flipped["raw"][3]["log10_mag"] = 0.0
+        for payload in (truncated, flipped):
+            back = sequence_from_json(payload)
+            assert np.array_equal(back.raw_sign, seq.raw_sign)
+            assert np.array_equal(back.raw_log10, seq.raw_log10)
+            assert back.to_json() == seq.to_json()
 
     def test_csv_shape_and_zero_rows(self, capsys):
         assert main(["coeffs", "--beta", "1", "--m", "1", "-n", "8", "--format", "csv"]) == 0

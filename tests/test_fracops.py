@@ -20,7 +20,6 @@ from felog.fracops import (
     levy_tail_laplace,
     make_grid,
     rl_derivative_termwise,
-    series_derivative,
     solve_pc,
     sonine_check,
     sonine_product_quadrature,
@@ -232,6 +231,15 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(sol, "l1")
 
+    @pytest.mark.parametrize("method", ("l1", "integro", "pc"))
+    def test_grid_for_another_order_rejected(self, method):
+        # the L1 and integro oracles take the order from the grid, so an
+        # order-0.9 grid would silently check an order-0.9 derivative
+        sol = SeriesSolution.build(0.5)
+        grid = graded_grid(0.8 * sol.domain_edge, 200, 0.9)
+        with pytest.raises(ValueError, match="beta = 0.9"):
+            verify(sol, method, grid)
+
     def test_report_serialization(self, capsys):
         sol = SeriesSolution.build(0.5, 1.0, 64)
         rep = verify(sol, "termwise")
@@ -240,20 +248,6 @@ class TestVerify:
         assert main(["verify", "--beta", "0.5", "--method", "termwise", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "t,residual"
-
-
-class TestSeriesDerivative:
-    def test_against_central_differences(self):
-        sol = SeriesSolution.build(0.7, 1.0, 64)
-        for t0 in (0.3, 0.8, 1.5):
-            h = 1e-6
-            fd = (sol(t0 + h) - sol(t0 - h)) / (2 * h)
-            assert series_derivative(sol, t0)[0] == pytest.approx(fd, abs=1e-9)
-
-    def test_rejects_origin(self):
-        sol = SeriesSolution.build(0.7, 1.0, 64)
-        with pytest.raises(ValueError):
-            series_derivative(sol, 0.0)
 
 
 class TestSonine:
