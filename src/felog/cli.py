@@ -115,6 +115,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        raise ValueError("tol must be finite and >= 0")
     sol = SeriesSolution.build(args.beta, args.m, args.n_terms)
 
     grid = None

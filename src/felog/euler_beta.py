@@ -22,7 +22,7 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .specfun import gamma_fn, ln_gamma
+from .specfun import EULER_MASCHERONI, gamma_fn, ln_gamma
 
 __all__ = [
     "BetaEulerSequence",
@@ -56,7 +56,10 @@ class BetaEulerSequence:
     g: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_order(self.beta, self.m)
         object.__setattr__(self, "g", _read_only(np.asarray(self.g)))
+        if self.g.ndim != 1 or self.g.size < 2:
+            raise ValueError("g must be a 1-D array of at least 2 coefficients")
         if self.g[0] != 0.5:
             raise ValueError("g_0 must equal 1/2")
         g1 = 0.25 / (self.m * math.exp(ln_gamma(self.beta + 1.0)))
@@ -96,6 +99,16 @@ class BetaEulerSequence:
         return json.dumps(self.to_json_dict())
 
 
+def _check_order(beta: float, m: float) -> None:
+    """The (beta, m) pairs the series is built for."""
+    if not (0.0 < beta <= 1.0):
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    if not m >= 1.0:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -125,12 +138,8 @@ def build_sequence(
     ratio recurrences, so the rounding budget stays a fixed multiple of eps
     per coefficient.
     """
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    if not m >= 1.0:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not math.isfinite(m):
-        raise ValueError(f"m must be finite, got {m}")
+    beta, m = float(beta), float(m)
+    _check_order(beta, m)
     if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 2):
         raise ValueError(f"n_terms must be an integer >= 2, got {n_terms}")
 
@@ -143,7 +152,7 @@ def build_sequence(
         if snap_even and (k + 1) % 2 == 0 and abs(nxt) <= EVEN_SNAP_TOL * max(1.0, abs(g[k])):
             nxt = 0.0
         g[k + 1] = nxt
-    return BetaEulerSequence(beta=float(beta), m=float(m), g=g)
+    return BetaEulerSequence(beta=beta, m=m, g=g)
 
 
 def sequence_from_json(payload: Union[str, dict]) -> BetaEulerSequence:
@@ -220,20 +229,19 @@ def bound_sequences(seq: BetaEulerSequence) -> BoundSequences:
     if seq.m != 1.0:
         raise ValueError("bound sequences are defined for m = 1 sequences")
     beta = seq.beta
-    gamma_em = 0.5772156649015329
     p, q_majorant = majorant_constants(beta)
     base_a = (
         (1.0 / 2.0**beta)
         * ((2 * beta + 1) / (3 * beta + 1)) ** (2 * beta + 0.5)
         * math.exp(beta)
-        / (3 * beta + 1) ** (beta + 0.5 - gamma_em)
+        / (3 * beta + 1) ** (beta + 0.5 - EULER_MASCHERONI)
     )
     base_b = (
         0.5
         * ((2 * beta + 1) / (3 * beta + 1)) ** (2 * beta + 0.5)
         * math.exp(2 * beta)
-        / (3 * beta + 1) ** (beta + 0.5 - gamma_em)
-        / (beta + 1) ** (beta + 1 - gamma_em)
+        / (3 * beta + 1) ** (beta + 0.5 - EULER_MASCHERONI)
+        / (beta + 1) ** (beta + 1 - EULER_MASCHERONI)
     )
 
     n = np.arange(seq.n_terms, dtype=float)

@@ -52,14 +52,18 @@ __all__ = [
 #: Canonical verification method names ("pc" is accepted as an alias).
 VERIFY_METHODS = ("termwise", "l1", "integro", "predictor_corrector")
 
-#: Grid-based residual reports start here by default: at the origin the
-#: solution has a t^beta cusp, where the piecewise-linear L1 defect is O(1)
-#: no matter how fine the mesh, and the term-wise derivative blows up.
-DEFAULT_REPORT_START = 0.05
+#: Grid-based residual reports start here: at the origin the solution has a
+#: t^beta cusp, where the piecewise-linear L1 defect is O(1) no matter how
+#: fine the mesh, and the term-wise derivative blows up.
+REPORT_START = 0.05
 
 #: Steps of recent history that solve_pc sums directly; older history goes
 #: through FFT blocks of B0 * 2^k steps.
 B0 = 128
+
+#: solve_pc's corrector stops at a change <= CORRECTOR_TOL; it may take MAX_CORRECTOR_ITERS sweeps.
+CORRECTOR_TOL = 1e-12
+MAX_CORRECTOR_ITERS = 20
 
 
 @dataclass(frozen=True)
@@ -81,17 +85,22 @@ class QuadratureGrid:
         object.__setattr__(self, "nodes", nodes)
 
 
-def uniform_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
-    """n equal cells on [0, t1]."""
+def _check_grid(t1: float, beta: float) -> None:
     if not 0.0 < t1 < math.inf:
         raise ValueError("t1 must be finite and positive")
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+
+
+def uniform_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
+    """n equal cells on [0, t1]."""
+    _check_grid(t1, beta)
     return QuadratureGrid(np.linspace(0.0, t1, n + 1), beta)
 
 
 def graded_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
     """Nodes t_j = t1 * (j/n)^(2/beta), clustered at the origin cusp."""
-    if not 0.0 < t1 < math.inf:
-        raise ValueError("t1 must be finite and positive")
+    _check_grid(t1, beta)
     j = np.arange(n + 1, dtype=float)
     return QuadratureGrid(t1 * (j / n) ** (2.0 / beta), beta)
 
@@ -246,17 +255,16 @@ def verify(
     sol: SeriesSolution,
     method: str,
     grid: Optional[QuadratureGrid] = None,
-    t_min: float = DEFAULT_REPORT_START,
     pc_step: float = 1e-3,
 ) -> ResidualReport:
     """Residual of the fractional logistic equation under one oracle.
 
     termwise: coefficient-wise defect of the recurrence (index grid);
-    l1/integro: pointwise defect on the grid nodes with t >= t_min;
+    l1/integro: pointwise defect on the grid nodes with t >= REPORT_START;
     predictor_corrector: deviation from an independently stepped solution
     on its own uniform grid up to the last grid node. Grids must be built
     for the series' beta, stay within (0, 0.8 * empirical radius) and reach
-    t_min.
+    REPORT_START.
     """
     method = "predictor_corrector" if method == "pc" else method
     if method not in VERIFY_METHODS:
@@ -286,12 +294,12 @@ def verify(
 
     if method == "predictor_corrector":
         t_pc, u_pc = solve_pc(seq.beta, seq.m, float(grid.nodes[-1]), pc_step)
-        keep = _reported(t_pc, t_min)
+        keep = _reported(t_pc)
         w = np.atleast_1d(sol.evaluate(t_pc[keep]).w)
         return ResidualReport(method, t_pc[keep], np.abs(w - u_pc[keep]))
 
     t = grid.nodes[1:]
-    keep = _reported(t, t_min)
+    keep = _reported(t)
     if method == "l1":
         w = np.atleast_1d(sol.evaluate(grid.nodes).w)
         lhs = caputo_l1_all(w, grid)
@@ -311,11 +319,13 @@ def verify(
     return ResidualReport(method, t[keep], residual)
 
 
-def _reported(t: np.ndarray, t_min: float) -> np.ndarray:
-    """Mask of the points t >= t_min that a report keeps; there must be one."""
-    keep = t >= t_min
+def _reported(t: np.ndarray) -> np.ndarray:
+    """Mask of the points t >= REPORT_START a report keeps; there must be one."""
+    keep = t >= REPORT_START
     if not keep.any():
-        raise ValueError(f"no node lies at or after t_min = {t_min:g}; the last is {t[-1]:.6g}")
+        raise ValueError(
+            f"no node lies at or after t_min = {REPORT_START:g}; the last is {t[-1]:.6g}"
+        )
     return keep
 
 
@@ -362,18 +372,18 @@ def sonine_check(beta: float, t_grid) -> float:
     return float(np.max(np.abs(values - 1.0)))
 
 
-def sonine_product_quadrature(beta: float, t: float, n: int = 2000) -> float:
+def sonine_product_quadrature(beta: float, t: float) -> float:
     """The same convolution by raw product quadrature (no substitution).
 
-    Split at t/2; on each half the singular factor is integrated exactly per
-    cell and the smooth one takes its midpoint value. Validates the product
-    quadrature itself, ~1e-3 at n = 2000.
+    Split at t/2; on each half of 1000 cells the singular factor is
+    integrated exactly per cell and the smooth one takes its midpoint value.
+    Validates the product quadrature itself, to ~1e-3.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError("the kernel pair needs beta strictly inside (0, 1)")
     if t <= 0.0:
         raise ValueError("t must be positive")
-    half = n // 2
+    half = 1000
     norm = math.exp(-ln_gamma(1.0 - beta) - ln_gamma(beta))
 
     # [0, t/2]: s^-beta integrated exactly, (t-s)^(beta-1) at midpoints
@@ -400,32 +410,24 @@ def stable_levy_tail(beta: float, z: float) -> float:
     return z ** (-beta) / math.exp(ln_gamma(1.0 - beta))
 
 
-def levy_tail_laplace(
-    beta: float, lam: float, z_max: float = 40.0, n: int = 100_000
-) -> float:
-    """Truncated Laplace transform of the tail; should approach lam^(beta-1).
+def levy_tail_laplace(beta: float, lam: float) -> float:
+    """Laplace transform of the tail, truncated at z = 40; should approach
+    lam^(beta-1).
 
-    Product quadrature again: the z^-beta factor is integrated exactly per
-    cell against the midpoint value of exp(-lam z), so the origin
-    singularity costs nothing.
+    Product quadrature again, on 100,000 equal cells: the z^-beta factor is
+    integrated exactly per cell against the midpoint value of exp(-lam z),
+    so the origin singularity costs nothing.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError("the stable symbol needs beta strictly inside (0, 1)")
-    edges = np.linspace(0.0, z_max, n + 1)
+    edges = np.linspace(0.0, 40.0, 100_001)
     mids = 0.5 * (edges[:-1] + edges[1:])
     moments = (edges[1:] ** (1.0 - beta) - edges[:-1] ** (1.0 - beta)) / (1.0 - beta)
     integral = float(np.dot(np.exp(-lam * mids), moments))
     return integral / math.exp(ln_gamma(1.0 - beta))
 
 
-def solve_pc(
-    beta: float,
-    m: float,
-    t_end: float,
-    h: float,
-    corrector_tol: float = 1e-12,
-    max_corrector_iters: int = 20,
-) -> Tuple[np.ndarray, np.ndarray]:
+def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
     """Adams-Bashforth-Moulton stepper for the fractional logistic equation.
 
     D^beta u = (u - u^2)/m from u(0) = 1/2 on a uniform grid of step h
@@ -508,9 +510,9 @@ def solve_pc(
         base = 0.5 + c_corr * (near_corr + far_corr)
 
         u_new = base + c_corr * rhs(u_pred)
-        for _ in range(max_corrector_iters):
+        for _ in range(MAX_CORRECTOR_ITERS):
             u_next = base + c_corr * rhs(u_new)
-            if abs(u_next - u_new) <= corrector_tol:
+            if abs(u_next - u_new) <= CORRECTOR_TOL:
                 u_new = u_next
                 break
             u_new = u_next

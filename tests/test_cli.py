@@ -190,6 +190,18 @@ class TestVerify:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "t_min" in err
 
+    @pytest.mark.parametrize("tol", ("nan", "-1", "inf"))
+    def test_bad_tolerance_is_usage_error(self, cli, tol):
+        code, out, err = cli("verify", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err == "error: tol must be finite and >= 0\n"
+
+    def test_zero_tolerance_is_allowed(self, cli):
+        code, out, _ = cli("verify", "--tol", "0")
+        assert code in (0, 1)
+        assert json.loads(out)["tol"] == 0.0
+
     def test_unknown_method_is_usage_error(self):
         code, _, _ = run_cli("verify", "--beta", "0.5", "--method", "spectral")
         assert code == 2

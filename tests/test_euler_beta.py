@@ -117,6 +117,23 @@ class TestBuildSequence:
         with pytest.raises(ValueError, match="finite"):
             build_sequence(0.5, math.inf, 8)
 
+    @pytest.mark.parametrize("payload", (
+        {"beta": 1.5, "m": 0.5, "g": [0.5, 0.25 / 0.5 / math.gamma(2.5)]},
+        {"beta": 0.0, "m": 1.0, "g": [0.5, 0.25]},
+        {"beta": 0.5, "m": math.inf, "g": [0.5, 0.0]},
+        {"beta": 0.5, "m": 1.0, "g": [0.5]},
+        {"beta": 0.5, "m": 1.0, "g": []},
+    ))
+    def test_payload_outside_the_domain_rejected(self, payload):
+        with pytest.raises(ValueError):
+            sequence_from_json(payload)
+
+    def test_float32_order_builds_in_double(self):
+        seq = build_sequence(np.float32(0.7), 1.0, 16)
+        ref = build_sequence(float(np.float32(0.7)), 1.0, 16)
+        assert seq.g.tobytes() == ref.g.tobytes()
+        assert type(seq.beta) is float
+
     def test_arrays_are_read_only(self):
         seq = build_sequence(0.5, 1.0, 8)
         with pytest.raises(ValueError):

@@ -49,6 +49,13 @@ class TestGrids:
         with pytest.raises(ValueError, match="t1 must be finite and positive"):
             make(t1, 8, 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", (uniform_grid, graded_grid))
+    @pytest.mark.parametrize("beta", (0.0, -0.5, 1.5, math.nan))
+    def test_order_outside_unit_interval_rejected(self, make, beta):
+        with pytest.raises(ValueError, match="beta must lie in"):
+            make(1.0, 10, beta)
+
     def test_make_grid_dispatch(self):
         assert make_grid(1.0, 8, "uniform", 0.5).nodes.size == 9
         with pytest.raises(ValueError):
@@ -271,7 +278,7 @@ class TestSonine:
         assert float(np.var(values)) <= 1e-20
 
     def test_raw_product_quadrature_path(self):
-        assert abs(sonine_product_quadrature(0.5, 1.0, 2000) - 1.0) <= 1e-3
+        assert abs(sonine_product_quadrature(0.5, 1.0) - 1.0) <= 1e-3
 
     @pytest.mark.parametrize("beta", (0.0, 1.0))
     def test_degenerate_orders_rejected(self, beta):
@@ -292,7 +299,7 @@ class TestStableLevyTail:
 
     def test_laplace_consistency(self):
         # truncated transform of the tail vs lam^(beta-1) = 1 at lam = 1
-        assert abs(levy_tail_laplace(0.5, 1.0, z_max=40.0, n=100_000) - 1.0) <= 1e-3
+        assert abs(levy_tail_laplace(0.5, 1.0) - 1.0) <= 1e-3
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
