@@ -9,8 +9,9 @@ None of these reuse the coefficient recurrence's evaluation path:
   integro  -- the singular-kernel form, integrated once so both sides are
       quadrature-friendly: w(t) - 1/2 vs the order-beta integral of
       (w - w^2)/m;
-  pc       -- an Adams-Bashforth-Moulton stepper solves the same initial
-      value problem from scratch and the trajectories are compared.
+  pc       -- a fractional Adams-Moulton stepper, each implicit step a
+      quadratic solved exactly, solves the same initial value problem from
+      scratch and the trajectories are compared.
 
 Agreement of all four within their stated budgets is the acceptance story
 for the solution itself.

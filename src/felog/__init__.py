@@ -4,8 +4,8 @@ The series solution of the order-beta logistic initial-value problem is built
 from a normalized coefficient recurrence, evaluated with truncation-tail and
 domain-of-validity reporting, and cross-validated by independent fractional
 calculus oracles (term-wise memory-derivative algebra, singular-kernel
-quadrature, the integrated singular-kernel form, and an
-Adams-Bashforth-Moulton time-stepper).
+quadrature, the integrated singular-kernel form, and a fractional
+Adams-Moulton time-stepper).
 
 Quick start:
 

@@ -69,6 +69,11 @@ class TestGrids:
         with pytest.raises(ValueError):
             QuadratureGrid(np.array([0.0, 1.0]), 0.5)  # at least 3 nodes
 
+    @pytest.mark.parametrize("beta", (5.0, 0.0, -0.5, math.nan))
+    def test_grid_order_outside_unit_interval_rejected(self, beta):
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\]"):
+            QuadratureGrid(np.linspace(0.0, 1.0, 9), beta)
+
 
 class TestTermwise:
     def test_constant_series_maps_to_zero(self):
@@ -81,6 +86,14 @@ class TestTermwise:
             out = caputo_termwise_array([0.0, 2.0, 0.0], beta)
             assert out[0] == pytest.approx(2.0 * math.exp(ln_gamma(beta + 1.0)), rel=1e-13)
             assert out[1] == 0.0
+
+    @pytest.mark.parametrize("beta", (0.05, 0.3, 0.7, 1.0))
+    def test_each_gamma_ratio_is_exp_of_a_log_gamma_difference(self, beta):
+        g = np.random.default_rng(7).standard_normal(96)
+        out = caputo_termwise_array(g, beta)
+        for k in range(g.size - 1):
+            ratio = math.exp(ln_gamma(beta * (k + 1) + 1.0) - ln_gamma(beta * k + 1.0))
+            assert out[k] == g[k + 1] * ratio
 
     @pytest.mark.parametrize("beta", (0.3, 0.5, 0.7, 0.9, 1.0))
     @pytest.mark.parametrize("m", (1.0, 2.0))
@@ -285,6 +298,13 @@ class TestSonine:
         with pytest.raises(ValueError):
             sonine_check(beta, [1.0])
 
+    @pytest.mark.parametrize("t", (math.nan, math.inf, 0.0, -1.0))
+    def test_points_must_be_finite_and_positive(self, t):
+        with pytest.raises(ValueError, match="finite and positive"):
+            sonine_check(0.5, [1.0, t])
+        with pytest.raises(ValueError, match="finite and positive"):
+            sonine_product_quadrature(0.5, t)
+
 
 class TestStableLevyTail:
     def test_value_at_one(self):
@@ -306,6 +326,11 @@ class TestStableLevyTail:
             stable_levy_tail(1.0, 1.0)
         with pytest.raises(ValueError):
             stable_levy_tail(0.5, 0.0)
+
+    @pytest.mark.parametrize("lam", (-1.0, 0.0, math.nan, math.inf))
+    def test_laplace_argument_must_be_finite_and_positive(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            levy_tail_laplace(0.5, lam)
 
 
 def solve_pc_direct(beta, m, t_end, h, corrector_tol=1e-12, max_corrector_iters=20):
@@ -407,6 +432,17 @@ class TestSolvePC:
     def test_non_finite_inputs_rejected(self, args):
         with pytest.raises(ValueError, match="finite"):
             solve_pc(*args)
+
+    @pytest.mark.parametrize("m", (1.0, 2.0))
+    @pytest.mark.parametrize("h", (0.5, 1.0, 2.0))
+    def test_classical_order_steps_are_trapezoidal(self, m, h):
+        # at beta = 1 every corrector step is the implicit trapezoidal rule,
+        # which the exact root of the step's quadratic meets to rounding at
+        # any step size, h = 2 included
+        t, u = solve_pc(1.0, m, 8.0, h)
+        f = (u - u * u) / m
+        assert np.max(np.abs(np.diff(u) - 0.5 * h * (f[:-1] + f[1:]))) <= 1e-14
+        assert np.all((u >= 0.5) & (u < 1.0))
 
     @pytest.mark.parametrize("n_steps", (1, 2, B0 - 1, B0, B0 + 1, 2 * B0, 4 * B0 + 3, 16_000))
     @pytest.mark.parametrize("beta", (0.3, 0.5, 0.75, 1.0))
