@@ -2,8 +2,8 @@
 
 Bernoulli numbers and the Bernoulli/Euler polynomials are computed in exact
 rational arithmetic (floating evaluation of these sums falls apart past
-index ~20), and the log-Gamma kernel is a Stirling series tuned so that its
-error never shows at the 1e-13 level the downstream tests budget for.
+index ~20), and the log-Gamma kernel is log(math.gamma(x)), whose error
+never shows at the 1e-13 level the downstream tests budget for.
 """
 
 from felog import (

@@ -30,7 +30,7 @@ from .euler_beta import build_sequence
 from .fracops import make_grid, verify
 from .series_solution import SeriesSolution, compare_classical, radius_report
 
-__all__ = ["VERIFY_TOLERANCES", "main"]
+__all__ = ["VERIFY_TOLERANCES", "MAX_TERMS", "MAX_STEPS", "main"]
 
 #: Default pass thresholds per verification method (override with --tol).
 VERIFY_TOLERANCES = {
@@ -44,6 +44,11 @@ VERIFY_TOLERANCES = {
 #: enough in to be interesting, close enough that the default 64-term series
 #: stays well below every method tolerance.
 DEFAULT_VERIFY_WINDOW = 0.7
+
+#: Largest -n and --steps accepted, far above any use (-n 256, --steps 2000)
+#: but small enough that no array they size can exhaust memory.
+MAX_TERMS = 10_000
+MAX_STEPS = 1_000_000
 
 
 def _cell(value) -> str:
@@ -225,6 +230,10 @@ def main(argv=None) -> int:
     try:
         if "steps" in args and args.steps < 1:
             raise ValueError("steps must be >= 1")
+        if "steps" in args and args.steps > MAX_STEPS:
+            raise ValueError(f"steps must be <= {MAX_STEPS}")
+        if args.n_terms > MAX_TERMS:
+            raise ValueError(f"n_terms must be <= {MAX_TERMS}")
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

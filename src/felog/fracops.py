@@ -403,8 +403,8 @@ def stable_levy_tail(beta: float, z: float) -> float:
     """Tail z^(-beta)/Gamma(1-beta) of the stable jump measure."""
     if not (0.0 < beta < 1.0):
         raise ValueError("the stable symbol needs beta strictly inside (0, 1)")
-    if z <= 0.0:
-        raise ValueError("z must be positive")
+    if not 0.0 < z < math.inf:
+        raise ValueError("z must be finite and positive")
     return z ** (-beta) / math.exp(ln_gamma(1.0 - beta))
 
 
@@ -433,7 +433,9 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
     D^beta u = (u - u^2)/m from u(0) = 1/2 on a uniform grid of step h, by
     the corrector of Diethelm, Ford & Freed (Nonlinear Dyn. 29, 2002). Each
     step's equation u = base + c (u - u^2)/m is a quadratic in u, solved
-    exactly, so the scheme's predictor is not needed. Returns (t, u).
+    exactly, so the scheme's predictor is not needed. Returns (t, u). A step
+    with a = h^beta / (Gamma(beta+2) m) > 1 can carry u past the equilibrium
+    1, so it raises ValueError.
 
     The one history sum is a lower-triangular Toeplitz product of the past
     right-hand sides with the corrector weights. The last B0 steps are summed
@@ -449,6 +451,11 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
         raise ValueError(f"m must be >= 1, got {m}")
     if h <= 0.0 or t_end <= 0.0:
         raise ValueError("h and t_end must be positive")
+    # a <= 1 makes a u^2 + (1 - a) u - base rise on u >= 0: u <= 1 if base <= 1
+    c_corr = h**beta / math.exp(ln_gamma(beta + 2.0))
+    a = c_corr / m
+    if a > 1.0:
+        raise ValueError(f"step h = {h} is too large: h^beta / (Gamma(beta+2) m) = {a:.6g} > 1")
 
     n_steps = int(math.ceil(t_end / h - 1e-12))
     t = np.arange(n_steps + 1) * h
@@ -474,9 +481,6 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
     # starts from the f[0] term, whose own weight is n^(b+1) - (n-b) (n+1)^b.
     far = (pow_b1[:-2] - (idx[:-2] - beta) * pow_b[1:-1]) * f0
     spectra = {}  # kernel spectra per block size
-
-    c_corr = h**beta / math.exp(ln_gamma(beta + 2.0))
-    a = c_corr / m
 
     for n in range(n_steps):
         if n % B0 == 0:

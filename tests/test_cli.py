@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from felog.cli import main
+from felog.cli import _COMMANDS, MAX_STEPS, MAX_TERMS, main
 from felog.euler_beta import build_sequence, sequence_from_json
 from felog.fracops import graded_grid, verify
 from felog.series_solution import SeriesSolution, radius_report
@@ -298,6 +298,30 @@ class TestIOContract:
         code, _, err = cli(*command, "--steps", "0")
         assert code == 2
         assert "steps must be >= 1" in err
+
+    @pytest.mark.parametrize("argv, message", (
+        (("eval", "--steps", str(10**12)), "steps must be <="),
+        (("compare", "--steps", str(MAX_STEPS + 1)), "steps must be <="),
+        (("verify", "--method", "l1", "--steps", str(MAX_STEPS + 1)), "steps must be <="),
+        (("coeffs", "-n", str(MAX_TERMS + 1)), "n_terms must be <="),
+        (("radius", "-n", str(10**12)), "n_terms must be <="),
+        (("eval", "-n", str(MAX_TERMS + 1)), "n_terms must be <="),
+    ))
+    def test_sizes_above_the_limit_are_usage_errors(self, cli, monkeypatch, argv, message):
+        # every command is stubbed out, so nothing is allocated even if the
+        # bound fails to fire
+        for name in _COMMANDS:
+            monkeypatch.setitem(_COMMANDS, name, lambda args: pytest.fail("command ran"))
+        code, out, err = cli(*argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_sizes_at_the_limit_reach_the_command(self, cli, monkeypatch):
+        seen = []
+        monkeypatch.setitem(_COMMANDS, "eval", lambda args: seen.append(args) or 0)
+        code, _, _ = cli("eval", "-n", str(MAX_TERMS), "--steps", str(MAX_STEPS))
+        assert code == 0
+        assert (seen[0].n_terms, seen[0].steps) == (MAX_TERMS, MAX_STEPS)
 
 
 def _library_table(command):

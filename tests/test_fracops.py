@@ -120,7 +120,7 @@ class TestRiemannLiouville:
         seq = build_sequence(0.7, 1.0, 16)
         rl = rl_derivative_termwise(seq)
         assert np.array_equal(rl.regular, caputo_termwise(seq))
-        assert rl.singular_coefficient == seq.g[0] / math.exp(ln_gamma(0.3))
+        assert rl.singular_coefficient == seq.g[0] / math.exp(ln_gamma(1.0 - 0.7))
 
     def test_classical_order_has_no_singular_term(self):
         rl = rl_derivative_termwise(build_sequence(1.0, 1.0, 8))
@@ -327,6 +327,11 @@ class TestStableLevyTail:
         with pytest.raises(ValueError):
             stable_levy_tail(0.5, 0.0)
 
+    @pytest.mark.parametrize("z", (-1.0, 0.0, math.nan, math.inf))
+    def test_tail_argument_must_be_finite_and_positive(self, z):
+        with pytest.raises(ValueError, match="z must be finite and positive"):
+            stable_levy_tail(0.5, z)
+
     @pytest.mark.parametrize("lam", (-1.0, 0.0, math.nan, math.inf))
     def test_laplace_argument_must_be_finite_and_positive(self, lam):
         with pytest.raises(ValueError, match="lam must be finite and positive"):
@@ -443,6 +448,13 @@ class TestSolvePC:
         f = (u - u * u) / m
         assert np.max(np.abs(np.diff(u) - 0.5 * h * (f[:-1] + f[1:]))) <= 1e-14
         assert np.all((u >= 0.5) & (u < 1.0))
+
+    @pytest.mark.parametrize("beta, h", ((1.0, 10.0), (0.5, 100.0), (1.0, 2.0 * (1.0 + 1e-15))))
+    def test_step_too_large_for_m_rejected(self, beta, h):
+        # a = h^beta / (Gamma(beta+2) m) > 1: the step could overshoot the
+        # equilibrium 1 (at beta = 1, m = 1, h = 10 it reached 1.11)
+        with pytest.raises(ValueError, match="too large"):
+            solve_pc(beta, 1.0, 20.0 * h, h)
 
     @pytest.mark.parametrize("n_steps", (1, 2, B0 - 1, B0, B0 + 1, 2 * B0, 4 * B0 + 3, 16_000))
     @pytest.mark.parametrize("beta", (0.3, 0.5, 0.75, 1.0))

@@ -64,7 +64,19 @@ class TestLnGamma:
             worst = max(worst, float(err))
         assert worst <= 1e-13
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
+    def test_edges_of_the_gamma_range(self):
+        # log(gamma) serves 1e-300 < x < 171 and lgamma the rest; both sides
+        # of each switch, the subnormal floor, and lgamma's range up to 5000
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        for x in (5e-324, 1e-310, 1e-300, 2e-300, 170.9999, 171.0, 171.0001):
+            err = abs(mp.mpf(ln_gamma(x)) - mp.loggamma(mp.mpf(x)))
+            assert float(err) <= 1e-13, x
+        for x in np.geomspace(171.0, 5000.0, 200):
+            ref = mp.loggamma(mp.mpf(float(x)))
+            assert float(abs((mp.mpf(ln_gamma(float(x))) - ref) / ref)) <= 1e-15, x
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, -math.inf, math.nan])
     def test_domain_error(self, bad):
         with pytest.raises(ValueError):
             ln_gamma(bad)
@@ -92,6 +104,11 @@ class TestBetaFn:
             beta_fn(-1.0, 2.0)
         with pytest.raises(ValueError):
             beta_fn(1.0, 0.0)
+
+    @pytest.mark.parametrize("args", [(1.0, math.inf), (math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_argument_rejected(self, args):
+        with pytest.raises(ValueError):
+            beta_fn(*args)
 
     def test_stirling_asymptotic_at_50(self):
         # B(x,x) (2x)^(2x-1/2) / (sqrt(2 pi) x^(2x-1)) -> 1, within 1% at x=50
@@ -262,6 +279,12 @@ class TestBoundPredicates:
     def test_out_of_every_domain(self):
         with pytest.raises(ValueError):
             bound_predicates(x=-3.0)
+
+    @pytest.mark.parametrize("point", [{"x": math.inf}, {"x": 2.0, "y": math.inf}])
+    def test_infinite_point_rejected(self, point):
+        # log-Gamma of inf used to be NaN, which made a flag read False
+        with pytest.raises(ValueError):
+            bound_predicates(**point)
 
 
 def test_euler_mascheroni_close_to_printed():
