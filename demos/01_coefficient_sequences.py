@@ -37,7 +37,7 @@ for beta in (0.3, 0.5, 0.9, 1.0):
 
 # --- serialization round trip -----------------------------------------------
 
-payload = seq.to_json()
+payload = json.dumps(seq.to_json_dict())
 back = sequence_from_json(payload)
 print("\nJSON round trip bit-exact:", all(a == b for a, b in zip(seq.g, back.g)))
 print("JSON head:", json.dumps(json.loads(payload)["g"][:4]))

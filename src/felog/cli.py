@@ -111,7 +111,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "m": args.m,
         "n_terms": args.n_terms,
         "t": t,
-        "w": w,
+        "w": [x if math.isfinite(x) else None for x in w],
         "tail_bound": [x if math.isfinite(x) else None for x in tail],
         "in_domain": in_dom,
     }
@@ -157,6 +157,8 @@ def _compare_rows(args: argparse.Namespace, t: np.ndarray):
 
 def cmd_compare(args: argparse.Namespace) -> int:
     t = _t_grid(args)
+    if args.beta != 1.0:
+        raise ValueError("the closed-form comparison requires beta = 1")
     payload = {
         "beta": args.beta,
         "m": args.m,
@@ -164,7 +166,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "t0": args.t0,
         "t1": args.t1,
         "steps": args.steps,
-        "max_abs_deviation": compare_classical(args.m, t, n_terms=args.n_terms, beta=args.beta),
+        "max_abs_deviation": compare_classical(args.m, t, n_terms=args.n_terms),
     }
     _emit(args, payload, ["t", "w_series", "w_closed", "abs_deviation"], _compare_rows(args, t))
     return 0

@@ -95,9 +95,6 @@ class BetaEulerSequence:
         ]
         return {"beta": self.beta, "m": self.m, "g": self.g.tolist(), "raw": raw}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def _check_order(beta: float, m: float) -> None:
     """The (beta, m) pairs the series is built for."""

@@ -38,7 +38,6 @@ __all__ = [
     "caputo_termwise",
     "caputo_termwise_array",
     "rl_derivative_termwise",
-    "caputo_l1",
     "caputo_l1_all",
     "fractional_integral_midpoint",
     "verify",
@@ -185,28 +184,6 @@ def rl_derivative_termwise(seq: BetaEulerSequence) -> RLDerivative:
     return RLDerivative(singular_coefficient=singular, regular=caputo_termwise(seq))
 
 
-def _values_on(w_values, nodes: np.ndarray) -> np.ndarray:
-    if callable(w_values):
-        return np.asarray(w_values(nodes), dtype=float)
-    vals = np.asarray(w_values, dtype=float)
-    if vals.shape != nodes.shape:
-        raise ValueError("value array must match the grid nodes")
-    return vals
-
-
-def caputo_l1(w_values, grid: QuadratureGrid, t_index: int) -> float:
-    """L1 product-quadrature value of the memory derivative at node t_index.
-
-    Piecewise-linear data between nodes; the kernel is integrated exactly on
-    each cell. O(h^(2-beta)) for twice-differentiable data.
-    """
-    n = grid.nodes.size
-    if not (1 <= t_index < n):
-        raise ValueError(f"t_index must lie in [1, {n - 1}], got {t_index}")
-    vals = _values_on(w_values, grid.nodes)
-    return float(caputo_l1_all(vals, grid)[t_index - 1])
-
-
 def _graded_history(data: np.ndarray, t: np.ndarray, exponent: float, scale: float) -> np.ndarray:
     """scale * sum_j data_j * [(t_n - t_j)^e - (t_n - t_(j+1))^e] over the
     cells j < n, at every node index n = 1..len(t)-1.
@@ -223,10 +200,17 @@ def _graded_history(data: np.ndarray, t: np.ndarray, exponent: float, scale: flo
     return out
 
 
-def caputo_l1_all(w_values, grid: QuadratureGrid) -> np.ndarray:
-    """L1 values at every node index 1..n (vectorized over history)."""
+def caputo_l1_all(w_values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """L1 product-quadrature values of the memory derivative at every node
+    index 1..n, from the data's values at the grid nodes.
+
+    Piecewise-linear data between nodes; the kernel is integrated exactly on
+    each cell. O(h^(2-beta)) for twice-differentiable data.
+    """
     t = grid.nodes
-    vals = _values_on(w_values, t)
+    vals = np.asarray(w_values, dtype=float)
+    if vals.shape != t.shape:
+        raise ValueError("value array must match the grid nodes")
     beta = grid.beta
     slopes = np.diff(vals) / np.diff(t)
     return _graded_history(slopes, t, 1.0 - beta, 1.0 / math.exp(ln_gamma(2.0 - beta)))
@@ -293,13 +277,13 @@ def verify(
     if method == "predictor_corrector":
         t_pc, u_pc = solve_pc(seq.beta, seq.m, float(grid.nodes[-1]), pc_step)
         keep = _reported(t_pc)
-        w = np.atleast_1d(sol.evaluate(t_pc[keep]).w)
+        w = sol.evaluate(t_pc[keep]).w
         return ResidualReport(method, t_pc[keep], np.abs(w - u_pc[keep]))
 
     t = grid.nodes[1:]
     keep = _reported(t)
     if method == "l1":
-        w = np.atleast_1d(sol.evaluate(grid.nodes).w)
+        w = sol.evaluate(grid.nodes).w
         lhs = caputo_l1_all(w, grid)
         rhs = (w[1:] - w[1:] ** 2) / seq.m
         residual = np.abs(lhs - rhs)[keep]
@@ -309,10 +293,10 @@ def verify(
         # the two sides' Laplace symbols differ by a factor lambda and the
         # pointwise defect is O(1) for every grid.
         mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-        w_mid = np.atleast_1d(sol.evaluate(mids).w)
+        w_mid = sol.evaluate(mids).w
         f_mid = (w_mid - w_mid**2) / seq.m
         rhs = fractional_integral_midpoint(f_mid, grid)
-        w_nodes = np.atleast_1d(sol.evaluate(t[keep]).w)
+        w_nodes = sol.evaluate(t[keep]).w
         residual = np.abs((w_nodes - 0.5) - rhs[keep])
     return ResidualReport(method, t[keep], residual)
 

@@ -14,6 +14,7 @@ claimed constant and empirical estimate together and asserts nothing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -56,15 +57,15 @@ class RadiusReport:
     """The four radius estimates for one sequence.
 
     ``r_formula_ii`` is None when beta <= gamma_EM - 1/2, where formula (ii)
-    is not stated. ``r_empirical`` is None when too few nonzero coefficients
-    are available for the ratio test.
+    is not stated. ``r_empirical`` is None when too few normal odd
+    coefficients are available for the ratio test.
     """
 
     r_formula_i: float
     r_formula_ii: Optional[float]
     r_guaranteed: float
     r_empirical: Optional[float]
-    m: float = 1.0
+    m: float
 
     def to_json_dict(self) -> dict:
         # discrepancy fields compare each formula, taken at beta -> 1, with
@@ -104,9 +105,12 @@ def radius_report(seq: BetaEulerSequence) -> RadiusReport:
     ratio-test estimate.
 
     The empirical estimate extrapolates the last five consecutive-odd-term
-    ratios (|g_{2k+1}|/|g_{2k+3}|)^(1/(2*beta)) with one Richardson level in
+    ratios (|g_{2k-1}|/|g_{2k+1}|)^(1/(2*beta)) with one Richardson level in
     1/k and takes the median; raw last-ratio estimates oscillate for small
-    beta.
+    beta. It reads only the normal prefix of the odd coefficients, the ones
+    before the first that is zero or below the smallest normal double, since
+    underflowed ones no longer follow the series' geometric rate; it is None
+    when that prefix holds fewer than six.
     """
     if seq.n_terms < 20:
         raise ValueError("radius_report needs n_terms >= 20")
@@ -119,14 +123,14 @@ def radius_report(seq: BetaEulerSequence) -> RadiusReport:
     r_guaranteed = (m * m / q) ** (1.0 / (2.0 * beta))
 
     odd = np.abs(seq.g[1::2])
-    ratios = []
-    for j in range(len(odd) - 1):
-        if odd[j] > 0.0 and odd[j + 1] > 0.0:
-            ratios.append((odd[j] / odd[j + 1]) ** (1.0 / (2.0 * beta)))
+    small = np.flatnonzero(odd < sys.float_info.min)
+    size = int(small[0]) if small.size else odd.size
     r_empirical: Optional[float] = None
-    if len(ratios) >= 5:
-        xs = np.array(ratios[-5:])
-        k = np.arange(len(ratios) - 4, len(ratios) + 1, dtype=float)
+    if size >= 6:
+        # ratio k = odd[k-1] / odd[k], for the last five k of the prefix
+        xs = np.array([(odd[j] / odd[j + 1]) ** (1.0 / (2.0 * beta))
+                       for j in range(size - 6, size - 1)])
+        k = np.arange(size - 5, size, dtype=float)
         level1 = k[1:] * xs[1:] - (k[1:] - 1.0) * xs[:-1]
         r_empirical = float(np.median(level1))
 
@@ -188,13 +192,13 @@ class SeriesSolution:
         tb = np.where(pos, np.exp(beta * log_t), 0.0)   # t^beta, 0 at t=0
         tau = tb * tb                                    # t^(2*beta)
 
-        acc = np.zeros_like(t_arr)
-        for coeff in c[::-1]:  # Horner in tau
-            acc = acc * tau + coeff
-        w = 0.5 + tb * acc
-
         k_last = 2 * len(c) - 1
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # past the radius the sum and the tail overflow; in_domain flags those t
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            acc = np.zeros_like(t_arr)
+            for coeff in c[::-1]:  # Horner in tau
+                acc = acc * tau + coeff
+            w = 0.5 + tb * acc
             last_term = np.abs(c[-1]) * np.where(pos, np.exp(beta * k_last * log_t), 0.0)
             ratio = self._q * tau / (m * m)
             tail = np.where(ratio < 1.0, last_term * ratio / (1.0 - ratio), np.inf)
@@ -239,8 +243,6 @@ def remark_bound(beta: float, t: float) -> float:
     radius. The expression is transcribed verbatim, including the fact that
     its own pole precedes that radius.
     """
-    if not (0.5 < beta <= 1.0):
-        raise ValueError("the closed-form majorant requires beta in (1/2, 1]")
     r = remark_radius(beta)
     if not (0.0 <= t < r):
         raise ValueError(f"t must lie in [0, {r}), got {t}")
@@ -249,23 +251,17 @@ def remark_bound(beta: float, t: float) -> float:
     return 0.5 + p / (1.0 - rate * t)
 
 
-def compare_classical(
-    m: float,
-    t_grid,
-    n_terms: int = 64,
-    beta: float = 1.0,
-) -> float:
+def compare_classical(m: float, t_grid, n_terms: int = 64) -> float:
     """Max absolute deviation of the beta = 1 series from 1/(1 + exp(-t/m)).
 
-    The closed form solves u' = (u - u^2)/m from u(0) = 1/2, which is the
-    equation the series is built for. Only beta = 1 admits it.
+    The closed form solves u' = (u - u^2)/m from u(0) = 1/2, the classical
+    (beta = 1) case of the equation the series is built for; no other order
+    has one, so the series is always built at beta = 1.
     """
-    if beta != 1.0:
-        raise ValueError("the closed-form comparison requires beta = 1")
     t_arr = np.asarray(t_grid, dtype=float)
     if np.any(t_arr < 0.0) or np.any(t_arr >= math.pi * m):
         raise ValueError("t grid must lie within [0, pi * m)")
     sol = SeriesSolution.build(1.0, m, n_terms)
-    w = np.atleast_1d(sol.evaluate(t_arr).w)
+    w = sol.evaluate(t_arr).w
     closed = 1.0 / (1.0 + np.exp(-t_arr / m))
     return float(np.max(np.abs(w - closed)))

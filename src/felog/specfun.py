@@ -181,9 +181,9 @@ class BoundFlags:
     """Outcome of the inequality checks; a flag is None when the point lies
     outside that bound's stated domain."""
 
-    beta_bound: Optional[bool] = None       # B(x,y) <= 1/(xy), x,y > 1
-    gamma_unit: Optional[bool] = None       # 2^(x-1) <= Gamma(x+1) <= 1, 0 <= x <= 1
-    gamma_envelope: Optional[bool] = None   # x^(x-g)/e^(x-1) < Gamma(x) < x^(x-1/2)/e^(x-1), x > 1
+    beta_bound: Optional[bool]       # B(x,y) <= 1/(xy), x,y > 1
+    gamma_unit: Optional[bool]       # 2^(x-1) <= Gamma(x+1) <= 1, 0 <= x <= 1
+    gamma_envelope: Optional[bool]   # x^(x-g)/e^(x-1) < Gamma(x) < x^(x-1/2)/e^(x-1), x > 1
 
 
 def bound_predicates(

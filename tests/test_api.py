@@ -1,17 +1,21 @@
 """Public surface: every export resolves, the package re-exports exactly
-its modules' lists, and the value types store only their inputs."""
+its modules' lists, the value types store only their inputs, and each
+computation has one entry point."""
 
 import dataclasses
 import importlib
+import inspect
 import subprocess
 import sys
 
 import pytest
 
 import felog
+from felog import fracops
 from felog.euler_beta import BetaEulerSequence
 from felog.fracops import ResidualReport
-from felog.series_solution import RadiusReport
+from felog.series_solution import RadiusReport, compare_classical
+from felog.specfun import BoundFlags
 
 LIBRARY = ("felog.specfun", "felog.euler_beta", "felog.series_solution", "felog.fracops")
 MODULES = LIBRARY + ("felog.cli",)
@@ -46,3 +50,16 @@ def test_value_types_store_only_their_inputs():
     assert fields(ResidualReport) == ("method", "grid", "residual")
     assert fields(RadiusReport) == ("r_formula_i", "r_formula_ii", "r_guaranteed",
                                     "r_empirical", "m")
+
+
+def test_report_fields_have_no_defaults():
+    for cls in (RadiusReport, BoundFlags):
+        for f in dataclasses.fields(cls):
+            assert f.default is dataclasses.MISSING, (cls.__name__, f.name)
+            assert f.default_factory is dataclasses.MISSING, (cls.__name__, f.name)
+
+
+def test_second_paths_are_gone():
+    assert not hasattr(fracops, "caputo_l1")
+    assert not hasattr(BetaEulerSequence, "to_json")
+    assert "beta" not in inspect.signature(compare_classical).parameters

@@ -126,6 +126,29 @@ class TestEval:
         assert payload["in_domain"][-1] is False
 
     @pytest.mark.filterwarnings("error")
+    def test_json_w_null_past_the_radius(self, cli):
+        code, out, err = cli("eval", "--beta", "1", "-n", "256", "--t1", "1000",
+                             "--steps", "2")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["w"] == [0.5, None, None]
+        assert payload["in_domain"] == [True, False, False]
+        assert err.startswith("warning: 2 of 3 rows lie past the empirical radius")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_csv_keeps_non_finite_w(self, cli):
+        code, out, _ = cli("eval", "--beta", "1", "-n", "256", "--t1", "1000",
+                           "--steps", "2", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1:] == ["0.0,0.5,0.0,true", "500.0,-inf,inf,false",
+                                        "1000.0,-inf,inf,false"]
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag", (("--m", "inf"), ("--t1", "inf"),
                                       ("--t1", "nan"), ("--t0", "nan")))
     def test_non_finite_input_is_usage_error(self, cli, flag):

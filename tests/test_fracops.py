@@ -11,7 +11,6 @@ from felog.euler_beta import build_sequence
 from felog.fracops import (
     B0,
     QuadratureGrid,
-    caputo_l1,
     caputo_l1_all,
     caputo_termwise,
     caputo_termwise_array,
@@ -140,28 +139,22 @@ class TestRiemannLiouville:
 class TestCaputoL1:
     def test_constant_data(self):
         g = uniform_grid(1.0, 64, 0.5)
-        assert caputo_l1(lambda s: np.ones_like(s), g, 64) == 0.0
+        assert caputo_l1_all(np.ones_like(g.nodes), g)[-1] == 0.0
 
     def test_linear_data(self):
         g = uniform_grid(1.0, 2000, 0.5)
-        val = caputo_l1(lambda s: s, g, 2000)
+        val = caputo_l1_all(g.nodes, g)[-1]
         assert val == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-6)
 
     def test_quadratic_data(self):
         g = uniform_grid(1.0, 2000, 0.5)
-        val = caputo_l1(lambda s: s**2, g, 2000)
+        val = caputo_l1_all(g.nodes**2, g)[-1]
         assert val == pytest.approx(2.0 / math.exp(ln_gamma(2.5)), abs=1e-5)
 
-    def test_accepts_precomputed_values(self):
-        g = uniform_grid(1.0, 100, 0.5)
-        vals = g.nodes**2
-        assert caputo_l1(vals, g, 100) == caputo_l1(lambda s: s**2, g, 100)
-
-    def test_all_matches_single(self):
-        g = uniform_grid(1.0, 50, 0.3)
-        vals = np.sqrt(1.0 + g.nodes)
-        out = caputo_l1_all(vals, g)
-        assert out[24] == caputo_l1(vals, g, 25)
+    def test_rejects_values_off_the_grid(self):
+        g = uniform_grid(1.0, 10, 0.5)
+        with pytest.raises(ValueError, match="must match the grid nodes"):
+            caputo_l1_all(g.nodes[1:], g)
 
     @pytest.mark.parametrize("spacing", ("uniform", "graded"))
     def test_classical_order_gives_the_slope(self, spacing):
@@ -170,13 +163,6 @@ class TestCaputoL1:
         g = make_grid(1.0, 64, spacing, 1.0)
         out = caputo_l1_all(3.0 * g.nodes - 1.0, g)
         assert np.allclose(out, 3.0, rtol=1e-13, atol=0.0)
-
-    def test_index_bounds(self):
-        g = uniform_grid(1.0, 10, 0.5)
-        with pytest.raises(ValueError):
-            caputo_l1(lambda s: s, g, 0)
-        with pytest.raises(ValueError):
-            caputo_l1(lambda s: s, g, 11)
 
 
 class TestFractionalIntegral:

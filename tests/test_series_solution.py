@@ -1,7 +1,9 @@
 """Series evaluation, radius reporting, the closed-form majorant, and the
 classical degeneration."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +193,72 @@ class TestRadiusReport:
             radius_report(build_sequence(0.5, 1.0, 16))
 
 
+def _loop_r_empirical(seq):
+    """The ratio test as first written, kept as the reference: every odd
+    ratio in a loop, pairs with a zero skipped, and the kept ratios labelled
+    as consecutive k."""
+    odd = np.abs(seq.g[1::2])
+    ratios = []
+    for j in range(len(odd) - 1):
+        if odd[j] > 0.0 and odd[j + 1] > 0.0:
+            ratios.append((odd[j] / odd[j + 1]) ** (1.0 / (2.0 * seq.beta)))
+    if len(ratios) < 5:
+        return None
+    xs = np.array(ratios[-5:])
+    k = np.arange(len(ratios) - 4, len(ratios) + 1, dtype=float)
+    level1 = k[1:] * xs[1:] - (k[1:] - 1.0) * xs[:-1]
+    return float(np.median(level1))
+
+
+class TestRatioTestPrefix:
+    """The ratio test reads only the odd coefficients before the first one
+    that is zero or subnormal."""
+
+    @pytest.mark.parametrize("n", (20, 64, 256))
+    @pytest.mark.parametrize("m", (1.0, 2.0, 3.0))
+    @pytest.mark.parametrize("beta", (0.2, 0.3, 0.5, 0.7, 0.9, 1.0))
+    def test_matches_the_loop_without_underflow(self, beta, m, n):
+        seq = build_sequence(beta, m, n)
+        assert np.all(np.abs(seq.g[1::2]) >= sys.float_info.min)
+        assert radius_report(seq).r_empirical == _loop_r_empirical(seq)
+
+    @pytest.mark.parametrize("n", (700, 1024, 2048))
+    @pytest.mark.parametrize("m", (1.0, 1.779))
+    def test_classical_order_reaches_pi_m_past_the_underflow(self, m, n):
+        seq = build_sequence(1.0, m, n)
+        assert np.any(np.abs(seq.g[1::2]) < sys.float_info.min)
+        assert abs(radius_report(seq).r_empirical - math.pi * m) <= 1e-8
+
+    @pytest.mark.parametrize("beta, m", ((0.6006829317535398, 1.3269249778131236),
+                                         (1.0, 1.779), (0.285, 2.041),
+                                         (1.0, 1.0054174049483535),
+                                         (0.26812530818219615, 1.9445966242931294)))
+    def test_underflowed_tails_leave_the_edge_positive_and_fixed(self, beta, m):
+        # at n = 1024 the loop gave -6.67, 5.57, 125.7, -7.69 and -782.9
+        edges = [SeriesSolution.build(beta, m, n).domain_edge for n in (256, 1024, 2048)]
+        assert edges[1] > 0.0
+        assert edges[1] == edges[2]
+        # and it agrees with the 256-term estimate, which has no underflow
+        assert edges[1] == pytest.approx(edges[0], rel=1e-3)
+
+    def test_short_prefix_falls_back_to_the_majorant(self):
+        seq = build_sequence(0.7, 1.0, 64)
+        g = seq.g.copy()
+        g[9] = 5e-324  # odd entry 4: a four-entry prefix
+        sol = SeriesSolution(dataclasses.replace(seq, g=g))
+        assert sol.radius.r_empirical is None
+        assert sol.domain_edge == sol.radius.r_guaranteed
+
+
+class TestEvaluatePastTheRadius:
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_flagged_not_warned(self):
+        res = SeriesSolution.build(1.0, 1.0, 256).evaluate(np.array([0.5, 500.0, 1000.0]))
+        assert np.isfinite(res.w[0]) and not np.any(np.isfinite(res.w[1:]))
+        assert res.in_domain.tolist() == [True, False, False]
+        assert np.all(np.isinf(res.tail_bound[1:]))
+
+
 class TestRemarkBound:
     def test_value_at_origin_beta_one(self):
         assert remark_bound(1.0, 0.0) == pytest.approx(0.75, abs=1e-15)
@@ -244,10 +312,6 @@ class TestCompareClassical:
 
     def test_zero_time_is_exact(self):
         assert compare_classical(1.0, [0.0]) == 0.0
-
-    def test_rejects_other_orders(self):
-        with pytest.raises(ValueError):
-            compare_classical(1.0, [0.5], beta=0.7)
 
     def test_rejects_grid_outside_window(self):
         with pytest.raises(ValueError):
