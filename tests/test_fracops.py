@@ -2,10 +2,12 @@
 quadrature, kernel-pair identity, stable tail, and the time-stepper."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from felog import fracops
 from felog.cli import main
 from felog.euler_beta import build_sequence
 from felog.fracops import (
@@ -173,6 +175,75 @@ class TestFractionalIntegral:
         out = fractional_integral_midpoint(np.ones(200), g)
         exact = g.nodes[1:] ** beta / math.exp(ln_gamma(beta + 1.0))
         assert np.allclose(out, exact, rtol=1e-12, atol=1e-15)
+
+
+def graded_history_loop(data, t, exponent, scale):
+    """Reference history sum: one row per node, each kernel power taken
+    twice, once per cell end."""
+    out = np.empty(t.size - 1)
+    for n in range(1, t.size):
+        moments = (t[n] - t[:n]) ** exponent
+        moments[:-1] -= (t[n] - t[1:n]) ** exponent
+        out[n - 1] = scale * float(np.dot(data[:n], moments))
+    out.setflags(write=False)
+    return out
+
+
+def _oracle_cases(beta, cells):
+    """The two graded-grid routes on smooth logistic data with the t^beta
+    cusp, as (blocked result, reference) pairs."""
+    grid = graded_grid(1.5, cells, beta)
+    t = grid.nodes
+    w = 1.0 / (1.0 + np.exp(-(t**beta)))
+    slopes = np.diff(w) / np.diff(t)
+    w_mid = 0.5 * (w[:-1] + w[1:])
+    f_mid = w_mid - w_mid**2
+    return (
+        (
+            caputo_l1_all(w, grid),
+            graded_history_loop(slopes, t, 1.0 - beta, 1.0 / math.exp(ln_gamma(2.0 - beta))),
+        ),
+        (
+            fractional_integral_midpoint(f_mid, grid),
+            graded_history_loop(f_mid, t, beta, 1.0 / math.exp(ln_gamma(beta)) / beta),
+        ),
+    )
+
+
+class TestGradedHistoryBlocks:
+    # the block height at 2000 cells
+    ROWS = fracops.HISTORY_BLOCK // 2001
+
+    @pytest.mark.parametrize("cells", (2, ROWS - 1, ROWS, ROWS + 1, 2000))
+    @pytest.mark.parametrize("beta", (0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0))
+    def test_matches_the_per_node_loop(self, beta, cells):
+        # both exponents, 1 - beta (L1, e = 0 at beta = 1) and beta
+        for blocked, reference in _oracle_cases(beta, cells):
+            assert blocked.shape == (cells,)
+            assert float(np.max(np.abs(blocked - reference))) <= 1e-15
+
+    @pytest.mark.parametrize("rows", (1, 3, 16))
+    def test_partial_last_block(self, monkeypatch, rows):
+        # 50 cells in blocks of 1, 3 and 16 rows; the last two leave a
+        # partial block, and 1 row is what a grid past HISTORY_BLOCK nodes gets
+        monkeypatch.setattr(fracops, "HISTORY_BLOCK", rows * 51)
+        for beta in (0.3, 1.0):
+            for blocked, reference in _oracle_cases(beta, 50):
+                assert float(np.max(np.abs(blocked - reference))) <= 1e-15
+
+    def test_temporary_memory_is_bounded(self):
+        # blocks hold about HISTORY_BLOCK entries at any grid size; a fixed
+        # 16-row block would take 1.3 MB per temporary at 10,000 cells
+        sol = SeriesSolution.build(0.7, 1.0, 64)
+        grid = graded_grid(0.8 * sol.domain_edge, 10_000, 0.7)
+        w = sol.evaluate(grid.nodes).w
+        tracemalloc.start()
+        try:
+            caputo_l1_all(w, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
 
 class TestVerify:
