@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .euler_beta import build_sequence
-from .fracops import make_grid, verify
+from .fracops import MAX_STEPS, make_grid, verify
 from .series_solution import SeriesSolution, compare_classical, radius_report
 
 __all__ = ["VERIFY_TOLERANCES", "MAX_TERMS", "MAX_STEPS", "main"]
@@ -45,10 +45,9 @@ VERIFY_TOLERANCES = {
 #: stays well below every method tolerance.
 DEFAULT_VERIFY_WINDOW = 0.7
 
-#: Largest -n and --steps accepted, far above any use (-n 256, --steps 2000)
-#: but small enough that no array they size can exhaust memory.
+#: Largest -n accepted, far above any use (-n 256) but small enough that no
+#: array it sizes can exhaust memory; --steps is capped at fracops.MAX_STEPS.
 MAX_TERMS = 10_000
-MAX_STEPS = 1_000_000
 
 
 def _cell(value) -> str:

@@ -60,10 +60,13 @@ class BetaEulerSequence:
         object.__setattr__(self, "g", _read_only(np.asarray(self.g)))
         if self.g.ndim != 1 or self.g.size < 2:
             raise ValueError("g must be a 1-D array of at least 2 coefficients")
+        bad = np.flatnonzero(~np.isfinite(self.g))
+        if bad.size:
+            raise ValueError(f"g must be finite, got g[{bad[0]}] = {self.g[bad[0]]}")
         if self.g[0] != 0.5:
             raise ValueError("g_0 must equal 1/2")
-        g1 = 0.25 / (self.m * math.exp(ln_gamma(self.beta + 1.0)))
-        if not math.isclose(self.g[1], g1, rel_tol=1e-13):
+        p, _ = majorant_constants(self.beta)
+        if not math.isclose(self.g[1], p / self.m, rel_tol=1e-13):
             raise ValueError("g_1 must equal (1/4) / (m * Gamma(beta+1))")
 
     @property
@@ -156,7 +159,8 @@ def sequence_from_json(payload: Union[str, dict]) -> BetaEulerSequence:
     """Rebuild a sequence from its JSON export, bit-exact in g.
 
     Only "beta", "m" and "g" are read: the "raw" entries are derived from g,
-    so a stale or edited "raw" list cannot disagree with it.
+    so a stale or edited "raw" list cannot disagree with it. json.loads
+    accepts NaN and Infinity, but a non-finite g entry raises ValueError.
     """
     obj = json.loads(payload) if isinstance(payload, str) else payload
     return BetaEulerSequence(

@@ -62,6 +62,10 @@ REPORT_START = 0.05
 #: through FFT blocks of B0 * 2^k steps.
 B0 = 128
 
+#: Most steps solve_pc takes (and most --steps the CLI accepts): far above
+#: any use, but small enough that no array they size can exhaust memory.
+MAX_STEPS = 1_000_000
+
 #: Kernel entries per row block of the graded-grid history sums: 2^15
 #: doubles, 256 KiB per temporary; a grid of more nodes takes one row.
 HISTORY_BLOCK = 2**15
@@ -362,6 +366,8 @@ def sonine_check(beta: float, t_grid) -> float:
     if not (0.0 < beta < 1.0):
         raise ValueError("the kernel pair needs beta strictly inside (0, 1)")
     t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if t_arr.size == 0:
+        raise ValueError("the t grid is empty")
     if not np.all((t_arr > 0.0) & (t_arr < math.inf)):
         raise ValueError("t values must be finite and positive")
     z_integral = _beta_integral(1.0 - beta, beta)
@@ -438,7 +444,8 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
     step's equation u = base + c (u - u^2)/m is a quadratic in u, solved
     exactly, so the scheme's predictor is not needed. Returns (t, u). A step
     with a = h^beta / (Gamma(beta+2) m) > 1 can carry u past the equilibrium
-    1, so it raises ValueError.
+    1, so it raises ValueError, as does a run of more than MAX_STEPS steps,
+    before any array is built.
 
     The one history sum is a lower-triangular Toeplitz product of the past
     right-hand sides with the corrector weights. The last B0 steps are summed
@@ -460,7 +467,12 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
     if a > 1.0:
         raise ValueError(f"step h = {h} is too large: h^beta / (Gamma(beta+2) m) = {a:.6g} > 1")
 
-    n_steps = int(math.ceil(t_end / h - 1e-12))
+    # compared before ceil, which cannot take the inf of an overflowed ratio
+    ratio = t_end / h - 1e-12
+    if ratio > MAX_STEPS:
+        steps = math.ceil(ratio) if ratio < math.inf else ratio
+        raise ValueError(f"t_end / h needs {steps} steps, more than the {MAX_STEPS} allowed")
+    n_steps = math.ceil(ratio)
     t = np.arange(n_steps + 1) * h
     u = np.empty(n_steps + 1)
     u[0] = 0.5

@@ -259,6 +259,8 @@ def compare_classical(m: float, t_grid, n_terms: int = 64) -> float:
     has one, so the series is always built at beta = 1.
     """
     t_arr = np.asarray(t_grid, dtype=float)
+    if t_arr.size == 0:
+        raise ValueError("the t grid is empty")
     if np.any(t_arr < 0.0) or np.any(t_arr >= math.pi * m):
         raise ValueError("t grid must lie within [0, pi * m)")
     sol = SeriesSolution.build(1.0, m, n_terms)

@@ -4,9 +4,10 @@ Everything downstream (coefficient recurrences, convergence radii, quadrature
 oracles) is built on the functions in this module, so the error budget here is
 deliberately tight. ``ln_gamma`` comes from the standard library, as
 log(math.gamma(x)) where Gamma(x) fits in a double, and its exponential is
-good to 1e-13 relative over [1e-3, 170]; all combinatorial tables (Bernoulli
-numbers, Bernoulli/Euler polynomials) are computed in exact rational
-arithmetic and only converted to float at the very end.
+good to 1e-13 relative over [1e-3, 170]. The Bernoulli numbers and the
+Bernoulli and Euler polynomials are exact rationals: both polynomials are
+evaluated by one Horner helper over a Bernoulli-number table, and only
+``euler_poly`` and ``classical_series_coeffs`` convert to float, at the end.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ from typing import List, Optional, Union
 
 __all__ = [
     "EULER_MASCHERONI",
-    "RationalTriangle",
     "BoundFlags",
     "ln_gamma",
     "gamma_fn",
     "beta_fn",
     "bernoulli_numbers",
-    "bernoulli_poly",
     "bernoulli_poly_exact",
     "euler_poly",
     "euler_poly_exact",
@@ -86,77 +85,31 @@ def bernoulli_numbers(n_max: int) -> List[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class RationalTriangle:
-    """Triangular table of exact rationals, row r holding r+1 entries.
-
-    Used for the binomial table and for the Bernoulli-polynomial coefficient
-    table (row s = coefficients of x^0..x^s in B_s).
-    """
-
-    rows: tuple
-
-    def __post_init__(self) -> None:
-        for r, row in enumerate(self.rows):
-            if len(row) != r + 1:
-                raise ValueError(f"row {r} must have {r + 1} entries, got {len(row)}")
-            for entry in row:
-                if not isinstance(entry, Fraction):
-                    raise ValueError("entries must be exact Fractions")
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def row(self, r: int) -> tuple:
-        return self.rows[r]
-
-    @classmethod
-    def binomial(cls, n_max: int) -> "RationalTriangle":
-        """Pascal's triangle up to row n_max."""
-        rows = tuple(
-            tuple(Fraction(comb(n, j)) for j in range(n + 1)) for n in range(n_max + 1)
-        )
-        return cls(rows)
-
-    @classmethod
-    def bernoulli(cls, n_max: int) -> "RationalTriangle":
-        """Row s holds the coefficients of B_s(x) = sum_j C(s,j) b_{s-j} x^j."""
-        b = bernoulli_numbers(n_max)
-        rows = tuple(
-            tuple(comb(s, j) * b[s - j] for j in range(s + 1)) for s in range(n_max + 1)
-        )
-        return cls(rows)
+def _bernoulli_horner(s: int, x: Fraction, b: List[Fraction]) -> Fraction:
+    """B_s(x) = sum_j C(s,j) b_{s-j} x^j by Horner's rule, from a table b of
+    Bernoulli numbers that reaches at least b_s."""
+    acc = Fraction(0)
+    for j in range(s, -1, -1):
+        acc = acc * x + comb(s, j) * b[s - j]
+    return acc
 
 
 def bernoulli_poly_exact(s: int, x: Rational) -> Fraction:
     """B_s(x) for rational x, exactly."""
     if s < 0:
         raise ValueError("polynomial index must be >= 0")
-    xf = Fraction(x)
-    b = bernoulli_numbers(s)
-    acc = Fraction(0)
-    for j in range(s, -1, -1):  # Horner
-        acc = acc * xf + comb(s, j) * b[s - j]
-    return acc
-
-
-def bernoulli_poly(s: int, x: float) -> float:
-    """Bernoulli polynomial B_s(x).
-
-    The finite sum is evaluated in exact rational arithmetic (the float x is
-    converted without rounding) and cast to float at the end.
-    """
-    return float(bernoulli_poly_exact(s, Fraction(x)))
+    return _bernoulli_horner(s, Fraction(x), bernoulli_numbers(s))
 
 
 def euler_poly_exact(k: int, x: Rational) -> Fraction:
     """E_k(x) for rational x via the Bernoulli-polynomial sum, exactly."""
     if k < 0:
         raise ValueError("polynomial index must be >= 0")
-    xf = Fraction(x)
+    half = Fraction(x) / 2
+    b = bernoulli_numbers(k)
     acc = Fraction(0)
     for s in range(k + 1):
-        acc += comb(k + 1, s) * Fraction(2) ** s * bernoulli_poly_exact(s, xf / 2)
+        acc += comb(k + 1, s) * 2**s * _bernoulli_horner(s, half, b)
     return acc / (k + 1)
 
 
@@ -178,27 +131,22 @@ def classical_series_coeffs(n_max: int) -> List[float]:
 
 @dataclass(frozen=True)
 class BoundFlags:
-    """Outcome of the inequality checks; a flag is None when the point lies
-    outside that bound's stated domain."""
+    """Outcome of the three inequality checks at one point (x, y); a flag is
+    None when the point lies outside that bound's stated domain."""
 
     beta_bound: Optional[bool]       # B(x,y) <= 1/(xy), x,y > 1
     gamma_unit: Optional[bool]       # 2^(x-1) <= Gamma(x+1) <= 1, 0 <= x <= 1
     gamma_envelope: Optional[bool]   # x^(x-g)/e^(x-1) < Gamma(x) < x^(x-1/2)/e^(x-1), x > 1
 
 
-def bound_predicates(
-    x: Optional[float] = None,
-    y: Optional[float] = None,
-    beta: Optional[float] = None,
-) -> BoundFlags:
+def bound_predicates(x: Optional[float] = None, y: Optional[float] = None) -> BoundFlags:
     """Evaluate the three Gamma/Beta inequalities at a point.
 
     ``x, y`` feed the Beta bound (both > 1 required) and the strict Gamma
-    envelope (x > 1); the unit-interval bound is checked at ``beta`` when
-    given, else at ``x`` when 0 <= x <= 1. Comparisons are strict or
-    non-strict exactly as each inequality is stated, with endpoint ties
-    counting as satisfied for the non-strict ones. Raises if the point lies
-    in no bound's domain.
+    envelope (x > 1); the unit-interval bound is checked at ``x`` when
+    0 <= x <= 1. Comparisons are strict or non-strict exactly as each
+    inequality is stated, with endpoint ties counting as satisfied for the
+    non-strict ones. Raises if the point lies in no bound's domain.
     """
     beta_bound = None
     gamma_unit = None
@@ -208,10 +156,9 @@ def bound_predicates(
         # log-space comparison so x = y = 50 does not overflow
         beta_bound = ln_gamma(x) + ln_gamma(y) - ln_gamma(x + y) <= -math.log(x * y)
 
-    unit_arg = beta if beta is not None else x
-    if unit_arg is not None and 0.0 <= unit_arg <= 1.0:
-        g1 = math.exp(ln_gamma(unit_arg + 1.0)) if unit_arg > 0.0 else 1.0
-        gamma_unit = (2.0 ** (unit_arg - 1.0) <= g1) and (g1 <= 1.0)
+    if x is not None and 0.0 <= x <= 1.0:
+        g1 = math.exp(ln_gamma(x + 1.0)) if x > 0.0 else 1.0
+        gamma_unit = (2.0 ** (x - 1.0) <= g1) and (g1 <= 1.0)
 
     if x is not None and x > 1.0:
         lg = ln_gamma(x)

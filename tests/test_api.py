@@ -11,11 +11,11 @@ import sys
 import pytest
 
 import felog
-from felog import fracops
+from felog import fracops, specfun
 from felog.euler_beta import BetaEulerSequence
 from felog.fracops import ResidualReport
 from felog.series_solution import RadiusReport, compare_classical
-from felog.specfun import BoundFlags
+from felog.specfun import BoundFlags, bound_predicates
 
 LIBRARY = ("felog.specfun", "felog.euler_beta", "felog.series_solution", "felog.fracops")
 MODULES = LIBRARY + ("felog.cli",)
@@ -63,3 +63,6 @@ def test_second_paths_are_gone():
     assert not hasattr(fracops, "caputo_l1")
     assert not hasattr(BetaEulerSequence, "to_json")
     assert "beta" not in inspect.signature(compare_classical).parameters
+    assert not hasattr(specfun, "RationalTriangle")
+    assert not hasattr(specfun, "bernoulli_poly")
+    assert "beta" not in inspect.signature(bound_predicates).parameters

@@ -213,6 +213,15 @@ class TestVerify:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "t_min" in err
 
+    def test_pc_past_the_step_limit_is_usage_error(self):
+        # the default window is 0.7 * domain_edge, about 8e9 here: at the
+        # stepper's h = 1e-3 that is 8e12 steps, refused before any array
+        code, out, err = run_cli("verify", "--method", "pc", "--beta", "0.1", "--m", "10")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: t_end / h needs ")
+        assert f"more than the {MAX_STEPS} allowed" in err
+
     @pytest.mark.parametrize("tol", ("nan", "-1", "inf"))
     def test_bad_tolerance_is_usage_error(self, cli, tol):
         code, out, err = cli("verify", "--tol", tol)

@@ -268,6 +268,17 @@ class TestSerialization:
         assert zero.sum() == 15
         assert np.all(np.isneginf(back.raw_log10[zero])) and np.all(back.raw_sign[zero] == 0)
 
+    @pytest.mark.parametrize("bad", ({5: math.nan, 7: math.inf}, {23: -math.inf}))
+    def test_non_finite_coefficients_rejected(self, bad):
+        # json.loads reads the NaN and Infinity that json.dumps writes
+        payload = build_sequence(0.5, 1.0, 24).to_json_dict()
+        for k, v in bad.items():
+            payload["g"][k] = v
+        text = json.dumps(payload)
+        k = min(bad)
+        with pytest.raises(ValueError, match=rf"g must be finite, got g\[{k}\]"):
+            sequence_from_json(text)
+
     def test_raw_entries_of_payload_are_ignored(self):
         seq = build_sequence(0.7, 1.0, 16)
         truncated = seq.to_json_dict()

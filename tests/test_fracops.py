@@ -12,6 +12,7 @@ from felog.cli import main
 from felog.euler_beta import build_sequence
 from felog.fracops import (
     B0,
+    MAX_STEPS,
     QuadratureGrid,
     caputo_l1_all,
     caputo_termwise,
@@ -355,6 +356,10 @@ class TestSonine:
         with pytest.raises(ValueError):
             sonine_check(beta, [1.0])
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="the t grid is empty"):
+            sonine_check(0.5, [])
+
     @pytest.mark.parametrize("t", (math.nan, math.inf, 0.0, -1.0))
     def test_points_must_be_finite_and_positive(self, t):
         with pytest.raises(ValueError, match="finite and positive"):
@@ -512,6 +517,24 @@ class TestSolvePC:
         # equilibrium 1 (at beta = 1, m = 1, h = 10 it reached 1.11)
         with pytest.raises(ValueError, match="too large"):
             solve_pc(beta, 1.0, 20.0 * h, h)
+
+    @pytest.mark.parametrize("t_end, h, steps", (
+        ((MAX_STEPS + 1) * 2.0**-10, 2.0**-10, MAX_STEPS + 1),
+        (1e10, 1e-300, math.inf),  # t_end / h overflows
+    ))
+    def test_step_count_above_the_limit_rejected(self, t_end, h, steps):
+        # raised before the arrays are built: just above the limit the run
+        # would take seconds, and 1e310 steps could not be allocated at all
+        with pytest.raises(ValueError, match=f"needs {steps} steps, more than the {MAX_STEPS}"):
+            solve_pc(1.0, 1.0, t_end, h)
+
+    def test_step_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(fracops, "MAX_STEPS", 10)
+        h = 2.0**-6
+        t, _ = solve_pc(1.0, 1.0, 10 * h, h)
+        assert t.size == 11
+        with pytest.raises(ValueError, match="needs 11 steps, more than the 10 allowed"):
+            solve_pc(1.0, 1.0, 11 * h, h)
 
     @pytest.mark.parametrize("n_steps", (1, 2, B0 - 1, B0, B0 + 1, 2 * B0, 4 * B0 + 3, 16_000))
     @pytest.mark.parametrize("beta", (0.3, 0.5, 0.75, 1.0))

@@ -317,6 +317,10 @@ class TestCompareClassical:
         with pytest.raises(ValueError):
             compare_classical(1.0, [3.5])
 
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="the t grid is empty"):
+            compare_classical(1.0, [])
+
 
 def test_formula_ii_condition_uses_euler_mascheroni():
     assert 0.05 <= EULER_MASCHERONI - 0.5

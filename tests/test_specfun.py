@@ -8,11 +8,10 @@ from math import comb
 import numpy as np
 import pytest
 
+from felog import specfun
 from felog.specfun import (
     EULER_MASCHERONI,
-    RationalTriangle,
     bernoulli_numbers,
-    bernoulli_poly,
     bernoulli_poly_exact,
     beta_fn,
     bound_predicates,
@@ -152,32 +151,16 @@ class TestBernoulli:
             bernoulli_numbers(-1)
 
 
-class TestRationalTriangle:
-    def test_binomial_rows(self):
-        tri = RationalTriangle.binomial(6)
-        assert len(tri) == 7
-        assert tri.row(4) == tuple(Fraction(comb(4, j)) for j in range(5))
-
-    def test_bernoulli_rows_hold_poly_coeffs(self):
-        tri = RationalTriangle.bernoulli(5)
-        # row 2: B_2(x) = x^2 - x + 1/6
-        assert tri.row(2) == (Fraction(1, 6), Fraction(-1), Fraction(1))
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(ValueError):
-            RationalTriangle(((Fraction(1), Fraction(2)),))
-
-
 class TestPolynomials:
     def test_bernoulli_poly_degree_zero(self):
-        for x in (-2.0, 0.0, 0.3, 7.5):
-            assert bernoulli_poly(0, x) == 1.0
+        for x in (-2, 0, Fraction(3, 10), Fraction(15, 2)):
+            assert bernoulli_poly_exact(0, x) == 1
 
     def test_bernoulli_poly_linear_at_half(self):
-        assert bernoulli_poly(1, 0.5) == 0.0
+        assert bernoulli_poly_exact(1, Fraction(1, 2)) == 0
 
     def test_bernoulli_poly_b2_at_zero(self):
-        assert bernoulli_poly(2, 0.0) == pytest.approx(1.0 / 6.0, abs=0.0)
+        assert bernoulli_poly_exact(2, 0) == Fraction(1, 6)
 
     def test_euler_poly_degree_zero(self):
         for x in (-1.0, 0.0, 0.25, 3.0):
@@ -205,6 +188,20 @@ class TestPolynomials:
         for n in range(0, 16):
             for x in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2, 3)):
                 assert euler_poly_exact(n, x) == oracle(n, x)
+
+    def test_euler_poly_reads_one_bernoulli_table(self, monkeypatch):
+        # every B_s(x/2), s <= k, comes from the same table b_0..b_k
+        calls = []
+
+        def counted(n_max):
+            calls.append(n_max)
+            return bernoulli_numbers(n_max)
+
+        monkeypatch.setattr(specfun, "bernoulli_numbers", counted)
+        for k in (0, 1, 7, 20):
+            calls.clear()
+            euler_poly_exact(k, Fraction(1, 3))
+            assert calls == [k]
 
     def test_odd_values_at_one_alternate_and_evens_vanish(self):
         values = [euler_poly_exact(k, 1) for k in range(0, 42)]
@@ -270,11 +267,6 @@ class TestBoundPredicates:
                 assert flags.gamma_envelope is True
         for x in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert bound_predicates(x=x).gamma_unit is True
-
-    def test_unit_bound_via_beta_argument(self):
-        flags = bound_predicates(x=5.0, y=3.0, beta=0.5)
-        assert flags.gamma_unit is True
-        assert flags.beta_bound is True
 
     def test_out_of_every_domain(self):
         with pytest.raises(ValueError):
