@@ -121,12 +121,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.tol is not None and not 0.0 <= args.tol < math.inf:
         raise ValueError("tol must be finite and >= 0")
+    if args.method in ("termwise", "pc") and (args.steps is not None or args.grid is not None):
+        raise ValueError("--steps and --grid apply only to --method l1 and integro")
     sol = SeriesSolution.build(args.beta, args.m, args.n_terms)
 
     grid = None
     if args.method != "termwise":
         t1 = args.t1 if args.t1 is not None else DEFAULT_VERIFY_WINDOW * sol.domain_edge
-        grid = make_grid(t1, args.steps, args.grid, args.beta)
+        grid = make_grid(t1, args.steps or 2000, args.grid or "graded", args.beta)
     report = verify(sol, args.method, grid)
 
     tol = args.tol if args.tol is not None else VERIFY_TOLERANCES[report.method]
@@ -209,8 +211,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("termwise", "l1", "integro", "pc"), default="termwise")
     p.add_argument("--t1", type=float, default=None,
                    help="grid end (default: 0.7 * empirical radius)")
-    p.add_argument("--steps", type=int, default=2000, help="number of grid cells")
-    p.add_argument("--grid", choices=("uniform", "graded"), default="graded")
+    p.add_argument("--steps", type=int, help="grid cells for l1 and integro (default 2000)")
+    p.add_argument("--grid", choices=("uniform", "graded"),
+                   help="grid spacing for l1 and integro (default graded)")
     p.add_argument("--tol", type=float, default=None, help="override the method tolerance")
 
     p = sub.add_parser("radius", help="report the four radius estimates")
@@ -229,9 +232,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if "steps" in args and args.steps < 1:
+        steps = getattr(args, "steps", None)
+        if steps is not None and steps < 1:
             raise ValueError("steps must be >= 1")
-        if "steps" in args and args.steps > MAX_STEPS:
+        if steps is not None and steps > MAX_STEPS:
             raise ValueError(f"steps must be <= {MAX_STEPS}")
         if args.n_terms > MAX_TERMS:
             raise ValueError(f"n_terms must be <= {MAX_TERMS}")

@@ -99,10 +99,15 @@ class BetaEulerSequence:
         return {"beta": self.beta, "m": self.m, "g": self.g.tolist(), "raw": raw}
 
 
-def _check_order(beta: float, m: float) -> None:
-    """The (beta, m) pairs the series is built for."""
+def _check_beta(beta: float) -> None:
+    """The orders the series and its oracles are built for."""
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
+
+
+def _check_order(beta: float, m: float) -> None:
+    """The (beta, m) pairs the series is built for."""
+    _check_beta(beta)
     if not m >= 1.0:
         raise ValueError(f"m must be >= 1, got {m}")
     if not math.isfinite(m):
@@ -248,6 +253,4 @@ def bound_sequences(seq: BetaEulerSequence) -> BoundSequences:
     n = np.arange(seq.n_terms, dtype=float)
     a = p * base_a ** (n / 2.0)
     b = p * base_b ** (n / 2.0)
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return BoundSequences(a=a, b=b, q_majorant=q_majorant)
+    return BoundSequences(a=_read_only(a), b=_read_only(b), q_majorant=q_majorant)

@@ -12,9 +12,11 @@ and need O(HISTORY_BLOCK) temporary memory; the stepper's one uniform-grid
 history sum uses the blocked FFT convolution of Hairer, Lubich & Schlichte
 (SIAM J. Sci. Stat. Comput. 6, 1985), O(N log^2 N) time and O(N) memory for
 N steps. The kernel-pair check takes its Beta integral from a fixed tanh-sinh
-rule (Takahasi & Mori, Publ. RIMS 9, 1974), not from the Gamma function.
-Agreement between these routes and the series is the point; neither side is
-ground truth alone.
+rule (Takahasi & Mori, Publ. RIMS 9, 1974), not from the Gamma function; its
+raw form and the stable tail's transform share one product-midpoint rule.
+Only the argument checks come from euler_beta, never its numerics. Agreement
+between these routes and the series is the point; neither side is ground
+truth alone.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .euler_beta import BetaEulerSequence
+from .euler_beta import BetaEulerSequence, _check_beta, _check_order, _read_only
 from .series_solution import SeriesSolution
-from .specfun import ln_gamma
+from .specfun import gamma_fn, ln_gamma
 
 __all__ = [
     "QuadratureGrid",
@@ -73,7 +75,7 @@ HISTORY_BLOCK = 2**15
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Strictly increasing nodes starting at 0 for the memory integrals."""
+    """Finite, strictly increasing nodes starting at 0 for the memory integrals."""
 
     nodes: np.ndarray
     beta: float
@@ -83,34 +85,37 @@ class QuadratureGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.size < 3:
             raise ValueError("a quadrature grid needs at least 3 nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("nodes must be finite")
         if nodes[0] != 0.0:
             raise ValueError("nodes must start at 0")
         if np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be strictly increasing")
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", _read_only(nodes))
 
 
-def _check_beta(beta: float) -> None:
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+def _check_positive(name: str, x) -> None:
+    """x, a scalar or an array, must be finite and positive throughout."""
+    if not np.all((x > 0.0) & (x < math.inf)):
+        raise ValueError(f"{name} must be finite and positive")
 
 
-def _check_grid(t1: float, beta: float) -> None:
-    if not 0.0 < t1 < math.inf:
-        raise ValueError("t1 must be finite and positive")
-    _check_beta(beta)
+def _check_strict(beta: float, what: str) -> None:
+    """The kernel pair and the stable symbol degenerate at beta = 0 and 1."""
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"{what} needs beta strictly inside (0, 1)")
 
 
 def uniform_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
     """n equal cells on [0, t1]."""
-    _check_grid(t1, beta)
+    _check_positive("t1", t1)
     return QuadratureGrid(np.linspace(0.0, t1, n + 1), beta)
 
 
 def graded_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
     """Nodes t_j = t1 * (j/n)^(2/beta), clustered at the origin cusp."""
-    _check_grid(t1, beta)
+    _check_positive("t1", t1)
+    _check_beta(beta)
     j = np.arange(n + 1, dtype=float)
     return QuadratureGrid(t1 * (j / n) ** (2.0 / beta), beta)
 
@@ -137,8 +142,7 @@ class ResidualReport:
     def __post_init__(self) -> None:
         for name in ("grid", "residual"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(arr))
         if np.any(self.residual < 0.0):
             raise ValueError("residual entries must be >= 0")
 
@@ -174,9 +178,7 @@ def caputo_termwise_array(g, beta: float) -> np.ndarray:
     lg = np.array([ln_gamma(beta * k + 1.0) for k in range(g.size)])
     # math.exp, not np.exp: numpy's vectorized exp is off by an ulp in about
     # 5% of these ratios on AVX-512 hosts
-    out = g[1:] * np.fromiter(map(math.exp, np.diff(lg)), float)
-    out.setflags(write=False)
-    return out
+    return _read_only(g[1:] * np.fromiter(map(math.exp, np.diff(lg)), float))
 
 
 def caputo_termwise(seq: BetaEulerSequence) -> np.ndarray:
@@ -189,10 +191,7 @@ def rl_derivative_termwise(seq: BetaEulerSequence) -> RLDerivative:
     """Riemann-Liouville derivative of the series, split into the singular
     part g_0 t^(-beta)/Gamma(1-beta) and the regular series (which equals the
     Caputo coefficients). At beta = 1 the singular term is absent."""
-    if seq.beta == 1.0:
-        singular = 0.0
-    else:
-        singular = seq.g[0] / math.exp(ln_gamma(1.0 - seq.beta))
+    singular = 0.0 if seq.beta == 1.0 else seq.g[0] / gamma_fn(1.0 - seq.beta)
     return RLDerivative(singular_coefficient=singular, regular=caputo_termwise(seq))
 
 
@@ -221,8 +220,7 @@ def _graded_history(data: np.ndarray, t: np.ndarray, exponent: float, scale: flo
         # differences cancels badly where the near-origin slopes are large
         out[a - 1 : b - 1] = (kernel[:, :-1] - kernel[:, 1:]) @ data[: b - 1]
     out *= scale
-    out.setflags(write=False)
-    return out
+    return _read_only(out)
 
 
 def caputo_l1_all(w_values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
@@ -238,7 +236,7 @@ def caputo_l1_all(w_values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
         raise ValueError("value array must match the grid nodes")
     beta = grid.beta
     slopes = np.diff(vals) / np.diff(t)
-    return _graded_history(slopes, t, 1.0 - beta, 1.0 / math.exp(ln_gamma(2.0 - beta)))
+    return _graded_history(slopes, t, 1.0 - beta, 1.0 / gamma_fn(2.0 - beta))
 
 
 def fractional_integral_midpoint(
@@ -255,7 +253,7 @@ def fractional_integral_midpoint(
     f_mid = np.asarray(f_mid, dtype=float)
     if f_mid.shape != (t.size - 1,):
         raise ValueError("need one midpoint value per cell")
-    return _graded_history(f_mid, t, beta, 1.0 / math.exp(ln_gamma(beta)) / beta)
+    return _graded_history(f_mid, t, beta, 1.0 / gamma_fn(beta) / beta)
 
 
 def verify(
@@ -363,13 +361,11 @@ def sonine_check(beta: float, t_grid) -> float:
     a fixed tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974),
     independently of the Gamma identities it confirms.
     """
-    if not (0.0 < beta < 1.0):
-        raise ValueError("the kernel pair needs beta strictly inside (0, 1)")
+    _check_strict(beta, "the kernel pair")
     t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_arr.size == 0:
         raise ValueError("the t grid is empty")
-    if not np.all((t_arr > 0.0) & (t_arr < math.inf)):
-        raise ValueError("t values must be finite and positive")
+    _check_positive("t values", t_arr)
     z_integral = _beta_integral(1.0 - beta, beta)
     norm = math.exp(-ln_gamma(1.0 - beta) - ln_gamma(beta))
     # t enters only through t^((1-beta) + (beta-1)); keep it to expose any
@@ -386,35 +382,29 @@ def sonine_product_quadrature(beta: float, t: float) -> float:
     integrated exactly per cell and the smooth one takes its midpoint value.
     Validates the product quadrature itself, to ~1e-3.
     """
-    if not (0.0 < beta < 1.0):
-        raise ValueError("the kernel pair needs beta strictly inside (0, 1)")
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be finite and positive")
-    half = 1000
+    _check_strict(beta, "the kernel pair")
+    _check_positive("t", t)
     norm = math.exp(-ln_gamma(1.0 - beta) - ln_gamma(beta))
-
-    # [0, t/2]: s^-beta integrated exactly, (t-s)^(beta-1) at midpoints
-    edges = np.linspace(0.0, t / 2.0, half + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    moments = (edges[1:] ** (1.0 - beta) - edges[:-1] ** (1.0 - beta)) / (1.0 - beta)
-    left = float(np.dot((t - mids) ** (beta - 1.0), moments))
-
-    # [t/2, t]: (t-s)^(beta-1) integrated exactly, s^-beta at midpoints
-    edges = np.linspace(t / 2.0, t, half + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    moments = ((t - edges[:-1]) ** beta - (t - edges[1:]) ** beta) / beta
-    right = float(np.dot(mids ** (-beta), moments))
-
+    left = _product_midpoint(1.0 - beta, t / 2.0, 1000, lambda s: (t - s) ** (beta - 1.0))
+    # the right half [t/2, t] is summed in r = t - s, where r^(beta-1) is singular
+    right = _product_midpoint(beta, t / 2.0, 1000, lambda r: (t - r) ** -beta)
     return norm * (left + right)
+
+
+def _product_midpoint(a: float, u: float, cells: int, f) -> float:
+    """int_0^u r^(a-1) f(r) dr on equal cells: r^(a-1) is integrated exactly
+    on each cell and f is taken at the cell midpoints."""
+    edges = np.linspace(0.0, u, cells + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    moments = (edges[1:] ** a - edges[:-1] ** a) / a
+    return float(np.dot(f(mids), moments))
 
 
 def stable_levy_tail(beta: float, z: float) -> float:
     """Tail z^(-beta)/Gamma(1-beta) of the stable jump measure."""
-    if not (0.0 < beta < 1.0):
-        raise ValueError("the stable symbol needs beta strictly inside (0, 1)")
-    if not 0.0 < z < math.inf:
-        raise ValueError("z must be finite and positive")
-    return z ** (-beta) / math.exp(ln_gamma(1.0 - beta))
+    _check_strict(beta, "the stable symbol")
+    _check_positive("z", z)
+    return z ** (-beta) / gamma_fn(1.0 - beta)
 
 
 def levy_tail_laplace(beta: float, lam: float) -> float:
@@ -425,15 +415,10 @@ def levy_tail_laplace(beta: float, lam: float) -> float:
     integrated exactly per cell against the midpoint value of exp(-lam z),
     so the origin singularity costs nothing.
     """
-    if not (0.0 < beta < 1.0):
-        raise ValueError("the stable symbol needs beta strictly inside (0, 1)")
-    if not 0.0 < lam < math.inf:
-        raise ValueError("lam must be finite and positive")
-    edges = np.linspace(0.0, 40.0, 100_001)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    moments = (edges[1:] ** (1.0 - beta) - edges[:-1] ** (1.0 - beta)) / (1.0 - beta)
-    integral = float(np.dot(np.exp(-lam * mids), moments))
-    return integral / math.exp(ln_gamma(1.0 - beta))
+    _check_strict(beta, "the stable symbol")
+    _check_positive("lam", lam)
+    integral = _product_midpoint(1.0 - beta, 40.0, 100_000, lambda z: np.exp(-lam * z))
+    return integral / gamma_fn(1.0 - beta)
 
 
 def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -456,13 +441,11 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
     """
     if not all(math.isfinite(x) for x in (beta, m, t_end, h)):
         raise ValueError("beta, m, t_end and h must be finite")
-    _check_beta(beta)
-    if m < 1.0:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if h <= 0.0 or t_end <= 0.0:
-        raise ValueError("h and t_end must be positive")
+    _check_order(beta, m)
+    _check_positive("h", h)
+    _check_positive("t_end", t_end)
     # a <= 1 makes a u^2 + (1 - a) u - base rise on u >= 0: u <= 1 if base <= 1
-    c_corr = h**beta / math.exp(ln_gamma(beta + 2.0))
+    c_corr = h**beta / gamma_fn(beta + 2.0)
     a = c_corr / m
     if a > 1.0:
         raise ValueError(f"step h = {h} is too large: h^beta / (Gamma(beta+2) m) = {a:.6g} > 1")
@@ -525,6 +508,4 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
         u[n + 1] = u_new
         f[n + 1] = rhs(u_new)
 
-    t.setflags(write=False)
-    u.setflags(write=False)
-    return t, u
+    return _read_only(t), _read_only(u)

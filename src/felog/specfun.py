@@ -6,7 +6,8 @@ deliberately tight. ``ln_gamma`` comes from the standard library, as
 log(math.gamma(x)) where Gamma(x) fits in a double, and its exponential is
 good to 1e-13 relative over [1e-3, 170]. The Bernoulli numbers and the
 Bernoulli and Euler polynomials are exact rationals: both polynomials are
-evaluated by one Horner helper over a Bernoulli-number table, and only
+evaluated by one Horner helper over a Bernoulli-number table, the classical
+series coefficients are explicit in the Bernoulli numbers, and only
 ``euler_poly`` and ``classical_series_coeffs`` convert to float, at the end.
 """
 
@@ -102,31 +103,33 @@ def bernoulli_poly_exact(s: int, x: Rational) -> Fraction:
 
 
 def euler_poly_exact(k: int, x: Rational) -> Fraction:
-    """E_k(x) for rational x via the Bernoulli-polynomial sum, exactly."""
+    """E_k(x) = 2/(k+1) [B_(k+1)(x) - 2^(k+1) B_(k+1)(x/2)] (DLMF 24.4.23) for
+    rational x, exactly, from one Bernoulli table b_0..b_(k+1)."""
     if k < 0:
         raise ValueError("polynomial index must be >= 0")
-    half = Fraction(x) / 2
-    b = bernoulli_numbers(k)
-    acc = Fraction(0)
-    for s in range(k + 1):
-        acc += comb(k + 1, s) * 2**s * _bernoulli_horner(s, half, b)
-    return acc / (k + 1)
+    x = Fraction(x)
+    b = bernoulli_numbers(k + 1)
+    diff = _bernoulli_horner(k + 1, x, b) - 2 ** (k + 1) * _bernoulli_horner(k + 1, x / 2, b)
+    return 2 * diff / (k + 1)
 
 
 def euler_poly(k: int, x: float) -> float:
-    """Euler polynomial E_k(x) = (1/(k+1)) sum_s C(k+1,s) 2^s B_s(x/2).
+    """Euler polynomial E_k(x), evaluated exactly at the rational value of x.
 
-    Rational arithmetic throughout; plain floating evaluation of this sum
-    loses all accuracy past k ~ 20 because of the factorial-scale terms.
+    Rational arithmetic throughout; plain floating evaluation of the
+    Bernoulli form loses all accuracy past k ~ 20 because of the
+    factorial-scale terms.
     """
     return float(euler_poly_exact(k, Fraction(x)))
 
 
 def classical_series_coeffs(n_max: int) -> List[float]:
-    """Coefficients E_k(1)/2 of the classical logistic Taylor series, k <= n_max."""
+    """Coefficients E_k(1)/2 of the classical logistic Taylor series, k <= n_max:
+    1/2, then (2^(k+1) - 1) b_(k+1) / (k+1), from one Bernoulli table."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return [float(euler_poly_exact(k, 1) / 2) for k in range(n_max + 1)]
+    b = bernoulli_numbers(n_max + 1)
+    return [0.5] + [float((2 ** (k + 1) - 1) * b[k + 1] / (k + 1)) for k in range(1, n_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -139,28 +142,29 @@ class BoundFlags:
     gamma_envelope: Optional[bool]   # x^(x-g)/e^(x-1) < Gamma(x) < x^(x-1/2)/e^(x-1), x > 1
 
 
-def bound_predicates(x: Optional[float] = None, y: Optional[float] = None) -> BoundFlags:
+def bound_predicates(x: float, y: Optional[float] = None) -> BoundFlags:
     """Evaluate the three Gamma/Beta inequalities at a point.
 
     ``x, y`` feed the Beta bound (both > 1 required) and the strict Gamma
     envelope (x > 1); the unit-interval bound is checked at ``x`` when
     0 <= x <= 1. Comparisons are strict or non-strict exactly as each
     inequality is stated, with endpoint ties counting as satisfied for the
-    non-strict ones. Raises if the point lies in no bound's domain.
+    non-strict ones. Raises if an argument is not finite or the point lies
+    in no bound's domain.
     """
-    beta_bound = None
-    gamma_unit = None
-    gamma_envelope = None
+    if not (math.isfinite(x) and (y is None or math.isfinite(y))):
+        raise ValueError(f"bound_predicates requires finite arguments, got ({x}, {y})")
+    beta_bound = gamma_unit = gamma_envelope = None
 
-    if x is not None and y is not None and x > 1.0 and y > 1.0:
+    if y is not None and x > 1.0 and y > 1.0:
         # log-space comparison so x = y = 50 does not overflow
         beta_bound = ln_gamma(x) + ln_gamma(y) - ln_gamma(x + y) <= -math.log(x * y)
 
-    if x is not None and 0.0 <= x <= 1.0:
-        g1 = math.exp(ln_gamma(x + 1.0)) if x > 0.0 else 1.0
+    if 0.0 <= x <= 1.0:
+        g1 = gamma_fn(x + 1.0) if x > 0.0 else 1.0
         gamma_unit = (2.0 ** (x - 1.0) <= g1) and (g1 <= 1.0)
 
-    if x is not None and x > 1.0:
+    if x > 1.0:
         lg = ln_gamma(x)
         lo = (x - EULER_MASCHERONI) * math.log(x) - (x - 1.0)
         hi = (x - 0.5) * math.log(x) - (x - 1.0)

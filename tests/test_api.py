@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import felog
-from felog import fracops, specfun
+from felog import euler_beta, fracops, specfun
 from felog.euler_beta import BetaEulerSequence
 from felog.fracops import ResidualReport
 from felog.series_solution import RadiusReport, compare_classical
@@ -66,3 +66,14 @@ def test_second_paths_are_gone():
     assert not hasattr(specfun, "RationalTriangle")
     assert not hasattr(specfun, "bernoulli_poly")
     assert "beta" not in inspect.signature(bound_predicates).parameters
+
+
+def test_bound_predicates_needs_x():
+    assert inspect.signature(bound_predicates).parameters["x"].default is inspect.Parameter.empty
+
+
+def test_oracles_take_their_argument_rules_from_the_series():
+    # fracops defines no copy of the order rule or of the read-only idiom
+    assert fracops._check_beta is euler_beta._check_beta
+    assert fracops._check_order is euler_beta._check_order
+    assert fracops._read_only is euler_beta._read_only

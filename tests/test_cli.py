@@ -222,6 +222,22 @@ class TestVerify:
         assert err.startswith("error: t_end / h needs ")
         assert f"more than the {MAX_STEPS} allowed" in err
 
+    @pytest.mark.parametrize("method", ("termwise", "pc"))
+    @pytest.mark.parametrize("flag", (("--steps", "300"), ("--grid", "uniform"),
+                                      ("--grid", "graded")))
+    def test_grid_flags_outside_l1_and_integro_are_usage_errors(self, cli, method, flag):
+        # neither method reads the grid's cells or spacing
+        code, out, err = cli("verify", "--method", method, *flag)
+        assert (code, out) == (2, "")
+        assert err == "error: --steps and --grid apply only to --method l1 and integro\n"
+
+    @pytest.mark.parametrize("method", ("l1", "integro"))
+    def test_default_grid_is_2000_graded_cells(self, cli, method):
+        _, implicit, _ = cli("verify", "--beta", "0.7", "--method", method)
+        _, explicit, _ = cli("verify", "--beta", "0.7", "--method", method,
+                             "--steps", "2000", "--grid", "graded")
+        assert implicit == explicit
+
     @pytest.mark.parametrize("tol", ("nan", "-1", "inf"))
     def test_bad_tolerance_is_usage_error(self, cli, tol):
         code, out, err = cli("verify", "--tol", tol)

@@ -71,6 +71,13 @@ class TestGrids:
         with pytest.raises(ValueError):
             QuadratureGrid(np.array([0.0, 1.0]), 0.5)  # at least 3 nodes
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_non_finite_nodes_rejected(self, bad):
+        # nan <= 0 is False, so the ordering check alone let these through
+        for nodes in ([0.0, 0.5, bad, 1.0], [0.0, 0.5, 1.0, bad]):
+            with pytest.raises(ValueError, match="nodes must be finite"):
+                QuadratureGrid(np.array(nodes), 0.5)
+
     @pytest.mark.parametrize("beta", (5.0, 0.0, -0.5, math.nan))
     def test_grid_order_outside_unit_interval_rejected(self, beta):
         with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\]"):
@@ -351,6 +358,22 @@ class TestSonine:
     def test_raw_product_quadrature_path(self):
         assert abs(sonine_product_quadrature(0.5, 1.0) - 1.0) <= 1e-3
 
+    @pytest.mark.parametrize("beta", (0.2, 0.5, 0.9))
+    @pytest.mark.parametrize("t", (0.1, 1.0, 7.0))
+    def test_product_quadrature_against_the_unmirrored_sum(self, beta, t):
+        # reference: the right half summed in s itself, not in r = t - s
+        norm = math.exp(-ln_gamma(1.0 - beta) - ln_gamma(beta))
+        edges = np.linspace(0.0, t / 2.0, 1001)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        moments = (edges[1:] ** (1.0 - beta) - edges[:-1] ** (1.0 - beta)) / (1.0 - beta)
+        left = float(np.dot((t - mids) ** (beta - 1.0), moments))
+        edges = np.linspace(t / 2.0, t, 1001)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        moments = ((t - edges[:-1]) ** beta - (t - edges[1:]) ** beta) / beta
+        right = float(np.dot(mids ** (-beta), moments))
+        assert sonine_product_quadrature(beta, t) == pytest.approx(norm * (left + right),
+                                                                   rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("beta", (0.0, 1.0))
     def test_degenerate_orders_rejected(self, beta):
         with pytest.raises(ValueError):
@@ -382,6 +405,15 @@ class TestStableLevyTail:
     def test_laplace_consistency(self):
         # truncated transform of the tail vs lam^(beta-1) = 1 at lam = 1
         assert abs(levy_tail_laplace(0.5, 1.0) - 1.0) <= 1e-3
+
+    @pytest.mark.parametrize("beta", (0.2, 0.5, 0.9))
+    @pytest.mark.parametrize("lam", (0.1, 1.0, 3.0))
+    def test_laplace_bits_match_the_inline_rule(self, beta, lam):
+        edges = np.linspace(0.0, 40.0, 100_001)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        moments = (edges[1:] ** (1.0 - beta) - edges[:-1] ** (1.0 - beta)) / (1.0 - beta)
+        integral = float(np.dot(np.exp(-lam * mids), moments))
+        assert levy_tail_laplace(beta, lam) == integral / math.exp(ln_gamma(1.0 - beta))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -482,8 +514,10 @@ class TestSolvePC:
             solve_pc(0.0, 1.0, 1.0, 1e-3)
         with pytest.raises(ValueError):
             solve_pc(0.5, 0.5, 1.0, 1e-3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="h must be finite and positive"):
             solve_pc(0.5, 1.0, 1.0, -1e-3)
+        with pytest.raises(ValueError, match="t_end must be finite and positive"):
+            solve_pc(0.5, 1.0, 0.0, 1e-3)
 
     @pytest.mark.parametrize(
         "args",

@@ -190,7 +190,7 @@ class TestPolynomials:
                 assert euler_poly_exact(n, x) == oracle(n, x)
 
     def test_euler_poly_reads_one_bernoulli_table(self, monkeypatch):
-        # every B_s(x/2), s <= k, comes from the same table b_0..b_k
+        # B_(k+1)(x) and B_(k+1)(x/2) both come from the table b_0..b_(k+1)
         calls = []
 
         def counted(n_max):
@@ -201,7 +201,7 @@ class TestPolynomials:
         for k in (0, 1, 7, 20):
             calls.clear()
             euler_poly_exact(k, Fraction(1, 3))
-            assert calls == [k]
+            assert calls == [k + 1]
 
     def test_odd_values_at_one_alternate_and_evens_vanish(self):
         values = [euler_poly_exact(k, 1) for k in range(0, 42)]
@@ -238,6 +238,21 @@ class TestClassicalCoeffs:
         assert u[2] == 0.0
         assert u[3] == -0.125
         assert u[5] == 0.25
+
+    def test_explicit_form_matches_the_euler_polynomial(self):
+        coeffs = classical_series_coeffs(40)
+        assert coeffs == [float(euler_poly_exact(k, 1) / 2) for k in range(41)]
+
+    def test_reads_one_bernoulli_table(self, monkeypatch):
+        calls = []
+
+        def counted(n_max):
+            calls.append(n_max)
+            return bernoulli_numbers(n_max)
+
+        monkeypatch.setattr(specfun, "bernoulli_numbers", counted)
+        classical_series_coeffs(30)
+        assert calls == [31]
 
 
 class TestBoundPredicates:
@@ -276,6 +291,13 @@ class TestBoundPredicates:
     def test_infinite_point_rejected(self, point):
         # log-Gamma of inf used to be NaN, which made a flag read False
         with pytest.raises(ValueError):
+            bound_predicates(**point)
+
+    @pytest.mark.parametrize("point", [{"x": math.nan}, {"x": 2.0, "y": math.nan},
+                                       {"x": 0.5, "y": -math.inf}])
+    def test_non_finite_point_rejected(self, point):
+        # a NaN y used to read as "no y given", so beta_bound came back None
+        with pytest.raises(ValueError, match="finite arguments"):
             bound_predicates(**point)
 
 
