@@ -57,7 +57,8 @@ class BetaEulerSequence:
 
     def __post_init__(self) -> None:
         _check_order(self.beta, self.m)
-        object.__setattr__(self, "g", _read_only(np.asarray(self.g)))
+        # a copy: the caller's array must stay writeable
+        object.__setattr__(self, "g", _read_only(np.array(self.g)))
         if self.g.ndim != 1 or self.g.size < 2:
             raise ValueError("g must be a 1-D array of at least 2 coefficients")
         bad = np.flatnonzero(~np.isfinite(self.g))

@@ -6,17 +6,21 @@ integrated exactly, since naive quadrature of the weakly singular kernel
 diverges), the integrated form uses product-rectangle quadrature with exact
 cell moments, and the time-stepper takes the corrector of the fractional
 Adams-Bashforth-Moulton scheme, whose implicit step is a quadratic solved
-exactly. The two graded-grid routes sum their history directly, O(N^2) time
-for N cells, in blocks of rows that raise each kernel entry to its power once
-and need O(HISTORY_BLOCK) temporary memory; the stepper's one uniform-grid
-history sum uses the blocked FFT convolution of Hairer, Lubich & Schlichte
-(SIAM J. Sci. Stat. Comput. 6, 1985), O(N log^2 N) time and O(N) memory for
-N steps. The kernel-pair check takes its Beta integral from a fixed tanh-sinh
-rule (Takahasi & Mori, Publ. RIMS 9, 1974), not from the Gamma function; its
-raw form and the stable tail's transform share one product-midpoint rule.
-Only the argument checks come from euler_beta, never its numerics. Agreement
-between these routes and the series is the point; neither side is ground
-truth alone.
+exactly. The two graded-grid routes split each node's history at half its
+time. Cells below the cut are summed through the binomial series of the
+kernel, whose terms are all positive, so nothing cancels; that costs O(N P)
+for N cells and P = 52 terms. The near cells are summed directly, in blocks
+of rows that raise each kernel entry to its power once. On a graded grid
+they are a fixed share of each node's history, so this part stays O(N^2),
+but small. Both parts need O(HISTORY_BLOCK) temporary memory. The stepper's
+one uniform-grid history sum uses the blocked FFT convolution of Hairer,
+Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985), O(N log^2 N) time
+and O(N) memory for N steps. The kernel-pair check takes its Beta integral
+from a fixed tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974), not from
+the Gamma function; its raw form and the stable tail's transform share one
+product-midpoint rule. Only the argument checks come from euler_beta, never
+its numerics. Agreement between these routes and the series is the point;
+neither side is ground truth alone.
 """
 
 from __future__ import annotations
@@ -69,8 +73,16 @@ B0 = 128
 MAX_STEPS = 1_000_000
 
 #: Kernel entries per row block of the graded-grid history sums: 2^15
-#: doubles, 256 KiB per temporary; a grid of more nodes takes one row.
+#: doubles, 256 KiB per temporary; a row with more near cells is a block.
 HISTORY_BLOCK = 2**15
+
+# A cell is far from node n when it ends by t_n / 2. Its moment then follows
+# from (1 - x)^e = 1 - sum_p c_p x^p at x <= 1/2, where 0 <= c_p <= e/p for
+# 0 <= e <= 1. After P terms the tail is below 2^-P / (P+1) of the kernel
+# t_n^e, and below 2^(1-P) of each far moment. P = 52 keeps the kernel
+# within half an ulp and each far moment within 2^-51.
+_FAR_CUT = 0.5
+_FAR_TERMS = 52
 
 
 @dataclass(frozen=True)
@@ -82,7 +94,8 @@ class QuadratureGrid:
 
     def __post_init__(self) -> None:
         _check_beta(self.beta)
-        nodes = np.asarray(self.nodes, dtype=float)
+        # a copy: the caller's array must stay writeable
+        nodes = np.array(self.nodes, dtype=float)
         if nodes.size < 3:
             raise ValueError("a quadrature grid needs at least 3 nodes")
         if not np.all(np.isfinite(nodes)):
@@ -141,7 +154,7 @@ class ResidualReport:
 
     def __post_init__(self) -> None:
         for name in ("grid", "residual"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             object.__setattr__(self, name, _read_only(arr))
         if np.any(self.residual < 0.0):
             raise ValueError("residual entries must be >= 0")
@@ -197,30 +210,167 @@ def rl_derivative_termwise(seq: BetaEulerSequence) -> RLDerivative:
 
 def _graded_history(data: np.ndarray, t: np.ndarray, exponent: float, scale: float) -> np.ndarray:
     """scale * sum_j data_j * [(t_n - t_j)^e - (t_n - t_(j+1))^e] over the
-    cells j < n, at every node index n = 1..len(t)-1.
+    cells j < n, at every node index n = 1..len(t)-1, for 0 <= e <= 1.
 
-    A direct O(N^2) sum, taken a block of rows at a time: each kernel entry
-    (t_n - t_j)^e is raised to its power once and serves as the lower end of
-    cell j and the upper end of cell j-1, and one matrix-vector product sums
-    the block. A block holds about HISTORY_BLOCK entries, so the temporaries
-    take O(HISTORY_BLOCK) memory at any N. Entries with j >= n are 0, also
-    at e = 0, where numpy's 0.0**0 would give 1. A block reads the data of
-    all its cells, so a non-finite entry also spreads to the block's earlier
-    nodes.
+    The nodes go in blocks of rows (see _row_blocks). The cells j < lo, which
+    end by half the block's first node, are far, and _far_history sums them
+    by the binomial series of the kernel in O(N P) for all N nodes. The near
+    cells are summed directly: each kernel entry (t_n - t_j)^e is raised to
+    its power once and serves as the lower end of cell j and the upper end of
+    cell j-1, and one matrix-vector product sums the block. Entries with
+    j >= n are 0, also at e = 0, where numpy's 0.0**0 would give 1. On a
+    graded grid t_j ~ j^r the near cells are about 1 - 2^(-1/r) of each
+    history, 0.16 at r = 4, plus the block's own rows. Temporaries take
+    O(HISTORY_BLOCK) memory at any N. A block reads the data of all its near
+    cells, so a non-finite entry also spreads to the block's earlier nodes.
     """
-    size = t.size
-    rows = max(1, HISTORY_BLOCK // size)
-    out = np.empty(size - 1)
-    for a in range(1, size, rows):
-        b = min(a + rows, size)
-        kernel = np.subtract.outer(t[a:b], t[:b])
+    blocks = _row_blocks(t)
+    out = _far_history(data, t, exponent, blocks)
+    for a, b, lo in blocks:
+        # kernel[j, i] = (t_(a+i) - t_(lo+j))^e: one column per row of the
+        # block, so the moment differences below run over contiguous slabs
+        kernel = t[a:b] - t[lo:b, None]
         np.maximum(kernel, 0.0, out=kernel)
         np.power(kernel, exponent, out=kernel, where=kernel > 0.0)
         # the moments stay elementwise: summing by parts against data
         # differences cancels badly where the near-origin slopes are large
-        out[a - 1 : b - 1] = (kernel[:, :-1] - kernel[:, 1:]) @ data[: b - 1]
+        out[a - 1 : b - 1] += data[lo : b - 1] @ (kernel[:-1] - kernel[1:])
     out *= scale
     return _read_only(out)
+
+
+def _row_blocks(t: np.ndarray) -> np.ndarray:
+    """Rows (a, b, lo), one per block of node rows a..b-1, in order: the cells
+    j < lo end by _FAR_CUT * t_a, so they are far from every row of the block.
+
+    A block is at most a // 4 rows tall. That bounds how far its last row
+    lies beyond its first, and so the cancellation in the direct moments of
+    the cells lo..n that the rows below the first sum directly. A block of
+    more than one row holds at most HISTORY_BLOCK kernel entries.
+    """
+    size = t.size
+    plan = []
+    a = 1
+    while a < size:
+        lo = int(np.searchsorted(t, _FAR_CUT * t[a], side="right")) - 1
+        rows = max(1, min(a // 4, HISTORY_BLOCK // (a + a // 4 - lo)))
+        b = min(a + rows, size)
+        plan += a, b, lo
+        a = b
+    return np.array(plan, dtype=np.intp).reshape(-1, 3)
+
+
+def _far_history(
+    data: np.ndarray, t: np.ndarray, exponent: float, blocks: np.ndarray
+) -> np.ndarray:
+    """The far part of the history sum at every node: sum over j < lo of
+    data_j * t_n^e * sum_p c_p [(t_(j+1)/t_n)^p - (t_j/t_n)^p], with lo the
+    boundary of n's block.
+
+    Block k carries S_p = sum_(j < lo_k) data_j [(t_(j+1)/tau)^p - (t_j/tau)^p]
+    at its own scale tau = t_(lo_k). It takes the sums of the block before
+    it, at scale tau' <= tau, times (tau'/tau)^p, plus the cells that its
+    boundary passes first, so every S_p lies within the data's range at any
+    grading and scale (beta = .1, or a grid end near 5e4 at m = 3). A row
+    then needs only x = tau/t_n <= 1/2 and its block's S. Blocks go in
+    groups of at most HISTORY_BLOCK // (2 P) rows, unless one block alone
+    has more, and cells in chunks of that size, so every table of P powers
+    stays that size.
+    """
+    terms = _FAR_TERMS
+    chunk = max(1, HISTORY_BLOCK // (2 * terms))
+    weights = _binomial_weights(exponent)[:, None]
+    out = np.zeros(t.size - 1)
+    # S at scale t[passed] over the cells j < passed
+    carry, passed = np.zeros(terms), 0
+    i = 0
+    while i < len(blocks):
+        j = max(i + 1, int(np.searchsorted(blocks[:, 1], blocks[i, 0] + chunk, side="right")))
+        starts, stops, lows = blocks[i:j].T
+        tau = t[lows]
+        sums = _passed_cells(data, t, lows, passed, chunk)
+        # a block with no far cells has tau = 0 and takes nothing
+        before = np.concatenate(([t[passed]], tau[:-1]))
+        ratio = _powers(np.divide(before, tau, out=np.zeros(j - i), where=tau > 0.0), terms)
+        sums[:, 0] += ratio[:, 0] * carry
+        for k in range(1, j - i):
+            sums[:, k] += ratio[:, k] * sums[:, k - 1]
+        carry, passed = sums[:, -1].copy(), int(lows[-1])
+
+        sums *= weights
+        block = np.repeat(np.arange(j - i), stops - starts)
+        node = t[starts[0] : stops[-1]]
+        powers = _powers(tau[block] / node, terms)
+        far = np.einsum("pi,pi->i", powers, sums[:, block])
+        out[starts[0] - 1 : stops[-1] - 1] = far * node**exponent
+        i = j
+    return out
+
+
+def _passed_cells(
+    data: np.ndarray, t: np.ndarray, lows: np.ndarray, begin: int, chunk: int
+) -> np.ndarray:
+    """(P, len(lows)) table whose column k sums data_c [(t_(c+1)/tau)^p -
+    (t_c/tau)^p] at tau = t[lows[k]] over the cells c >= begin that boundary
+    k is the first to pass, chunk cells at a time."""
+    sums = np.zeros((_FAR_TERMS, lows.size))
+    end = int(lows[-1])
+    for c in range(begin, end, chunk):
+        d = min(c + chunk, end)
+        block = np.searchsorted(lows, np.arange(c, d), side="right")
+        tau = t[lows[block]]
+        lower, upper = t[c:d] / tau, t[c + 1 : d + 1] / tau
+        table = _power_differences(lower, upper, (t[c + 1 : d + 1] - t[c:d]) / tau)
+        table *= data[c:d]
+        edges = np.flatnonzero(np.diff(block, prepend=-1))
+        sums[:, block[edges]] += np.add.reduceat(table, edges, axis=1)
+    return sums
+
+
+def _binomial_weights(exponent: float) -> np.ndarray:
+    """c_p = -binom(e, p) (-1)^p for p = 1..P: (1 - x)^e = 1 - sum_p c_p x^p,
+    with c_1 = e and c_(p+1) = c_p (p - e) / (p + 1), all >= 0 for 0 <= e <= 1."""
+    p = np.arange(1, _FAR_TERMS + 1, dtype=float)
+    factors = (p - 1.0 - exponent) / p
+    factors[0] = exponent
+    return np.cumprod(factors)
+
+
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """x^1..x^count as the rows of a (count, len(x)) table. Each power is
+    the product of two earlier ones, so the table takes log2(count) + 1
+    array products; x^p is within p - 1 roundings, as by a running product."""
+    out = np.empty((count, x.size))
+    out[0] = x
+    done = 1
+    while done < count:
+        step = min(done, count - done)
+        np.multiply(out[:step], out[done - 1], out=out[done : done + step])
+        done += step
+    return out
+
+
+def _power_differences(lower: np.ndarray, upper: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """upper^p - lower^p for p = 1..P, with 0 <= lower < upper and width =
+    upper - lower, as a (P, len(upper)) table.
+
+    Doubling by u^(f+i) - l^(f+i) = u^f (u^i - l^i) + l^i (u^f - l^f) adds
+    positive terms only, so no entry cancels, however narrow the cell.
+    """
+    terms = _FAR_TERMS
+    out = np.empty((terms, upper.size))
+    out[0] = width
+    low = _powers(lower, terms // 2)
+    high = upper.copy()
+    done = 1
+    while done < terms:
+        step = min(done, terms - done)
+        part = out[done : done + step]
+        np.multiply(low[:step], out[done - 1], out=part)
+        part += high * out[:step]
+        high *= high
+        done += step
+    return out
 
 
 def caputo_l1_all(w_values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:

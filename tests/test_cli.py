@@ -184,6 +184,27 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["sup_norm"] <= 1e-4
 
+    @pytest.mark.parametrize("args", (
+        ("--beta", "0.2"),
+        ("--beta", "0.1", "-n", "256"),
+        ("--beta", "0.1", "--m", "3", "-n", "256"),
+    ))
+    def test_l1_passes_at_small_order(self, cli, args):
+        # the graded grid's first cells are far narrower than eps * t_n at
+        # these orders; a differenced kernel would lose their rise and exit 1
+        code, out, _ = cli("verify", "--method", "l1", *args)
+        assert code == 0
+        assert json.loads(out)["sup_norm"] <= 1e-4
+
+    def test_integro_at_default_terms_is_limited_by_truncation(self, cli):
+        # the oracle is exact to rounding here; 64 terms of the series are not
+        # (ROADMAP A: its own tail estimate at the grid end is about 2e-4)
+        code, out, _ = cli("verify", "--method", "integro", "--beta", "0.1")
+        assert code == 1
+        assert 1e-4 < json.loads(out)["sup_norm"] < 1e-3
+        code, out, _ = cli("verify", "--method", "integro", "--beta", "0.1", "-n", "256")
+        assert code == 0
+
     def test_pc_passes(self, cli):
         code, out, _ = cli("verify", "--beta", "0.7", "--method", "pc")
         assert code == 0

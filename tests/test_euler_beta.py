@@ -147,6 +147,14 @@ class TestBuildSequence:
             for name in ("g", "raw_sign", "raw_log10"):
                 assert not getattr(seq, name).flags.writeable, name
 
+    def test_constructor_leaves_the_callers_array_writeable(self):
+        # the sequence stores a read-only copy; np.asarray alone would freeze g
+        g = build_sequence(0.5, 1.0, 16).g.copy()
+        seq = BetaEulerSequence(0.5, 1.0, g)
+        assert g.flags.writeable and not seq.g.flags.writeable
+        g[3] = 7.0
+        assert seq.g[3] != 7.0
+
     def test_n_terms_is_g_size(self):
         for n in (2, 16, 65):
             seq = build_sequence(0.7, 2.0, n)

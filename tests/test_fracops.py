@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from felog import fracops
 from felog.cli import main
@@ -77,6 +79,18 @@ class TestGrids:
         for nodes in ([0.0, 0.5, bad, 1.0], [0.0, 0.5, 1.0, bad]):
             with pytest.raises(ValueError, match="nodes must be finite"):
                 QuadratureGrid(np.array(nodes), 0.5)
+
+    def test_constructors_leave_the_callers_arrays_writeable(self):
+        # each stores a read-only copy; np.asarray alone would freeze the input
+        a = np.linspace(0.0, 1.0, 9)
+        grid = QuadratureGrid(a, 0.5)
+        assert a.flags.writeable and not grid.nodes.flags.writeable
+        residual = np.zeros(9)
+        report = fracops.ResidualReport("l1", a, residual)
+        assert a.flags.writeable and residual.flags.writeable
+        assert not report.grid.flags.writeable and not report.residual.flags.writeable
+        a[1] = 0.5
+        assert grid.nodes[1] == 0.125
 
     @pytest.mark.parametrize("beta", (5.0, 0.0, -0.5, math.nan))
     def test_grid_order_outside_unit_interval_rejected(self, beta):
@@ -186,12 +200,27 @@ class TestFractionalIntegral:
 
 
 def graded_history_loop(data, t, exponent, scale):
-    """Reference history sum: one row per node, each kernel power taken
-    twice, once per cell end."""
+    """Reference history sum: one row per node, every cell moment in a form
+    that does not cancel, however narrow the cell.
+
+    With d = t_n - t_j and h the cell width, an older cell's moment is
+    -d^e expm1(e log1p(-h/d)). Where h > d/2 that form would lose the digits
+    of 1 - h/d, so it takes x^e expm1(e log1p(h/x)) at x = t_n - t_(j+1)
+    instead; graded grids never need it, random gaps do. The newest cell's
+    moment is h^e, and at e = 0 every older moment is exactly 0.
+    """
     out = np.empty(t.size - 1)
     for n in range(1, t.size):
-        moments = (t[n] - t[:n]) ** exponent
-        moments[:-1] -= (t[n] - t[1:n]) ** exponent
+        lower, upper = t[n] - t[: n - 1], t[n] - t[1:n]
+        width = np.diff(t[:n])
+        moments = np.empty(n)
+        moments[-1] = (t[n] - t[n - 1]) ** exponent
+        with np.errstate(divide="ignore"):
+            moments[:-1] = np.where(
+                width <= 0.5 * lower,
+                -(lower**exponent) * np.expm1(exponent * np.log1p(-width / lower)),
+                upper**exponent * np.expm1(exponent * np.log1p(width / upper)),
+            )
         out[n - 1] = scale * float(np.dot(data[:n], moments))
     out.setflags(write=False)
     return out
@@ -199,7 +228,7 @@ def graded_history_loop(data, t, exponent, scale):
 
 def _oracle_cases(beta, cells):
     """The two graded-grid routes on smooth logistic data with the t^beta
-    cusp, as (blocked result, reference) pairs."""
+    cusp, as (helper result, reference) pairs."""
     grid = graded_grid(1.5, cells, beta)
     t = grid.nodes
     w = 1.0 / (1.0 + np.exp(-(t**beta)))
@@ -218,11 +247,31 @@ def _oracle_cases(beta, cells):
     )
 
 
-class TestGradedHistoryBlocks:
-    # the block height at 2000 cells
-    ROWS = fracops.HISTORY_BLOCK // 2001
+@st.composite
+def _history_inputs(draw):
+    """A strictly increasing grid from 0 (uniform, graded or random gaps, 2
+    to 400 cells), an exponent in [0, 1] and data of mixed sign."""
+    cells = draw(st.integers(2, 400))
+    end = 10.0 ** draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(("uniform", "graded", "gaps")))
+    if kind == "uniform":
+        t = np.linspace(0.0, end, cells + 1)
+    elif kind == "graded":
+        t = end * (np.arange(cells + 1) / cells) ** draw(st.floats(1.0, 20.0))
+    else:
+        logs = draw(st.lists(st.floats(-12.0, 0.0), min_size=cells, max_size=cells))
+        t = np.concatenate(([0.0], np.cumsum(10.0 ** np.array(logs))))
+    assume(np.all(np.diff(t) > 0.0))
+    exponent = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    # whole thousandths: subnormal data would round in absolute terms
+    values = draw(st.lists(st.integers(-1000, 1000), min_size=cells, max_size=cells))
+    data = np.array(values) / 1000.0 * 10.0 ** draw(st.floats(-5.0, 5.0))
+    return data, t, exponent
 
-    @pytest.mark.parametrize("cells", (2, ROWS - 1, ROWS, ROWS + 1, 2000))
+
+class TestGradedHistoryBlocks:
+    # 15 and 16 cells end in a block cut short, 17 in a full one
+    @pytest.mark.parametrize("cells", (2, 15, 16, 17, 2000))
     @pytest.mark.parametrize("beta", (0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0))
     def test_matches_the_per_node_loop(self, beta, cells):
         # both exponents, 1 - beta (L1, e = 0 at beta = 1) and beta
@@ -232,11 +281,23 @@ class TestGradedHistoryBlocks:
 
     @pytest.mark.parametrize("rows", (1, 3, 16))
     def test_partial_last_block(self, monkeypatch, rows):
-        # 50 cells in blocks of 1, 3 and 16 rows; the last two leave a
-        # partial block, and 1 row is what a grid past HISTORY_BLOCK nodes gets
-        monkeypatch.setattr(fracops, "HISTORY_BLOCK", rows * 51)
+        # blocks grow to a // 4 rows: 16 cells reach 3 rows and 93 cells 16,
+        # and both grids end in a block cut short. HISTORY_BLOCK = 1 leaves
+        # one row per block, as a row with more near cells than it gets.
+        cells = {1: 50, 3: 16, 16: 93}[rows]
+        if rows == 1:
+            monkeypatch.setattr(fracops, "HISTORY_BLOCK", 1)
         for beta in (0.3, 1.0):
-            for blocked, reference in _oracle_cases(beta, 50):
+            t = graded_grid(1.5, cells, beta).nodes
+            a, b, lo = fracops._row_blocks(t).T
+            assert a[0] == 1 and b[-1] == cells + 1 and np.array_equal(a[1:], b[:-1])
+            assert np.all(t[lo] <= 0.5 * t[a]) and np.all(t[lo + 1] > 0.5 * t[a])
+            height = b - a
+            assert height.max() == rows and np.all(height <= np.maximum(1, a // 4))
+            assert np.all(((b - lo) * height)[height > 1] <= fracops.HISTORY_BLOCK)
+            if rows > 1:
+                assert height[-1] < a[-1] // 4
+            for blocked, reference in _oracle_cases(beta, cells):
                 assert float(np.max(np.abs(blocked - reference))) <= 1e-15
 
     def test_temporary_memory_is_bounded(self):
@@ -252,6 +313,43 @@ class TestGradedHistoryBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 1_000_000
+
+    @pytest.mark.parametrize("exponent", (0.1, 0.9))
+    def test_every_node_against_50_digits(self, exponent):
+        # 2/beta grading at beta = .1 puts the first nodes near 1e-32, where a
+        # differenced kernel loses the whole rise of the data
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        t = graded_grid(1.5, 40, 0.1).nodes
+        w = 1.0 / (1.0 + np.exp(-(t**0.1)))
+        data = np.diff(w) / np.diff(t) if exponent == 0.9 else 0.5 * (w[:-1] + w[1:])
+        got = fracops._graded_history(data, t, exponent, 1.0)
+        nodes = [mp.mpf(float(x)) for x in t]
+        for n in range(1, t.size):
+            exact = mp.fsum(
+                mp.mpf(float(data[j]))
+                * ((nodes[n] - nodes[j]) ** exponent - (nodes[n] - nodes[j + 1]) ** exponent)
+                for j in range(n)
+            )
+            assert abs(got[n - 1] - exact) <= 1e-15 * abs(exact)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_history_inputs())
+    def test_random_grids_match_the_reference(self, case):
+        # A moment that the helper takes as the difference of two kernel
+        # values, each within half an ulp of (t_n - t_j)^e, errs by up to
+        # eps times that kernel; its far moments and the reference's moments
+        # are within a few ulps of themselves, which is no more. So the bound
+        # is a multiple of eps * sum_j |data_j| (t_n - t_j)^e. The worst seen
+        # over 1,500 random cases was 1.8 of that scale; 16 leaves room for
+        # the rounding of the two dot products.
+        data, t, exponent = case
+        got = fracops._graded_history(data, t, exponent, 1.0)
+        want = graded_history_loop(data, t, exponent, 1.0)
+        eps = np.finfo(float).eps
+        for n in range(1, t.size):
+            scale = float(np.abs(data[:n]) @ (t[n] - t[:n]) ** exponent)
+            assert abs(got[n - 1] - want[n - 1]) <= 16.0 * eps * scale
 
 
 class TestVerify:
