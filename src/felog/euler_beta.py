@@ -150,14 +150,18 @@ def build_sequence(
         raise ValueError(f"n_terms must be an integer >= 2, got {n_terms}")
 
     lg = np.array([ln_gamma(beta * k + 1.0) for k in range(n_terms)])
+    # exp(lg[k] - lg[k+1]), exactly: negating a difference rounds nothing
+    gamma_ratios = [math.exp(-d) for d in np.diff(lg).tolist()]
     g = np.zeros(n_terms)
-    g[0] = 0.5
+    # g reversed, so that each convolution is a dot of two contiguous slices
+    g_rev = np.zeros(n_terms)
+    g[0] = g_rev[-1] = g_k = 0.5
     for k in range(n_terms - 1):
-        conv = float(np.dot(g[: k + 1], g[k::-1]))
-        nxt = math.exp(lg[k] - lg[k + 1]) * (g[k] - conv) / m
-        if snap_even and (k + 1) % 2 == 0 and abs(nxt) <= EVEN_SNAP_TOL * max(1.0, abs(g[k])):
+        conv = float(np.dot(g[: k + 1], g_rev[n_terms - 1 - k:]))
+        nxt = gamma_ratios[k] * (g_k - conv) / m
+        if snap_even and (k + 1) % 2 == 0 and abs(nxt) <= EVEN_SNAP_TOL * max(1.0, abs(g_k)):
             nxt = 0.0
-        g[k + 1] = nxt
+        g[k + 1] = g_rev[n_terms - 2 - k] = g_k = nxt
     return BetaEulerSequence(beta=beta, m=m, g=g)
 
 

@@ -3,7 +3,10 @@
 The series is summed in the variable tau = t^(2*beta): even coefficients are
 exactly zero, so a Horner pass over the odd coefficients halves the work and
 never multiplies by stored zeros. Fractional powers are taken as
-exp(beta*k*log t) with the t = 0 limit special-cased.
+exp(beta*k*log t) with the t = 0 limit special-cased. A scalar t runs the
+same operations one at a time in Python floats, with numpy's exp and log,
+so that it agrees with the array path bit for bit at a small part of the
+cost of one-element arrays.
 
 Four radius notions are reported side by side. The two printed formula radii
 are *diagnostics only*: evaluated verbatim they do not reproduce their own
@@ -40,6 +43,9 @@ __all__ = [
 #: Limiting constants claimed for the two printed radius formulas.
 C1_CLAIMED = 3.074366
 C2_CLAIMED = 3.116623
+
+#: Fewest coefficients the radius report, and so a series solution, accepts.
+_MIN_TERMS = 20
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,16 @@ class RadiusReport:
         }
 
 
+def _exp(x: float) -> float:
+    """``np.exp`` of one float, as a float; inf, without a warning, past the
+    double range. The ufunc, not ``math.exp``, so that scalar and array
+    evaluation agree bit for bit."""
+    if x < 709.0:  # exp(709) < DBL_MAX: nothing can overflow
+        return float(np.exp(x))
+    with np.errstate(over="ignore"):
+        return float(np.exp(x))
+
+
 def _formula_i(beta: float, m: float) -> float:
     return (
         m
@@ -112,8 +128,8 @@ def radius_report(seq: BetaEulerSequence) -> RadiusReport:
     underflowed ones no longer follow the series' geometric rate; it is None
     when that prefix holds fewer than six.
     """
-    if seq.n_terms < 20:
-        raise ValueError("radius_report needs n_terms >= 20")
+    if seq.n_terms < _MIN_TERMS:
+        raise ValueError(f"radius_report needs n_terms >= {_MIN_TERMS}")
     beta, m = seq.beta, seq.m
 
     r_i = _formula_i(beta, m)
@@ -146,14 +162,22 @@ def radius_report(seq: BetaEulerSequence) -> RadiusReport:
 class SeriesSolution:
     """Evaluate the series and report its domain of validity.
 
-    Construct from a built sequence, or with ``SeriesSolution.build(beta, m)``.
+    Construct from a built sequence of at least 20 coefficients, or with
+    ``SeriesSolution.build(beta, m)``.
     Instances are immutable and safe to share; grid evaluation is a read-only
     pass over the coefficients.
     """
 
     def __init__(self, seq: BetaEulerSequence):
+        if seq.n_terms < _MIN_TERMS:
+            raise ValueError(f"SeriesSolution needs n_terms >= {_MIN_TERMS} for its radius, "
+                             f"got {seq.n_terms}")
         self.seq = seq
         _, self._q = majorant_constants(seq.beta)
+        odd = seq.g[1::2]  # odd coefficients; evens are exactly zero
+        self._horner = odd[::-1].tolist()  # highest order first
+        self._last = abs(float(odd[-1]))
+        self._k_last = 2 * odd.size - 1
 
     @classmethod
     def build(cls, beta: float, m: float = 1.0, n_terms: int = 64) -> "SeriesSolution":
@@ -178,37 +202,56 @@ class SeriesSolution:
         t values at or below the operative radius. Negative t is rejected.
         """
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        if not np.all(np.isfinite(t_arr)):
+        if t_arr.ndim == 0:
+            x = float(t_arr)
+            finite, negative = math.isfinite(x), x < 0.0
+        else:
+            finite, negative = bool(np.all(np.isfinite(t_arr))), bool(np.any(t_arr < 0.0))
+        if not finite:
             raise ValueError("t must be finite")
-        if np.any(t_arr < 0.0):
+        if negative:
             raise ValueError("t must be >= 0")
+        if t_arr.ndim == 0:
+            return self._evaluate_scalar(x)
 
         beta, m = self.seq.beta, self.seq.m
-        c = self.seq.g[1::2]  # odd coefficients; evens are exactly zero
         pos = t_arr > 0.0
-        log_t = np.log(np.where(pos, t_arr, 1.0))
-        tb = np.where(pos, np.exp(beta * log_t), 0.0)   # t^beta, 0 at t=0
-        tau = tb * tb                                    # t^(2*beta)
-
-        k_last = 2 * len(c) - 1
         # past the radius the sum and the tail overflow; in_domain flags those t
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            log_t = np.log(np.where(pos, t_arr, 1.0))
+            tb = np.where(pos, np.exp(beta * log_t), 0.0)   # t^beta, 0 at t=0
+            tau = tb * tb                                    # t^(2*beta)
             acc = np.zeros_like(t_arr)
-            for coeff in c[::-1]:  # Horner in tau
-                acc = acc * tau + coeff
+            for coeff in self._horner:  # Horner in tau, in place
+                acc *= tau
+                acc += coeff
             w = 0.5 + tb * acc
-            last_term = np.abs(c[-1]) * np.where(pos, np.exp(beta * k_last * log_t), 0.0)
+            last_term = self._last * np.where(pos, np.exp(beta * self._k_last * log_t), 0.0)
             ratio = self._q * tau / (m * m)
             tail = np.where(ratio < 1.0, last_term * ratio / (1.0 - ratio), np.inf)
         in_domain = t_arr <= self.domain_edge
-
-        if scalar:
-            return EvalResult(float(w[0]), float(tail[0]), bool(in_domain[0]))
         for arr in (w, tail, in_domain):
             arr.setflags(write=False)
         return EvalResult(w, tail, in_domain)
+
+    def _evaluate_scalar(self, t: float) -> EvalResult:
+        """The array path's arithmetic, one operation at a time in floats,
+        so that each value is bit-identical to the array path's."""
+        beta, m = self.seq.beta, self.seq.m
+        pos = t > 0.0
+        log_t = float(np.log(t)) if pos else 0.0
+        tb = _exp(beta * log_t) if pos else 0.0
+        tau = tb * tb
+        acc = 0.0
+        for coeff in self._horner:
+            acc = acc * tau + coeff
+        w = 0.5 + tb * acc
+        ratio = self._q * tau / (m * m)
+        tail = math.inf
+        if ratio < 1.0:
+            last_term = self._last * (_exp(beta * self._k_last * log_t) if pos else 0.0)
+            tail = last_term * ratio / (1.0 - ratio)
+        return EvalResult(w, tail, t <= self.domain_edge)
 
     def __call__(self, t):
         return self.evaluate(t).w

@@ -149,6 +149,15 @@ class TestEval:
                                         "1000.0,-inf,inf,false"]
 
     @pytest.mark.filterwarnings("error")
+    def test_overflowing_grid_prints_only_the_domain_warning(self, cli):
+        # t^(2 beta) overflows at t = 1e300; the rows are flagged, not warned
+        code, out, err = cli("eval", "--beta", "1", "--t1", "1e300", "--steps", "2")
+        assert code == 0
+        assert json.loads(out)["in_domain"] == [True, False, False]
+        assert err.startswith("warning: 2 of 3 rows lie past the empirical radius")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag", (("--m", "inf"), ("--t1", "inf"),
                                       ("--t1", "nan"), ("--t0", "nan")))
     def test_non_finite_input_is_usage_error(self, cli, flag):
@@ -322,6 +331,20 @@ class TestCompare:
         assert code == 2
         assert out == ""
         assert err == "error: t0 and t1 must be finite\n"
+
+
+class TestShortSeries:
+    @pytest.mark.parametrize("command", ("eval", "compare", "verify"))
+    def test_fewer_than_twenty_terms_is_usage_error(self, cli, command):
+        code, out, err = cli(command, "-n", "10")
+        assert code == 2
+        assert out == ""
+        assert err == "error: SeriesSolution needs n_terms >= 20 for its radius, got 10\n"
+
+    def test_coefficients_need_no_radius(self, cli):
+        code, out, _ = cli("coeffs", "-n", "10")
+        assert code == 0
+        assert len(json.loads(out)["g"]) == 10
 
 
 class TestIOContract:

@@ -10,6 +10,7 @@ import pytest
 
 from felog.cli import main
 from felog.euler_beta import (
+    EVEN_SNAP_TOL,
     BetaEulerSequence,
     bound_sequences,
     build_sequence,
@@ -27,7 +28,33 @@ def raw_number(seq, k):
     return seq.g[k] * seq.m**k * math.exp(ln_gamma(seq.beta * k + 1.0))
 
 
+def negative_stride_recurrence(beta, m, n_terms, snap_even=True):
+    """Reference recurrence, as first written: each convolution dots g with
+    a reversed, negative-stride view of itself, and each Gamma ratio is the
+    exp of one log-Gamma difference."""
+    lg = np.array([ln_gamma(beta * k + 1.0) for k in range(n_terms)])
+    g = np.zeros(n_terms)
+    g[0] = 0.5
+    for k in range(n_terms - 1):
+        conv = float(np.dot(g[: k + 1], g[k::-1]))
+        nxt = math.exp(lg[k] - lg[k + 1]) * (g[k] - conv) / m
+        if snap_even and (k + 1) % 2 == 0 and abs(nxt) <= EVEN_SNAP_TOL * max(1.0, abs(g[k])):
+            nxt = 0.0
+        g[k + 1] = nxt
+    return g
+
+
 class TestBuildSequence:
+    @pytest.mark.parametrize("snap_even", (True, False))
+    @pytest.mark.parametrize("m", (1.0, 1.7, 3.0, 10.0))
+    @pytest.mark.parametrize("beta", (0.1, 0.3, 0.5, 0.7, 0.9, 1.0))
+    def test_matches_the_negative_stride_recurrence(self, beta, m, snap_even):
+        for n in (2, 3, 64, 1024):
+            g = build_sequence(beta, m, n, snap_even=snap_even).g
+            ref = negative_stride_recurrence(beta, m, n, snap_even)
+            # bit for bit: same bytes, so signed zeros count too
+            assert g.tobytes() == ref.tobytes(), n
+
     @pytest.mark.parametrize("beta", BETA_GRID)
     @pytest.mark.parametrize("m", [1.0, 2.0])
     def test_forced_initial_values(self, beta, m):

@@ -114,6 +114,52 @@ class TestEvaluate:
         for a, b in zip(increments, increments[1:]):
             assert b <= a * bound * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("n", (64, 256, 1024))
+    @pytest.mark.parametrize("m", (1.0, 3.0))
+    @pytest.mark.parametrize("beta", (0.1, 0.2, 0.5, 0.7, 1.0))
+    def test_scalar_path_is_bit_identical_to_the_array_path(self, beta, m, n):
+        sol = SeriesSolution.build(beta, m, n)
+        edge = sol.domain_edge
+        t = np.concatenate((
+            [0.0, 5e-324, 1e-300],
+            np.linspace(0.0, 0.99 * edge, 41),
+            edge * np.array([1.0, 1.01, 1.5, 3.0, 10.0, 1e3, 1e6]),
+            [1e300, sys.float_info.max],
+        ))
+        grid = sol.evaluate(t)
+        # past the radius the sum overflows to inf, or to NaN where inf - inf
+        # or 0 * inf occurs; the scalar path must give the same kind there
+        assert not np.all(np.isfinite(grid.w))
+        for i, ti in enumerate(t.tolist()):
+            one = sol.evaluate(ti)
+            assert _same_bits(one.w, grid.w[i]), (ti, one.w, grid.w[i])
+            assert _same_bits(one.tail_bound, grid.tail_bound[i]), ti
+            assert one.in_domain is bool(grid.in_domain[i]), ti
+
+    def test_bit_identity_cases_include_underflowed_coefficients(self):
+        # the n = 1024 cases above at m = 3 carry odd coefficients that are
+        # subnormal or exactly zero
+        for beta in (0.1, 0.2, 0.5, 0.7, 1.0):
+            odd = np.abs(build_sequence(beta, 3.0, 1024).g[1::2])
+            assert np.any(odd == 0.0) and np.any(odd < sys.float_info.min)
+
+    def test_call_goes_through_evaluate(self, monkeypatch):
+        # benchmark spans wrap SeriesSolution.evaluate and read its argument
+        # to tell scalar calls from grid calls
+        seen = []
+        original = SeriesSolution.evaluate
+
+        def spy(self, t):
+            seen.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(SeriesSolution, "evaluate", spy)
+        sol = SeriesSolution.build(0.7, 1.0, 64)
+        grid = np.array([0.1, 0.2])
+        assert sol(0.5) == original(sol, 0.5).w
+        sol(grid)
+        assert seen[0] == 0.5 and seen[1] is grid
+
     def test_curve_csv_columns(self, capsys):
         argv = ["eval", "--beta", "1", "--m", "1", "--t0", "0", "--t1", "1", "--steps", "1",
                 "--format", "csv"]
@@ -192,6 +238,26 @@ class TestRadiusReport:
         with pytest.raises(ValueError):
             radius_report(build_sequence(0.5, 1.0, 16))
 
+    @pytest.mark.parametrize("n", (2, 10, 19))
+    def test_short_series_rejected_at_construction(self, n):
+        # every evaluation reads the radius, so a shorter series could never
+        # be evaluated
+        with pytest.raises(ValueError, match=r"^SeriesSolution needs n_terms >= 20 "):
+            SeriesSolution(build_sequence(0.7, 1.0, n))
+        with pytest.raises(ValueError, match=r"n_terms >= 20"):
+            SeriesSolution.build(0.7, 1.0, n)
+
+    def test_twenty_terms_evaluate(self):
+        assert SeriesSolution.build(0.7, 1.0, 20)(0.5) > 0.5
+
+
+def _same_bits(a, b):
+    """Equal as doubles, bit for bit (so 0.0 and -0.0 differ), or both NaN."""
+    a, b = float(a), float(b)
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
 
 def _loop_r_empirical(seq):
     """The ratio test as first written, kept as the reference: every odd
@@ -257,6 +323,18 @@ class TestEvaluatePastTheRadius:
         assert np.isfinite(res.w[0]) and not np.any(np.isfinite(res.w[1:]))
         assert res.in_domain.tolist() == [True, False, False]
         assert np.all(np.isinf(res.tail_bound[1:]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", (0.1, 0.7, 1.0))
+    def test_no_finite_t_warns(self, beta):
+        # t^(2 beta) itself overflows here, and at the largest double so may t^beta
+        sol = SeriesSolution.build(beta, 1.0, 64)
+        t = [0.0, 5e-324, 1e300, sys.float_info.max]
+        grid = sol.evaluate(np.array(t))
+        assert grid.in_domain.tolist() == [True, True, False, False]
+        assert np.all(np.isinf(grid.tail_bound[2:]))
+        for ti in t:
+            sol.evaluate(ti)
 
 
 class TestRemarkBound:
