@@ -3,7 +3,7 @@
 Subcommands: coeffs | eval | verify | radius | compare. Output goes to
 stdout or --out as JSON (one object per invocation) or CSV (comma separator,
 header row, LF endings); floats serialize with shortest round-trip
-representation. The default format comes from FELOG_FORMAT when set.
+representation. The format is --format alone (default JSON).
 
 This module owns the text formats: each subcommand builds one JSON payload
 and one table, and :func:`_emit` writes whichever --format asks for. CSV
@@ -21,14 +21,13 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from .euler_beta import build_sequence
 from .fracops import MAX_STEPS, make_grid, verify
-from .series_solution import SeriesSolution, compare_classical, radius_report
+from .series_solution import SeriesSolution, _classical_curves, radius_report
 
 __all__ = ["VERIFY_TOLERANCES", "MAX_TERMS", "MAX_STEPS", "main"]
 
@@ -148,28 +147,16 @@ def cmd_radius(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_rows(args: argparse.Namespace, t: np.ndarray):
-    # a generator, so the JSON output never builds the second series
-    w = SeriesSolution.build(1.0, args.m, args.n_terms).evaluate(t).w
-    closed = 1.0 / (1.0 + np.exp(-t / args.m))
-    for ti, wi, ci in zip(t.tolist(), w.tolist(), closed.tolist()):
-        yield ti, wi, ci, abs(wi - ci)
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     t = _t_grid(args)
     if args.beta != 1.0:
         raise ValueError("the closed-form comparison requires beta = 1")
-    payload = {
-        "beta": args.beta,
-        "m": args.m,
-        "n_terms": args.n_terms,
-        "t0": args.t0,
-        "t1": args.t1,
-        "steps": args.steps,
-        "max_abs_deviation": compare_classical(args.m, t, n_terms=args.n_terms),
-    }
-    _emit(args, payload, ["t", "w_series", "w_closed", "abs_deviation"], _compare_rows(args, t))
+    w, closed = _classical_curves(args.m, t, args.n_terms)
+    deviation = np.abs(w - closed)
+    payload = {key: getattr(args, key) for key in ("beta", "m", "n_terms", "t0", "t1", "steps")}
+    payload["max_abs_deviation"] = float(np.max(deviation))
+    rows = zip(t.tolist(), w.tolist(), closed.tolist(), deviation.tolist())
+    _emit(args, payload, ["t", "w_series", "w_closed", "abs_deviation"], rows)
     return 0
 
 
@@ -188,13 +175,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fractional logistic series: coefficients, curves, radii, and cross-checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_format = os.environ.get("FELOG_FORMAT", "json")
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--beta", type=float, default=0.5, help="fractional order in (0, 1]")
         p.add_argument("--m", type=float, default=1.0, help="rate parameter, >= 1")
         p.add_argument("-n", "--n-terms", dest="n_terms", type=int, default=64)
-        p.add_argument("--format", choices=("json", "csv"), default=default_format)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("coeffs", help="emit the coefficient sequence")

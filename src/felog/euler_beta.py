@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Tuple, Union
@@ -32,12 +33,7 @@ __all__ = [
     "bound_sequences",
     "majorant_constants",
     "sequence_from_json",
-    "EVEN_SNAP_TOL",
 ]
-
-#: Even-indexed residues below this (relative to the preceding odd entry)
-#: are snapped to exact zero, so downstream ratio tests never see sign noise.
-EVEN_SNAP_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -130,12 +126,7 @@ class BoundSequences:
     q_majorant: float
 
 
-def build_sequence(
-    beta: float,
-    m: float,
-    n_terms: int = 64,
-    snap_even: bool = True,
-) -> BetaEulerSequence:
+def build_sequence(beta: float, m: float, n_terms: int = 64) -> BetaEulerSequence:
     """Run the normalized recurrence and package the coefficients.
 
     g_{k+1} = [Gamma(beta*k+1)/Gamma(beta*(k+1)+1)] * (g_k - sum_{i+j=k} g_i g_j) / m
@@ -143,6 +134,10 @@ def build_sequence(
     Gamma ratios are taken as exp of log-Gamma differences throughout; no
     ratio recurrences, so the rounding budget stays a fixed multiple of eps
     per coefficient.
+
+    While g_k is a normal double an even step cancels exactly. Past that, its
+    residue (a signed zero or a subnormal) is stored as +0.0: left in, it
+    feeds later steps and wrecks the sum at small beta.
     """
     beta, m = float(beta), float(m)
     _check_order(beta, m)
@@ -159,7 +154,7 @@ def build_sequence(
     for k in range(n_terms - 1):
         conv = float(np.dot(g[: k + 1], g_rev[n_terms - 1 - k:]))
         nxt = gamma_ratios[k] * (g_k - conv) / m
-        if snap_even and (k + 1) % 2 == 0 and abs(nxt) <= EVEN_SNAP_TOL * max(1.0, abs(g_k)):
+        if k % 2 and abs(nxt) < sys.float_info.min:
             nxt = 0.0
         g[k + 1] = g_rev[n_terms - 2 - k] = g_k = nxt
     return BetaEulerSequence(beta=beta, m=m, g=g)

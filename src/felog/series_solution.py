@@ -116,6 +116,15 @@ def _formula_ii(beta: float, m: float) -> float:
     )
 
 
+def _normal_odd(g: np.ndarray) -> np.ndarray:
+    """|g_1|, |g_3|, ... up to the first odd coefficient that is zero or
+    below the smallest normal double: underflowed ones no longer follow the
+    series' geometric rate."""
+    odd = np.abs(g[1::2])
+    small = np.flatnonzero(odd < sys.float_info.min)
+    return odd[: small[0]] if small.size else odd
+
+
 def radius_report(seq: BetaEulerSequence) -> RadiusReport:
     """Evaluate the two printed radius formulas, the majorant radius, and the
     ratio-test estimate.
@@ -123,10 +132,8 @@ def radius_report(seq: BetaEulerSequence) -> RadiusReport:
     The empirical estimate extrapolates the last five consecutive-odd-term
     ratios (|g_{2k-1}|/|g_{2k+1}|)^(1/(2*beta)) with one Richardson level in
     1/k and takes the median; raw last-ratio estimates oscillate for small
-    beta. It reads only the normal prefix of the odd coefficients, the ones
-    before the first that is zero or below the smallest normal double, since
-    underflowed ones no longer follow the series' geometric rate; it is None
-    when that prefix holds fewer than six.
+    beta. It reads only the normal prefix of the odd coefficients (see
+    :func:`_normal_odd`); it is None when that prefix holds fewer than six.
     """
     if seq.n_terms < _MIN_TERMS:
         raise ValueError(f"radius_report needs n_terms >= {_MIN_TERMS}")
@@ -138,9 +145,8 @@ def radius_report(seq: BetaEulerSequence) -> RadiusReport:
     _, q = majorant_constants(beta)
     r_guaranteed = (m * m / q) ** (1.0 / (2.0 * beta))
 
-    odd = np.abs(seq.g[1::2])
-    small = np.flatnonzero(odd < sys.float_info.min)
-    size = int(small[0]) if small.size else odd.size
+    odd = _normal_odd(seq.g)
+    size = odd.size
     r_empirical: Optional[float] = None
     if size >= 6:
         # ratio k = odd[k-1] / odd[k], for the last five k of the prefix
@@ -173,11 +179,14 @@ class SeriesSolution:
             raise ValueError(f"SeriesSolution needs n_terms >= {_MIN_TERMS} for its radius, "
                              f"got {seq.n_terms}")
         self.seq = seq
-        _, self._q = majorant_constants(seq.beta)
         odd = seq.g[1::2]  # odd coefficients; evens are exactly zero
         self._horner = odd[::-1].tolist()  # highest order first
-        self._last = abs(float(odd[-1]))
-        self._k_last = 2 * odd.size - 1
+        # the tail rests on the last normal odd coefficient; with none, a NaN
+        # ratio makes it +inf at every t
+        normal = _normal_odd(seq.g)
+        self._q = majorant_constants(seq.beta)[1] if normal.size else math.nan
+        self._last = float(normal[-1]) if normal.size else 0.0
+        self._k_last = 2 * normal.size - 1
 
     @classmethod
     def build(cls, beta: float, m: float = 1.0, n_terms: int = 64) -> "SeriesSolution":
@@ -197,9 +206,10 @@ class SeriesSolution:
     def evaluate(self, t) -> EvalResult:
         """Partial sum with a geometric tail estimate.
 
-        The tail applies the ratio q * t^(2*beta) / m^2 to the last retained
-        odd term; it is +inf where that ratio reaches 1. ``in_domain`` flags
-        t values at or below the operative radius. Negative t is rejected.
+        The tail applies the ratio q * t^(2*beta) / m^2 to the last normal
+        odd term (see :func:`_normal_odd`); it is +inf where that ratio reaches
+        1 or no odd term is normal. ``in_domain`` flags t values at or below
+        the operative radius. Negative t is rejected.
         """
         t_arr = np.asarray(t, dtype=float)
         if t_arr.ndim == 0:
@@ -301,12 +311,16 @@ def compare_classical(m: float, t_grid, n_terms: int = 64) -> float:
     (beta = 1) case of the equation the series is built for; no other order
     has one, so the series is always built at beta = 1.
     """
+    w, closed = _classical_curves(m, t_grid, n_terms)
+    return float(np.max(np.abs(w - closed)))
+
+
+def _classical_curves(m: float, t_grid, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The beta = 1 series and 1/(1 + exp(-t/m)) on a grid within [0, pi * m)."""
     t_arr = np.asarray(t_grid, dtype=float)
     if t_arr.size == 0:
         raise ValueError("the t grid is empty")
     if np.any(t_arr < 0.0) or np.any(t_arr >= math.pi * m):
         raise ValueError("t grid must lie within [0, pi * m)")
-    sol = SeriesSolution.build(1.0, m, n_terms)
-    w = sol.evaluate(t_arr).w
-    closed = 1.0 / (1.0 + np.exp(-t_arr / m))
-    return float(np.max(np.abs(w - closed)))
+    w = SeriesSolution.build(1.0, m, n_terms).evaluate(t_arr).w
+    return w, 1.0 / (1.0 + np.exp(-t_arr / m))

@@ -77,7 +77,7 @@ def test_criterion_02_closed_forms():
 def test_criterion_03_even_terms_vanish():
     worst = 0.0
     for beta in BETA_GRID:
-        seq = build_sequence(beta, 1.0, 66, snap_even=False)
+        seq = build_sequence(beta, 1.0, 66)
         for k in range(1, 33):
             bound = 1e-14 * max(1.0, abs(seq.g[2 * k - 1]))
             worst = max(worst, abs(seq.g[2 * k]) / bound)
@@ -233,7 +233,6 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 def _cli(*args):
     env = os.environ.copy()
-    env.pop("FELOG_FORMAT", None)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "felog.cli", *args],

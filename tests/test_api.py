@@ -12,7 +12,7 @@ import pytest
 
 import felog
 from felog import euler_beta, fracops, specfun
-from felog.euler_beta import BetaEulerSequence
+from felog.euler_beta import BetaEulerSequence, build_sequence
 from felog.fracops import ResidualReport
 from felog.series_solution import RadiusReport, compare_classical
 from felog.specfun import BoundFlags, bound_predicates
@@ -66,6 +66,12 @@ def test_second_paths_are_gone():
     assert not hasattr(specfun, "RationalTriangle")
     assert not hasattr(specfun, "bernoulli_poly")
     assert "beta" not in inspect.signature(bound_predicates).parameters
+    assert "snap_even" not in inspect.signature(build_sequence).parameters
+    assert not hasattr(euler_beta, "EVEN_SNAP_TOL")
+    # the output depends on the arguments alone
+    for name in ("felog",) + MODULES:
+        source = inspect.getsource(importlib.import_module(name))
+        assert "environ" not in source and "getenv" not in source, name
 
 
 def test_bound_predicates_needs_x():

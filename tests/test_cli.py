@@ -1,7 +1,7 @@
 """Command-line contract: subcommand outputs, exit codes, round trips.
 
 Most cases call ``felog.cli.main`` in-process; the process exit codes and
-the FELOG_FORMAT default run ``python -m felog.cli`` in a child process.
+the environment checks run ``python -m felog.cli`` in a child process.
 """
 
 import csv
@@ -15,10 +15,11 @@ import sys
 import numpy as np
 import pytest
 
+from felog import series_solution
 from felog.cli import _COMMANDS, MAX_STEPS, MAX_TERMS, main
 from felog.euler_beta import build_sequence, sequence_from_json
 from felog.fracops import graded_grid, verify
-from felog.series_solution import SeriesSolution, radius_report
+from felog.series_solution import SeriesSolution, compare_classical, radius_report
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -26,7 +27,6 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
-    env.pop("FELOG_FORMAT", None)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
@@ -40,9 +40,8 @@ def run_cli(*args, env_extra=None):
 
 
 @pytest.fixture
-def cli(capsys, monkeypatch):
+def cli(capsys):
     """``cli(*args) -> (code, stdout, stderr)`` through ``main`` in-process."""
-    monkeypatch.delenv("FELOG_FORMAT", raising=False)
 
     def call(*args):
         code = main(list(args))
@@ -166,6 +165,20 @@ class TestEval:
         assert out == ""
         assert "must be finite" in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_reversed_grid_is_usage_error(self, cli):
+        code, out, err = cli("eval", "--t0", "2", "--t1", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: t0 must be less than t1\n"
+
+    def test_tail_bound_null_without_a_normal_coefficient(self, cli):
+        # g_1 = 0.28 / m is subnormal, so the tail has nothing to rest on
+        code, out, err = cli("eval", "--m", "1e308", "--steps", "4")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["w"] == [0.5] * 5
+        assert payload["tail_bound"] == [None] * 5
 
 
 class TestVerify:
@@ -319,6 +332,25 @@ class TestCompare:
         assert code == 0
         assert json.loads(out)["max_abs_deviation"] <= 1e-8
 
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    def test_builds_the_series_once(self, cli, monkeypatch, fmt):
+        expected = compare_classical(2.0, np.linspace(0.0, 5.0, 31))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_sequence(*args)
+
+        monkeypatch.setattr(series_solution, "build_sequence", counted)
+        code, out, _ = cli("compare", "--m", "2", "--t1", "5", "--steps", "30", "--format", fmt)
+        assert code == 0
+        assert calls == [(1.0, 2.0, 64)]
+        if fmt == "json":
+            assert json.loads(out)["max_abs_deviation"] == expected
+        else:
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert max(float(row["abs_deviation"]) for row in rows) == expected
+
     def test_rejects_fractional_order(self, cli):
         code, _, err = cli("compare", "--beta", "0.7")
         assert code == 2
@@ -362,11 +394,13 @@ class TestIOContract:
                              "--out", str(tmp_path / "missing" / "x.json"))
         assert code == 3
 
-    def test_format_env_default(self):
-        code, out, _ = run_cli("coeffs", "--beta", "0.5", "-n", "4",
-                               env_extra={"FELOG_FORMAT": "csv"})
-        assert code == 0
-        assert out.startswith("k,g_k,sign,log10_mag")
+    @pytest.mark.parametrize("value", ("csv", "xml", "JSON"))
+    def test_format_ignores_the_environment(self, value):
+        # an environment value, valid for --format or not, changes nothing
+        argv = ("coeffs", "--beta", "0.5", "-n", "4")
+        code, out, err = run_cli(*argv, env_extra={"FELOG_FORMAT": value})
+        assert (code, out, err) == run_cli(*argv)
+        assert code == 0 and json.loads(out)["g"][0] == 0.5
 
     def test_json_is_single_object(self, cli):
         code, out, _ = cli("radius", "--beta", "0.5")

@@ -4,13 +4,14 @@ emergent structure, scaling, and the majorant data."""
 import dataclasses
 import json
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
 
 from felog.cli import main
 from felog.euler_beta import (
-    EVEN_SNAP_TOL,
     BetaEulerSequence,
     bound_sequences,
     build_sequence,
@@ -18,6 +19,7 @@ from felog.euler_beta import (
     majorant_constants,
     sequence_from_json,
 )
+from felog.series_solution import SeriesSolution
 from felog.specfun import euler_poly_exact, ln_gamma
 
 BETA_GRID = (0.3, 0.5, 0.7, 0.9, 1.0)
@@ -30,30 +32,54 @@ def raw_number(seq, k):
 
 def negative_stride_recurrence(beta, m, n_terms, snap_even=True):
     """Reference recurrence, as first written: each convolution dots g with
-    a reversed, negative-stride view of itself, and each Gamma ratio is the
-    exp of one log-Gamma difference."""
+    a reversed, negative-stride view of itself, each Gamma ratio is the exp
+    of one log-Gamma difference, and an even step within 1e-14 of zero,
+    relative to max(1, |g_k|), is snapped to +0.0 unless ``snap_even`` is
+    false."""
+    snap_tol = 1e-14
     lg = np.array([ln_gamma(beta * k + 1.0) for k in range(n_terms)])
     g = np.zeros(n_terms)
     g[0] = 0.5
     for k in range(n_terms - 1):
         conv = float(np.dot(g[: k + 1], g[k::-1]))
         nxt = math.exp(lg[k] - lg[k + 1]) * (g[k] - conv) / m
-        if snap_even and (k + 1) % 2 == 0 and abs(nxt) <= EVEN_SNAP_TOL * max(1.0, abs(g[k])):
+        if snap_even and (k + 1) % 2 == 0 and abs(nxt) <= snap_tol * max(1.0, abs(g[k])):
             nxt = 0.0
         g[k + 1] = nxt
     return g
 
 
 class TestBuildSequence:
-    @pytest.mark.parametrize("snap_even", (True, False))
     @pytest.mark.parametrize("m", (1.0, 1.7, 3.0, 10.0))
     @pytest.mark.parametrize("beta", (0.1, 0.3, 0.5, 0.7, 0.9, 1.0))
-    def test_matches_the_negative_stride_recurrence(self, beta, m, snap_even):
+    def test_matches_the_negative_stride_recurrence(self, beta, m):
         for n in (2, 3, 64, 1024):
-            g = build_sequence(beta, m, n, snap_even=snap_even).g
-            ref = negative_stride_recurrence(beta, m, n, snap_even)
+            g = build_sequence(beta, m, n).g
+            ref = negative_stride_recurrence(beta, m, n)
             # bit for bit: same bytes, so signed zeros count too
             assert g.tobytes() == ref.tobytes(), n
+
+    def test_matches_the_reference_on_random_orders(self):
+        # long sequences, where the odd coefficients underflow and the even
+        # steps leave signed zeros and subnormal residues
+        rng = random.Random(16)
+        for _ in range(24):
+            beta, m = rng.uniform(0.02, 1.0), 10.0 ** rng.uniform(0.0, 1.5)
+            n = rng.randint(1024, 3000)
+            ref = negative_stride_recurrence(beta, m, n)
+            assert build_sequence(beta, m, n).g.tobytes() == ref.tobytes(), (beta, m, n)
+
+    def test_even_steps_below_the_smallest_normal_are_positive_zero(self):
+        beta, m, n = 0.056, 1.928, 2048
+        seq = build_sequence(beta, m, n)
+        assert np.any(np.abs(seq.g[1::2]) < sys.float_info.min)
+        assert seq.g[2::2].tobytes() == bytes(8 * (n // 2 - 1))  # +0.0 each
+        # left in, the residues feed later steps and wreck the sum
+        loose = BetaEulerSequence(beta, m, negative_stride_recurrence(beta, m, n, False))
+        sol, loose_sol = SeriesSolution(seq), SeriesSolution(loose)
+        t = np.linspace(0.01, 0.9, 50) * sol.domain_edge
+        assert np.all((sol(t) > 0.5) & (sol(t) < 1.0))
+        assert np.max(np.abs(loose_sol(t))) > 1e30
 
     @pytest.mark.parametrize("beta", BETA_GRID)
     @pytest.mark.parametrize("m", [1.0, 2.0])
@@ -100,9 +126,11 @@ class TestBuildSequence:
 
     @pytest.mark.parametrize("beta", BETA_GRID)
     def test_even_terms_vanish_without_snapping(self, beta):
-        seq = build_sequence(beta, 1.0, 66, snap_even=False)
+        g = negative_stride_recurrence(beta, 1.0, 66, snap_even=False)
         for k in range(1, 33):
-            assert abs(seq.g[2 * k]) <= 1e-14 * max(1.0, abs(seq.g[2 * k - 1]))
+            assert abs(g[2 * k]) <= 1e-14 * max(1.0, abs(g[2 * k - 1]))
+        # so the even-step rule changes nothing here
+        assert np.array_equal(build_sequence(beta, 1.0, 66).g, g)
 
     @pytest.mark.parametrize("beta", BETA_GRID)
     def test_sign_pattern_of_raw_numbers(self, beta):
@@ -151,6 +179,8 @@ class TestBuildSequence:
         {"beta": 0.5, "m": math.inf, "g": [0.5, 0.0]},
         {"beta": 0.5, "m": 1.0, "g": [0.5]},
         {"beta": 0.5, "m": 1.0, "g": []},
+        {"beta": 0.5, "m": 1.0, "g": [0.25, 0.25 / math.gamma(1.5)]},  # g_0
+        {"beta": 0.5, "m": 1.0, "g": [0.5, 0.3]},  # g_1
     ))
     def test_payload_outside_the_domain_rejected(self, payload):
         with pytest.raises(ValueError):

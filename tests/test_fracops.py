@@ -1,6 +1,7 @@
 """Fractional-calculus oracles: term-wise algebra, singular-kernel
 quadrature, kernel-pair identity, stable tail, and the time-stepper."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,12 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from felog import fracops
-from felog.cli import main
+from felog.cli import DEFAULT_VERIFY_WINDOW, VERIFY_TOLERANCES, main
 from felog.euler_beta import build_sequence
 from felog.fracops import (
     B0,
     MAX_STEPS,
     QuadratureGrid,
+    ResidualReport,
     caputo_l1_all,
     caputo_termwise,
     caputo_termwise_array,
@@ -197,6 +199,11 @@ class TestFractionalIntegral:
         out = fractional_integral_midpoint(np.ones(200), g)
         exact = g.nodes[1:] ** beta / math.exp(ln_gamma(beta + 1.0))
         assert np.allclose(out, exact, rtol=1e-12, atol=1e-15)
+
+    def test_rejects_values_off_the_cells(self):
+        g = uniform_grid(1.0, 10, 0.5)
+        with pytest.raises(ValueError, match="one midpoint value per cell"):
+            fractional_integral_midpoint(np.ones(11), g)
 
 
 def graded_history_loop(data, t, exponent, scale):
@@ -423,6 +430,10 @@ class TestVerify:
         with pytest.raises(ValueError, match="beta = 0.9"):
             verify(sol, method, grid)
 
+    def test_report_rejects_a_negative_residual(self):
+        with pytest.raises(ValueError, match="residual entries must be >= 0"):
+            ResidualReport("l1", [0.1, 0.2], [1e-6, -1e-9])
+
     def test_report_serialization(self, capsys):
         sol = SeriesSolution.build(0.5, 1.0, 64)
         rep = verify(sol, "termwise")
@@ -431,6 +442,26 @@ class TestVerify:
         assert main(["verify", "--beta", "0.5", "--method", "termwise", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "t,residual"
+
+
+class TestNegativeControls:
+    """Each oracle fails a series with one coefficient, g_7, off by 1%, on the
+    grid and at the tolerances of ``felog verify``, where it passes the
+    series as built."""
+
+    @pytest.mark.parametrize("beta, m", ((0.5, 2.0), (0.9, 1.0), (0.3, 1.0)))
+    @pytest.mark.parametrize("method", ("termwise", "l1", "integro", "pc"))
+    def test_perturbed_coefficient_fails(self, method, beta, m):
+        seq = build_sequence(beta, m, 256)
+        g = seq.g.copy()
+        g[7] *= 1.01
+        clean, perturbed = SeriesSolution(seq), SeriesSolution(dataclasses.replace(seq, g=g))
+        grid = None
+        if method != "termwise":
+            grid = make_grid(DEFAULT_VERIFY_WINDOW * clean.domain_edge, 2000, "graded", beta)
+        tol = VERIFY_TOLERANCES["predictor_corrector" if method == "pc" else method]
+        assert verify(clean, method, grid).sup_norm <= tol
+        assert verify(perturbed, method, grid).sup_norm > tol
 
 
 class TestSonine:

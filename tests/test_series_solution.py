@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from felog.cli import main
-from felog.euler_beta import build_sequence
+from felog.euler_beta import BetaEulerSequence, build_sequence, majorant_constants
 from felog.series_solution import (
     C1_CLAIMED,
     C2_CLAIMED,
@@ -316,6 +316,60 @@ class TestRatioTestPrefix:
         assert sol.domain_edge == sol.radius.r_guaranteed
 
 
+class TestTailFromTheNormalPrefix:
+    """The tail estimate rests on the last odd coefficient before the first
+    one that is zero or subnormal."""
+
+    @pytest.mark.parametrize("beta", (0.1, 0.3, 0.5, 0.7, 1.0))
+    def test_no_nan_inside_the_domain(self, beta):
+        # 34 of these 80 cases gave a NaN (0 * inf) when the tail read the
+        # last odd coefficient, underflowed to 0
+        for m in (1.0, 2.0, 3.0, 7.0):
+            for n in (64, 256, 1024, 2048):
+                sol = SeriesSolution.build(beta, m, n)
+                t = np.linspace(0.0, 0.999 * sol.domain_edge, 200)[1:]
+                tail = sol.evaluate(t).tail_bound
+                assert not np.any(np.isnan(tail)), (m, n)
+                assert np.all(tail >= 0.0), (m, n)
+
+    @pytest.mark.parametrize("n", (64, 256))
+    @pytest.mark.parametrize("beta", (0.3, 0.7, 1.0))
+    def test_last_coefficient_without_underflow(self, beta, n):
+        sol = SeriesSolution.build(beta, 2.0, n)
+        odd = np.abs(sol.seq.g[1::2])
+        assert np.all(odd >= sys.float_info.min)
+        t = np.linspace(0.0, 0.99 * sol.domain_edge, 41)[1:]
+        _, q = majorant_constants(beta)
+        ratio = q * t ** (2 * beta) / 4.0
+        geometric = np.where(ratio < 1.0, ratio / (1.0 - ratio), np.inf)
+        expected = odd[-1] * np.exp(beta * (n - 1) * np.log(t)) * geometric
+        assert np.all(np.isfinite(expected[:5]))
+        assert np.allclose(sol.evaluate(t).tail_bound, expected, rtol=1e-12, atol=0.0)
+
+    def test_rests_on_the_last_normal_coefficient(self):
+        seq = build_sequence(1.0, 3.0, 1024)
+        odd = np.abs(seq.g[1::2])
+        size = int(np.flatnonzero(odd < sys.float_info.min)[0])
+        assert 20 < size < odd.size and np.any(odd[size:] == 0.0)
+        # the series cut after the last normal odd coefficient has the same tail
+        cut = SeriesSolution(BetaEulerSequence(1.0, 3.0, seq.g[: 2 * size]))
+        sol = SeriesSolution(seq)
+        t = np.array([0.1, 0.3, 0.6]) * sol.domain_edge
+        tail = sol.evaluate(t).tail_bound
+        assert tail.tobytes() == cut.evaluate(t).tail_bound.tobytes()
+        assert np.all(np.isfinite(tail) & (tail > 0.0))
+        assert sol.evaluate(float(t[1])).tail_bound == tail[1]
+
+    def test_no_normal_coefficient_gives_an_infinite_tail(self):
+        sol = SeriesSolution.build(0.5, 1e308, 64)
+        assert abs(sol.seq.g[1]) < sys.float_info.min
+        t = [0.0, 1.0, 2.0]
+        assert np.all(np.isposinf(sol.evaluate(np.array(t)).tail_bound))
+        for ti in t:
+            res = sol.evaluate(ti)
+            assert res.w == 0.5 and res.tail_bound == math.inf
+
+
 class TestEvaluatePastTheRadius:
     @pytest.mark.filterwarnings("error")
     def test_overflow_is_flagged_not_warned(self):
@@ -361,6 +415,9 @@ class TestRemarkBound:
             remark_bound(1.0, remark_radius(1.0))  # at the radius
         with pytest.raises(ValueError):
             remark_bound(1.0, -0.1)
+        for beta in (0.5, 1.01):
+            with pytest.raises(ValueError, match=r"beta in \(1/2, 1\]"):
+                remark_bound_pole(beta)
 
     @pytest.mark.parametrize("beta", (0.6, 0.75, 0.9, 1.0))
     def test_series_below_bound_on_overlap(self, beta):

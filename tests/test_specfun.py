@@ -149,6 +149,9 @@ class TestBernoulli:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             bernoulli_numbers(-1)
+        for poly in (bernoulli_poly_exact, euler_poly_exact):
+            with pytest.raises(ValueError, match="polynomial index must be >= 0"):
+                poly(-1, Fraction(1, 2))
 
 
 class TestPolynomials:
@@ -238,6 +241,10 @@ class TestClassicalCoeffs:
         assert u[2] == 0.0
         assert u[3] == -0.125
         assert u[5] == 0.25
+
+    def test_negative_order_raises(self):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            classical_series_coeffs(-1)
 
     def test_explicit_form_matches_the_euler_polynomial(self):
         coeffs = classical_series_coeffs(40)
