@@ -59,11 +59,20 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(args: argparse.Namespace, payload: dict, header, rows) -> None:
-    """Write ``payload`` as JSON, or ``header`` and ``rows`` as CSV, to
-    stdout or --out."""
+    """Write ``payload`` as JSON, each non-finite float in it as ``null``, or
+    ``header`` and ``rows`` as CSV, to stdout or --out."""
     if args.format == "json":
-        text = json.dumps(payload)
+        text = json.dumps(_finite_or_null(payload), allow_nan=False)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -109,8 +118,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "m": args.m,
         "n_terms": args.n_terms,
         "t": t,
-        "w": [x if math.isfinite(x) else None for x in w],
-        "tail_bound": [x if math.isfinite(x) else None for x in tail],
+        "w": w,
+        "tail_bound": tail,
         "in_domain": in_dom,
     }
     _emit(args, payload, ["t", "w", "tail_bound", "in_domain"], zip(t, w, tail, in_dom))
@@ -122,6 +131,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("tol must be finite and >= 0")
     if args.method in ("termwise", "pc") and (args.steps is not None or args.grid is not None):
         raise ValueError("--steps and --grid apply only to --method l1 and integro")
+    if args.method == "termwise" and args.t1 is not None:
+        raise ValueError("--t1 applies only to --method l1, integro and pc")
     sol = SeriesSolution.build(args.beta, args.m, args.n_terms)
 
     grid = None

@@ -119,15 +119,23 @@ def _check_strict(beta: float, what: str) -> None:
         raise ValueError(f"{what} needs beta strictly inside (0, 1)")
 
 
+def _check_cells(n) -> None:
+    """A grid's cell count must be an integer from 2 to MAX_STEPS."""
+    if not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_STEPS:
+        raise ValueError(f"the cell count must be an integer from 2 to {MAX_STEPS}, got {n!r}")
+
+
 def uniform_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
     """n equal cells on [0, t1]."""
     _check_positive("t1", t1)
+    _check_cells(n)
     return QuadratureGrid(np.linspace(0.0, t1, n + 1), beta)
 
 
 def graded_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
     """Nodes t_j = t1 * (j/n)^(2/beta), clustered at the origin cusp."""
     _check_positive("t1", t1)
+    _check_cells(n)
     _check_beta(beta)
     j = np.arange(n + 1, dtype=float)
     return QuadratureGrid(t1 * (j / n) ** (2.0 / beta), beta)

@@ -3,7 +3,8 @@
 The series is summed in the variable tau = t^(2*beta): even coefficients are
 exactly zero, so a Horner pass over the odd coefficients halves the work and
 never multiplies by stored zeros. Fractional powers are taken as
-exp(beta*k*log t) with the t = 0 limit special-cased. A scalar t runs the
+exp(beta*k*log t) for every t: log 0 = -inf makes each power exactly 0 at
+t = 0, and a power past the double range is inf. A scalar t runs the
 same operations one at a time in Python floats, with numpy's exp and log,
 so that it agrees with the array path bit for bit at a small part of the
 cost of one-element arrays.
@@ -86,16 +87,6 @@ class RadiusReport:
             "discrepancy_i": abs(_formula_i(1.0, self.m) - C1_CLAIMED * self.m),
             "discrepancy_ii": abs(_formula_ii(1.0, self.m) - C2_CLAIMED * self.m),
         }
-
-
-def _exp(x: float) -> float:
-    """``np.exp`` of one float, as a float; inf, without a warning, past the
-    double range. The ufunc, not ``math.exp``, so that scalar and array
-    evaluation agree bit for bit."""
-    if x < 709.0:  # exp(709) < DBL_MAX: nothing can overflow
-        return float(np.exp(x))
-    with np.errstate(over="ignore"):
-        return float(np.exp(x))
 
 
 def _formula_i(beta: float, m: float) -> float:
@@ -225,18 +216,18 @@ class SeriesSolution:
             return self._evaluate_scalar(x)
 
         beta, m = self.seq.beta, self.seq.m
-        pos = t_arr > 0.0
-        # past the radius the sum and the tail overflow; in_domain flags those t
+        # log 0 = -inf makes every power 0 at t = 0; past the radius the sum
+        # and the tail overflow, and in_domain flags those t
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            log_t = np.log(np.where(pos, t_arr, 1.0))
-            tb = np.where(pos, np.exp(beta * log_t), 0.0)   # t^beta, 0 at t=0
-            tau = tb * tb                                    # t^(2*beta)
+            log_t = np.log(t_arr)
+            tb = np.exp(beta * log_t)  # t^beta
+            tau = tb * tb              # t^(2*beta)
             acc = np.zeros_like(t_arr)
             for coeff in self._horner:  # Horner in tau, in place
                 acc *= tau
                 acc += coeff
             w = 0.5 + tb * acc
-            last_term = self._last * np.where(pos, np.exp(beta * self._k_last * log_t), 0.0)
+            last_term = self._last * np.exp(beta * self._k_last * log_t)
             ratio = self._q * tau / (m * m)
             tail = np.where(ratio < 1.0, last_term * ratio / (1.0 - ratio), np.inf)
         in_domain = t_arr <= self.domain_edge
@@ -248,19 +239,19 @@ class SeriesSolution:
         """The array path's arithmetic, one operation at a time in floats,
         so that each value is bit-identical to the array path's."""
         beta, m = self.seq.beta, self.seq.m
-        pos = t > 0.0
-        log_t = float(np.log(t)) if pos else 0.0
-        tb = _exp(beta * log_t) if pos else 0.0
-        tau = tb * tb
-        acc = 0.0
-        for coeff in self._horner:
-            acc = acc * tau + coeff
-        w = 0.5 + tb * acc
-        ratio = self._q * tau / (m * m)
-        tail = math.inf
-        if ratio < 1.0:
-            last_term = self._last * (_exp(beta * self._k_last * log_t) if pos else 0.0)
-            tail = last_term * ratio / (1.0 - ratio)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            log_t = float(np.log(t))
+            tb = float(np.exp(beta * log_t))
+            tau = tb * tb
+            acc = 0.0
+            for coeff in self._horner:
+                acc = acc * tau + coeff
+            w = 0.5 + tb * acc
+            ratio = self._q * tau / (m * m)
+            tail = math.inf
+            if ratio < 1.0:
+                last_term = self._last * float(np.exp(beta * self._k_last * log_t))
+                tail = last_term * ratio / (1.0 - ratio)
         return EvalResult(w, tail, t <= self.domain_edge)
 
     def __call__(self, t):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from felog import series_solution
-from felog.cli import _COMMANDS, MAX_STEPS, MAX_TERMS, main
+from felog.cli import _COMMANDS, MAX_STEPS, MAX_TERMS, _emit, main
 from felog.euler_beta import build_sequence, sequence_from_json
 from felog.fracops import graded_grid, verify
 from felog.series_solution import SeriesSolution, compare_classical, radius_report
@@ -37,6 +37,11 @@ def run_cli(*args, env_extra=None):
         env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _reject(name):
+    """``parse_constant`` for strict JSON, which has no Infinity or NaN."""
+    raise ValueError(f"not JSON: {name}")
 
 
 @pytest.fixture
@@ -130,10 +135,7 @@ class TestEval:
                              "--steps", "2")
         assert code == 0
 
-        def reject(name):
-            raise ValueError(f"not JSON: {name}")
-
-        payload = json.loads(out, parse_constant=reject)
+        payload = json.loads(out, parse_constant=_reject)
         assert payload["w"] == [0.5, None, None]
         assert payload["in_domain"] == [True, False, False]
         assert err.startswith("warning: 2 of 3 rows lie past the empirical radius")
@@ -274,6 +276,14 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: --steps and --grid apply only to --method l1 and integro\n"
 
+    def test_grid_end_with_termwise_is_usage_error(self, cli):
+        # termwise has no grid; pc reads only the grid's end
+        code, out, err = cli("verify", "--method", "termwise", "--t1", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: --t1 applies only to --method l1, integro and pc\n"
+        code, out, _ = cli("verify", "--method", "pc", "--t1", "1")
+        assert code == 0 and json.loads(out)["t"][-1] == 1.0
+
     @pytest.mark.parametrize("method", ("l1", "integro"))
     def test_default_grid_is_2000_graded_cells(self, cli, method):
         _, implicit, _ = cli("verify", "--beta", "0.7", "--method", method)
@@ -324,6 +334,18 @@ class TestRadius:
         assert payload["c1_claimed"] == 3.074366
         assert payload["c2_claimed"] == 3.116623
         assert "discrepancy_i" in payload and "discrepancy_ii" in payload
+
+    def test_overflowing_guaranteed_radius_is_null(self, cli):
+        # m * m overflows in the majorant radius at m = 1e154
+        code, out, _ = cli("radius", "--beta", "1", "--m", "1e154")
+        assert code == 0
+        assert json.loads(out, parse_constant=_reject)["r_guaranteed"] is None
+
+    def test_non_finite_discrepancies_are_null(self, cli):
+        code, out, _ = cli("radius", "--m", "1e308")
+        assert code == 0
+        payload = json.loads(out, parse_constant=_reject)
+        assert payload["discrepancy_i"] is None and payload["discrepancy_ii"] is None
 
 
 class TestCompare:
@@ -401,6 +423,22 @@ class TestIOContract:
         code, out, err = run_cli(*argv, env_extra={"FELOG_FORMAT": value})
         assert (code, out, err) == run_cli(*argv)
         assert code == 0 and json.loads(out)["g"][0] == 0.5
+
+    @pytest.mark.parametrize("m", ("1e154", "1e200", "1e308"))
+    @pytest.mark.parametrize("command, beta", [(c, b) for c in ("coeffs", "eval", "radius", "verify")
+                                               for b in ("0.5", "1")] + [("compare", "1")])
+    def test_json_has_no_non_finite_tokens(self, cli, command, beta, m):
+        code, out, _ = cli(command, "--beta", beta, "--m", m)
+        assert code == 0
+        json.loads(out, parse_constant=_reject)
+
+    def test_non_finite_floats_are_null_at_any_depth(self, cli, monkeypatch):
+        payload = {"a": math.inf, "b": [1.5, -math.inf, {"c": (math.nan, 2.0)}], "d": None}
+        monkeypatch.setitem(_COMMANDS, "radius", lambda args: _emit(args, payload, [], []) or 0)
+        code, out, _ = cli("radius")
+        assert code == 0
+        assert out == '{"a": null, "b": [1.5, null, {"c": [null, 2.0]}], "d": null}\n'
+        assert payload["b"][1] == -math.inf  # the payload itself is left alone
 
     def test_json_is_single_object(self, cli):
         code, out, _ = cli("radius", "--beta", "0.5")

@@ -62,6 +62,19 @@ class TestGrids:
         with pytest.raises(ValueError, match="beta must lie in"):
             make(1.0, 10, beta)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", (uniform_grid, graded_grid))
+    @pytest.mark.parametrize("n", (2.5, 999.5, 0, 1, -3, MAX_STEPS + 1))
+    def test_cell_count_outside_the_integers_2_to_max_steps_rejected(self, make, n):
+        # checked before any node is computed, so no count allocates
+        with pytest.raises(ValueError, match=f"integer from 2 to {MAX_STEPS}, got {n!r}$"):
+            make(1.0, n, 0.5)
+
+    @pytest.mark.parametrize("make", (uniform_grid, graded_grid))
+    def test_numpy_integer_cell_count_accepted(self, make):
+        nodes = make(1.0, np.int64(4), 0.5).nodes
+        assert nodes.size == 5 and nodes[-1] == 1.0
+
     def test_make_grid_dispatch(self):
         assert make_grid(1.0, 8, "uniform", 0.5).nodes.size == 9
         with pytest.raises(ValueError):

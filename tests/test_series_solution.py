@@ -136,6 +136,20 @@ class TestEvaluate:
             assert _same_bits(one.tail_bound, grid.tail_bound[i]), ti
             assert one.in_domain is bool(grid.in_domain[i]), ti
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", (64, 256, 1024))
+    @pytest.mark.parametrize("m", (1.0, 3.0))
+    @pytest.mark.parametrize("beta", (0.1, 0.2, 0.5, 0.7, 1.0))
+    def test_origin_is_exact(self, beta, m, n):
+        # log 0 = -inf makes every power of t exactly 0 there
+        sol = SeriesSolution.build(beta, m, n)
+        grid = sol.evaluate(np.array([0.0, -0.0]))
+        assert grid.w.tolist() == [0.5, 0.5]
+        assert grid.tail_bound.tolist() == [0.0, 0.0]
+        for t in (0.0, -0.0):
+            one = sol.evaluate(t)
+            assert (one.w, one.tail_bound, one.in_domain) == (0.5, 0.0, True)
+
     def test_bit_identity_cases_include_underflowed_coefficients(self):
         # the n = 1024 cases above at m = 3 carry odd coefficients that are
         # subnormal or exactly zero
