@@ -137,7 +137,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     grid = None
     if args.method != "termwise":
-        t1 = args.t1 if args.t1 is not None else DEFAULT_VERIFY_WINDOW * sol.domain_edge
+        t1 = args.t1
+        if t1 is None:
+            t1 = DEFAULT_VERIFY_WINDOW * sol.domain_edge
+            if not math.isfinite(t1):
+                raise ValueError(f"the default grid end is not finite ({t1!r}); give --t1")
         grid = make_grid(t1, args.steps or 2000, args.grid or "graded", args.beta)
     report = verify(sol, args.method, grid)
 

@@ -13,19 +13,22 @@ for N cells and P = 52 terms. The near cells are summed directly, in blocks
 of rows that raise each kernel entry to its power once. On a graded grid
 they are a fixed share of each node's history, so this part stays O(N^2),
 but small. Both parts need O(HISTORY_BLOCK) temporary memory. The stepper's
-one uniform-grid history sum uses the blocked FFT convolution of Hairer,
-Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985), O(N log^2 N) time
-and O(N) memory for N steps. The kernel-pair check takes its Beta integral
-from a fixed tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974), not from
-the Gamma function; its raw form and the stable tail's transform share one
-product-midpoint rule. Only the argument checks come from euler_beta, never
-its numerics. Agreement between these routes and the series is the point;
-neither side is ground truth alone.
+one uniform-grid history sum has three tiers: a step's own inner block of 16
+steps in plain floats, the rest back to the last boundary of B0 steps by one
+matrix-vector product per inner block, and older history by the blocked FFT
+convolution of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6,
+1985), O(N log^2 N) time and O(N) memory for N steps. The kernel-pair check
+takes its Beta integral from a fixed tanh-sinh rule (Takahasi & Mori, Publ.
+RIMS 9, 1974), not from the Gamma function; its raw form and the stable
+tail's transform share one product-midpoint rule. Only the argument checks
+come from euler_beta, never its numerics. Agreement between these routes and
+the series is the point; neither side is ground truth alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -67,6 +70,7 @@ REPORT_START = 0.05
 #: Steps of recent history that solve_pc sums directly; older history goes
 #: through FFT blocks of B0 * 2^k steps.
 B0 = 128
+_INNER = 16  # solve_pc's steps per inner block, a divisor of B0
 
 #: Most steps solve_pc takes (and most --steps the CLI accepts): far above
 #: any use, but small enough that no array they size can exhaust memory.
@@ -591,11 +595,14 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
     before any array is built.
 
     The one history sum is a lower-triangular Toeplitz product of the past
-    right-hand sides with the corrector weights. The last B0 steps are summed
-    directly; older history arrives in dyadic blocks whose contributions to
-    the next block of steps are convolved by FFT (Hairer, Lubich & Schlichte,
+    right-hand sides with the corrector weights, in three tiers. The steps go
+    in inner blocks of _INNER, and each step adds the earlier steps of its
+    own block in plain floats. One matrix-vector product per inner block sums
+    the history from the block's start back to the last multiple of B0 for
+    all its steps. Older history arrives in dyadic blocks whose contributions
+    to the next B0 steps are convolved by FFT (Hairer, Lubich & Schlichte,
     SIAM J. Sci. Stat. Comput. 6, 1985), which costs O(N log^2 N) time and
-    O(N) memory for N steps.
+    O(N) memory for N steps. At least one step is taken, so t[-1] >= t_end.
     """
     if not all(math.isfinite(x) for x in (beta, m, t_end, h)):
         raise ValueError("beta, m, t_end and h must be finite")
@@ -613,16 +620,11 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
     if ratio > MAX_STEPS:
         steps = math.ceil(ratio) if ratio < math.inf else ratio
         raise ValueError(f"t_end / h needs {steps} steps, more than the {MAX_STEPS} allowed")
-    n_steps = math.ceil(ratio)
+    # at least one step, so that a t_end far below h is still reached
+    n_steps = max(1, math.ceil(ratio))
     t = np.arange(n_steps + 1) * h
     u = np.empty(n_steps + 1)
     u[0] = 0.5
-
-    def rhs(x: float) -> float:
-        return (x - x * x) / m
-
-    # f[0] stays out of the convolution; its weight is added directly
-    f0 = rhs(u[0])
     f = np.zeros(n_steps + 1)
 
     idx = np.arange(n_steps + 2, dtype=float)
@@ -631,14 +633,17 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
     # corrector weights at lag d = 0..N-1, with j = d+1 counted from the new
     # node: (j+1)^(b+1) + (j-1)^(b+1) - 2 j^(b+1)
     kern = pow_b1[2:] + pow_b1[:-2] - 2.0 * pow_b1[1:-1]
-    # reversed, so that the near history is a forward slice
-    rev = np.ascontiguousarray(kern[::-1])
-    # far[n]: the sum over the history older than n's block of B0 steps. It
-    # starts from the f[0] term, whose own weight is n^(b+1) - (n-b) (n+1)^b.
-    far = (pow_b1[:-2] - (idx[:-2] - beta) * pow_b[1:-1]) * f0
+    # step n + r of an inner block takes f[n - i], back to the last B0 boundary, at
+    # slab[r, -1 - i] (lags past the last step are never read) and f[n + 1 + k] at inner[r][k]
+    slab = kern.take(np.add.outer(np.arange(_INNER), np.arange(B0 - _INNER, -1, -1)), mode="clip")
+    inner = [tuple(kern[:r][::-1].tolist()) for r in range(_INNER)]
+    # far[n]: the sum over the history older than n's block of B0 steps. It starts
+    # from f[0] = 1/(4m), kept out of f, at its weight n^(b+1) - (n-b) (n+1)^b.
+    far = (pow_b1[:-2] - (idx[:-2] - beta) * pow_b[1:-1]) * (0.25 / m)
     spectra = {}  # kernel spectra per block size
+    one_a = 1.0 - a
 
-    for n in range(n_steps):
+    for n in range(0, n_steps, _INNER):
         if n % B0 == 0:
             if n:
                 # block f[n-s:n], s the lowest set bit of n, has just closed:
@@ -656,14 +661,15 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
                 far[n : n + count] += conv[s - 1 : s - 1 + count]
             # every block that reaches steps [n, n+B0) has now closed
             lo = n
-            far_rows = far[n : n + B0].tolist()
-
-        near = float(np.dot(rev[n_steps - 1 - (n - lo) :], f[lo : n + 1]))
-        base = 0.5 + c_corr * (near + far_rows[n - lo])
-        # the positive root of a u^2 + (1 - a) u - base = 0, in the form that
-        # does not cancel for small a; real for base >= 0 (base >= 1/2 while u <= 1)
-        u_new = 2.0 * base / ((1.0 - a) + math.sqrt((1.0 - a) ** 2 + 4.0 * a * base))
-        u[n + 1] = u_new
-        f[n + 1] = rhs(u_new)
+        past = slab[: n_steps - n, lo - n - 1 :] @ f[lo : n + 1] + far[n : n + _INNER]
+        new_u, new_f = [], []
+        for weights, old in zip(inner, past.tolist()):
+            base = 0.5 + c_corr * (old + sum(map(operator.mul, weights, new_f)))
+            # the positive root of a u^2 + (1 - a) u - base = 0, in the form that
+            # does not cancel for small a; real for base >= 0 (base >= 1/2 while u <= 1)
+            x = 2.0 * base / (one_a + math.sqrt(one_a * one_a + 4.0 * a * base))
+            new_u.append(x)
+            new_f.append((x - x * x) / m)
+        u[n + 1 : n + 1 + _INNER], f[n + 1 : n + 1 + _INNER] = new_u, new_f
 
     return _read_only(t), _read_only(u)

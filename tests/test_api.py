@@ -76,6 +76,20 @@ def test_second_paths_are_gone():
         assert "environ" not in source and "getenv" not in source, name
 
 
+def test_stepper_has_no_knobs():
+    params = inspect.signature(fracops.solve_pc).parameters.values()
+    assert [p.name for p in params] == ["beta", "m", "t_end", "h"]
+    assert all(p.default is inspect.Parameter.empty for p in params)
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+    assert fracops.__all__ == [
+        "QuadratureGrid", "ResidualReport", "RLDerivative", "VERIFY_METHODS", "uniform_grid",
+        "graded_grid", "make_grid", "caputo_termwise", "caputo_termwise_array",
+        "rl_derivative_termwise", "caputo_l1_all", "fractional_integral_midpoint", "verify",
+        "sonine_check", "sonine_product_quadrature", "stable_levy_tail", "levy_tail_laplace",
+        "solve_pc",
+    ]
+
+
 def test_bound_predicates_needs_x():
     assert inspect.signature(bound_predicates).parameters["x"].default is inspect.Parameter.empty
 

@@ -258,6 +258,19 @@ class TestVerify:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "t_min" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ("l1", "pc"))
+    @pytest.mark.parametrize("m", ("1e200", "1e308"))
+    def test_non_finite_default_grid_end_asks_for_t1(self, cli, method, m):
+        # the guaranteed radius overflows in m * m, so 0.7 * domain_edge is inf
+        code, out, err = cli("verify", "--method", method, "--m", m)
+        assert (code, out) == (2, "")
+        assert err == "error: the default grid end is not finite (inf); give --t1\n"
+
+    def test_given_grid_end_at_huge_m_still_runs(self, cli):
+        code, out, _ = cli("verify", "--method", "pc", "--m", "1e200", "--t1", "1")
+        assert code == 0 and json.loads(out)["t"][-1] == 1.0
+
     def test_pc_past_the_step_limit_is_usage_error(self):
         # the default window is 0.7 * domain_edge, about 8e9 here: at the
         # stepper's h = 1e-3 that is 8e12 steps, refused before any array

@@ -14,6 +14,7 @@ from felog import fracops
 from felog.cli import DEFAULT_VERIFY_WINDOW, VERIFY_TOLERANCES, main
 from felog.euler_beta import build_sequence
 from felog.fracops import (
+    _INNER,
     B0,
     MAX_STEPS,
     QuadratureGrid,
@@ -712,10 +713,30 @@ class TestSolvePC:
         with pytest.raises(ValueError, match="needs 11 steps, more than the 10 allowed"):
             solve_pc(1.0, 1.0, 11 * h, h)
 
-    @pytest.mark.parametrize("n_steps", (1, 2, B0 - 1, B0, B0 + 1, 2 * B0, 4 * B0 + 3, 16_000))
+    @pytest.mark.parametrize("t_end, h", ((1e-13, 1.0), (1e-300, 1e-3), (2.0**-11, 2.0**-10)))
+    def test_reaches_a_t_end_below_one_step(self, t_end, h):
+        t, u = solve_pc(1.0, 1.0, t_end, h)
+        assert t.size == 2 and t[-1] >= t_end
+        assert 0.5 < u[-1] < 1.0
+
+    @pytest.mark.parametrize("n_steps", (1, 2, _INNER - 1, _INNER, _INNER + 1, B0 - 1, B0, B0 + 1,
+                                         B0 + _INNER + 5, 2 * B0, 4 * B0 + 3, 16_000))
     @pytest.mark.parametrize("beta", (0.3, 0.5, 0.75, 1.0))
     @pytest.mark.parametrize("m", (1.0, 2.0))
     def test_matches_direct_history_sums(self, n_steps, beta, m):
+        self._check_against_direct(beta, m, n_steps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.floats(0.3, 1.0),
+        m=st.floats(1.0, 10.0),
+        n_steps=st.integers(1, 600),
+    )
+    def test_matches_direct_history_sums_anywhere(self, beta, m, n_steps):
+        self._check_against_direct(beta, m, n_steps)
+
+    @staticmethod
+    def _check_against_direct(beta, m, n_steps):
         h = 2.0**-13  # a power of two, so that t_end / h is exactly n_steps
         t, u = solve_pc(beta, m, n_steps * h, h)
         t_ref, u_ref = solve_pc_direct(beta, m, n_steps * h, h)
