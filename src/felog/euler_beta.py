@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BetaEulerSequence:
     """Normalized coefficient sequence for one (beta, m) pair.
 
@@ -116,7 +116,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundSequences:
     """Majorant data for a normalized (m = 1) sequence: the two printed
     envelope sequences and the exact-Gamma geometric base."""

@@ -47,7 +47,6 @@ __all__ = [
     "graded_grid",
     "make_grid",
     "caputo_termwise",
-    "caputo_termwise_array",
     "rl_derivative_termwise",
     "caputo_l1_all",
     "fractional_integral_midpoint",
@@ -89,7 +88,7 @@ _FAR_CUT = 0.5
 _FAR_TERMS = 52
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Finite, strictly increasing nodes starting at 0 for the memory integrals."""
 
@@ -153,7 +152,7 @@ def make_grid(t1: float, n: int, spacing: str, beta: float) -> QuadratureGrid:
     raise ValueError(f"unknown spacing {spacing!r}; use 'uniform' or 'graded'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualReport:
     """Pointwise defect of one verification route at the points ``grid``.
 
@@ -184,7 +183,7 @@ class ResidualReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RLDerivative:
     """Term-wise Riemann-Liouville derivative: coefficient of the t^(-beta)
     singular term plus the regular power-series coefficients."""
@@ -193,23 +192,18 @@ class RLDerivative:
     regular: np.ndarray
 
 
-def caputo_termwise_array(g, beta: float) -> np.ndarray:
-    """Term-wise memory derivative of sum_k g_k t^(beta*k)/1 at t^(beta*k).
+def caputo_termwise(seq: BetaEulerSequence) -> np.ndarray:
+    """Term-wise memory derivative of sum_k g_k t^(beta*k) at t^(beta*k),
+    from ``seq.g`` and ``seq.beta`` alone.
 
     Entry k is g_{k+1} * Gamma(beta*(k+1)+1) / Gamma(beta*k+1); the constant
     term contributes nothing, so a constant series maps to all zeros.
     """
-    g = np.asarray(g, dtype=float)
+    g, beta = seq.g, seq.beta
     lg = np.array([ln_gamma(beta * k + 1.0) for k in range(g.size)])
     # math.exp, not np.exp: numpy's vectorized exp is off by an ulp in about
     # 5% of these ratios on AVX-512 hosts
     return _read_only(g[1:] * np.fromiter(map(math.exp, np.diff(lg)), float))
-
-
-def caputo_termwise(seq: BetaEulerSequence) -> np.ndarray:
-    """Memory-derivative coefficients of a built sequence (see the array
-    form for the map itself)."""
-    return caputo_termwise_array(seq.g, seq.beta)
 
 
 def rl_derivative_termwise(seq: BetaEulerSequence) -> RLDerivative:
@@ -644,24 +638,19 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
     one_a = 1.0 - a
 
     for n in range(0, n_steps, _INNER):
-        if n % B0 == 0:
-            if n:
-                # block f[n-s:n], s the lowest set bit of n, has just closed:
-                # add its share to steps [n, n+s). Lags run from 1 to 2s-1,
-                # so a length-2s circular convolution is exact where read.
-                s = n & -n
-                spec = spectra.get(s)
-                if spec is None:
-                    lags = np.zeros(2 * s)
-                    top = min(2 * s - 1, n_steps - 1)
-                    lags[:top] = kern[1 : top + 1]
-                    spec = spectra[s] = np.fft.rfft(lags)
-                conv = np.fft.irfft(spec * np.fft.rfft(f[n - s : n], 2 * s), 2 * s)
-                count = min(s, n_steps - n)
-                far[n : n + count] += conv[s - 1 : s - 1 + count]
-            # every block that reaches steps [n, n+B0) has now closed
-            lo = n
-        past = slab[: n_steps - n, lo - n - 1 :] @ f[lo : n + 1] + far[n : n + _INNER]
+        if n and n % B0 == 0:
+            # block f[n-s:n], s the lowest set bit of n, has just closed: add
+            # its share to steps [n, n+s). Lags run from 1 to 2s-1, so a
+            # length-2s circular convolution is exact where read; rfft pads
+            # them, and any lags past the end of kern, with zeros.
+            s = n & -n
+            if s not in spectra:
+                spectra[s] = np.fft.rfft(kern[1 : 2 * s], 2 * s)
+            conv = np.fft.irfft(spectra[s] * np.fft.rfft(f[n - s : n], 2 * s), 2 * s)
+            count = min(s, n_steps - n)
+            far[n : n + count] += conv[s - 1 : s - 1 + count]
+        # far holds the blocks that closed by the last B0 boundary, n - n % B0
+        past = slab[: n_steps - n, -1 - n % B0 :] @ f[n - n % B0 : n + 1] + far[n : n + _INNER]
         new_u, new_f = [], []
         for weights, old in zip(inner, past.tolist()):
             base = 0.5 + c_corr * (old + sum(map(operator.mul, weights, new_f)))

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -49,7 +48,7 @@ C2_CLAIMED = 3.116623
 _MIN_TERMS = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalResult:
     """Partial sum, geometric tail estimate, and domain flag (arrays when the
     query was an array)."""
@@ -65,7 +64,8 @@ class RadiusReport:
 
     ``r_formula_ii`` is None when beta <= gamma_EM - 1/2, where formula (ii)
     is not stated. ``r_empirical`` is None when too few normal odd
-    coefficients are available for the ratio test.
+    coefficients are available for the ratio test, or when its estimate is
+    not finite. ``r_guaranteed`` is inf past the double range.
     """
 
     r_formula_i: float
@@ -124,7 +124,8 @@ def radius_report(seq: BetaEulerSequence) -> RadiusReport:
     ratios (|g_{2k-1}|/|g_{2k+1}|)^(1/(2*beta)) with one Richardson level in
     1/k and takes the median; raw last-ratio estimates oscillate for small
     beta. It reads only the normal prefix of the odd coefficients (see
-    :func:`_normal_odd`); it is None when that prefix holds fewer than six.
+    :func:`_normal_odd`); it is None when that prefix holds fewer than six,
+    or when the estimate is not finite.
     """
     if seq.n_terms < _MIN_TERMS:
         raise ValueError(f"radius_report needs n_terms >= {_MIN_TERMS}")
@@ -134,18 +135,24 @@ def radius_report(seq: BetaEulerSequence) -> RadiusReport:
     r_ii = _formula_ii(beta, m) if beta > EULER_MASCHERONI - 0.5 else None
 
     _, q = majorant_constants(beta)
-    r_guaranteed = (m * m / q) ** (1.0 / (2.0 * beta))
+    try:
+        r_guaranteed = (m * m / q) ** (1.0 / (2.0 * beta))
+    except OverflowError:  # past the double range, as at small beta or large m
+        r_guaranteed = math.inf
 
     odd = _normal_odd(seq.g)
     size = odd.size
     r_empirical: Optional[float] = None
     if size >= 6:
-        # ratio k = odd[k-1] / odd[k], for the last five k of the prefix
-        xs = np.array([(odd[j] / odd[j + 1]) ** (1.0 / (2.0 * beta))
-                       for j in range(size - 6, size - 1)])
-        k = np.arange(size - 5, size, dtype=float)
-        level1 = k[1:] * xs[1:] - (k[1:] - 1.0) * xs[:-1]
-        r_empirical = float(np.median(level1))
+        # ratio k = odd[k-1] / odd[k], for the last five k of the prefix; one
+        # past the double range leaves no finite estimate
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = np.array([(odd[j] / odd[j + 1]) ** (1.0 / (2.0 * beta))
+                           for j in range(size - 6, size - 1)])
+            k = np.arange(size - 5, size, dtype=float)
+            level1 = k[1:] * xs[1:] - (k[1:] - 1.0) * xs[:-1]
+            estimate = float(np.median(level1))
+        r_empirical = estimate if math.isfinite(estimate) else None
 
     return RadiusReport(
         r_formula_i=r_i,
@@ -160,9 +167,10 @@ class SeriesSolution:
     """Evaluate the series and report its domain of validity.
 
     Construct from a built sequence of at least 20 coefficients, or with
-    ``SeriesSolution.build(beta, m)``.
-    Instances are immutable and safe to share; grid evaluation is a read-only
-    pass over the coefficients.
+    ``SeriesSolution.build(beta, m)``. ``radius`` and the operative edge
+    ``domain_edge`` (the empirical radius, or else the majorant radius) are
+    fixed when it is built. Nothing is written after that, so instances are
+    safe to share; grid evaluation is a read-only pass over the coefficients.
     """
 
     def __init__(self, seq: BetaEulerSequence):
@@ -170,6 +178,8 @@ class SeriesSolution:
             raise ValueError(f"SeriesSolution needs n_terms >= {_MIN_TERMS} for its radius, "
                              f"got {seq.n_terms}")
         self.seq = seq
+        self.radius = r = radius_report(seq)
+        self.domain_edge = r.r_empirical if r.r_empirical is not None else r.r_guaranteed
         odd = seq.g[1::2]  # odd coefficients; evens are exactly zero
         self._horner = odd[::-1].tolist()  # highest order first
         # the tail rests on the last normal odd coefficient; with none, a NaN
@@ -182,17 +192,6 @@ class SeriesSolution:
     @classmethod
     def build(cls, beta: float, m: float = 1.0, n_terms: int = 64) -> "SeriesSolution":
         return cls(build_sequence(beta, m, n_terms))
-
-    @cached_property
-    def radius(self) -> RadiusReport:
-        return radius_report(self.seq)
-
-    @property
-    def domain_edge(self) -> float:
-        """Operative validity edge: the empirical radius, falling back to the
-        majorant radius when the ratio test is unavailable."""
-        r = self.radius
-        return r.r_empirical if r.r_empirical is not None else r.r_guaranteed
 
     def evaluate(self, t) -> EvalResult:
         """Partial sum with a geometric tail estimate.

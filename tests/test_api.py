@@ -13,9 +13,14 @@ import pytest
 
 import felog
 from felog import euler_beta, fracops, series_solution, specfun
-from felog.euler_beta import BetaEulerSequence, build_sequence
-from felog.fracops import ResidualReport
-from felog.series_solution import RadiusReport, compare_classical
+from felog.euler_beta import (
+    BetaEulerSequence,
+    bound_sequences,
+    build_sequence,
+    sequence_from_json,
+)
+from felog.fracops import ResidualReport, graded_grid, rl_derivative_termwise
+from felog.series_solution import RadiusReport, SeriesSolution, compare_classical, radius_report
 from felog.specfun import BoundFlags, bound_predicates
 
 LIBRARY = ("felog.specfun", "felog.euler_beta", "felog.series_solution", "felog.fracops")
@@ -60,6 +65,38 @@ def test_report_fields_have_no_defaults():
             assert f.default_factory is dataclasses.MISSING, (cls.__name__, f.name)
 
 
+def _sequence():
+    return build_sequence(0.5, 1.0, 20)
+
+
+# two records of each type built from equal inputs; each holds an array
+ARRAY_RECORDS = {
+    "BetaEulerSequence": lambda: (_sequence(), sequence_from_json(_sequence().to_json_dict())),
+    "QuadratureGrid": lambda: (graded_grid(1.0, 8, 0.5), graded_grid(1.0, 8, 0.5)),
+    "ResidualReport": lambda: tuple(ResidualReport("l1", [0.0, 0.5], [0.0, 1e-9])
+                                    for _ in range(2)),
+    "EvalResult": lambda: tuple(SeriesSolution(_sequence()).evaluate([0.0, 0.5])
+                                for _ in range(2)),
+    "RLDerivative": lambda: tuple(rl_derivative_termwise(_sequence()) for _ in range(2)),
+    "BoundSequences": lambda: tuple(bound_sequences(_sequence()) for _ in range(2)),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_records_with_arrays_compare_by_identity(name):
+    # elementwise == on their arrays has no truth value, so equality is identity
+    a, b = ARRAY_RECORDS[name]()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert a in [a] and a not in [b]
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
+def test_reports_of_plain_values_compare_by_value():
+    assert radius_report(_sequence()) == radius_report(_sequence())
+    assert bound_predicates(0.3) == bound_predicates(0.3)
+
+
 def test_second_paths_are_gone():
     assert not hasattr(fracops, "caputo_l1")
     assert not hasattr(BetaEulerSequence, "to_json")
@@ -70,6 +107,7 @@ def test_second_paths_are_gone():
     assert "snap_even" not in inspect.signature(build_sequence).parameters
     assert not hasattr(euler_beta, "EVEN_SNAP_TOL")
     assert not hasattr(series_solution, "_exp")
+    assert not hasattr(fracops, "caputo_termwise_array")
     # the output depends on the arguments alone
     for name in ("felog",) + MODULES:
         source = inspect.getsource(importlib.import_module(name))
@@ -83,10 +121,9 @@ def test_stepper_has_no_knobs():
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
     assert fracops.__all__ == [
         "QuadratureGrid", "ResidualReport", "RLDerivative", "VERIFY_METHODS", "uniform_grid",
-        "graded_grid", "make_grid", "caputo_termwise", "caputo_termwise_array",
-        "rl_derivative_termwise", "caputo_l1_all", "fractional_integral_midpoint", "verify",
-        "sonine_check", "sonine_product_quadrature", "stable_levy_tail", "levy_tail_laplace",
-        "solve_pc",
+        "graded_grid", "make_grid", "caputo_termwise", "rl_derivative_termwise",
+        "caputo_l1_all", "fractional_integral_midpoint", "verify", "sonine_check",
+        "sonine_product_quadrature", "stable_levy_tail", "levy_tail_laplace", "solve_pc",
     ]
 
 

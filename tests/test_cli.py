@@ -4,6 +4,7 @@ Most cases call ``felog.cli.main`` in-process; the process exit codes and
 the environment checks run ``python -m felog.cli`` in a child process.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -14,6 +15,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from felog import series_solution
 from felog.cli import _COMMANDS, MAX_STEPS, MAX_TERMS, _emit, main
@@ -354,6 +357,14 @@ class TestRadius:
         assert code == 0
         assert json.loads(out, parse_constant=_reject)["r_guaranteed"] is None
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta, m", (("0.1", "1e50"), ("0.0004", "1"), ("0.3", "1e94")))
+    def test_majorant_radius_past_the_double_range_is_null(self, cli, beta, m):
+        # (m^2 / q)^(1/(2 beta)) overflows long before m * m does
+        code, out, err = cli("radius", "--beta", beta, "--m", m)
+        assert (code, err) == (0, "")
+        assert json.loads(out, parse_constant=_reject)["r_guaranteed"] is None
+
     def test_non_finite_discrepancies_are_null(self, cli):
         code, out, _ = cli("radius", "--m", "1e308")
         assert code == 0
@@ -412,6 +423,41 @@ class TestShortSeries:
         code, out, _ = cli("coeffs", "-n", "10")
         assert code == 0
         assert len(json.loads(out)["g"]) == 10
+
+
+#: Each subcommand the contract test draws; compare is stated for beta = 1 only.
+CONTRACT_COMMANDS = (
+    ("coeffs",),
+    ("radius",),
+    ("eval", "--steps", "4"),
+    ("compare",),
+    ("verify", "--method", "termwise"),
+    ("verify", "--method", "l1", "--steps", "50"),
+    ("verify", "--method", "integro", "--steps", "50"),
+    ("verify", "--method", "pc", "--t1", "0.1"),
+)
+
+
+class TestContract:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        command=st.sampled_from(CONTRACT_COMMANDS),
+        log_beta=st.floats(-300.0, 0.0),
+        log_m=st.floats(0.0, 308.0),
+        n=st.sampled_from((20, 64)),
+    )
+    def test_every_order_and_rate_exits_with_a_code_and_strict_json(
+            self, command, log_beta, log_m, n):
+        beta = 1.0 if command[0] == "compare" else 10.0**log_beta
+        argv = [*command, "--beta", repr(beta), "--m", repr(10.0**log_m), "-n", str(n)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        if code in (0, 1):
+            json.loads(out.getvalue(), parse_constant=_reject)
+        else:
+            assert out.getvalue() == ""
 
 
 class TestIOContract:

@@ -4,6 +4,7 @@ quadrature, kernel-pair identity, stable tail, and the time-stepper."""
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from felog.fracops import (
     ResidualReport,
     caputo_l1_all,
     caputo_termwise,
-    caputo_termwise_array,
     fractional_integral_midpoint,
     graded_grid,
     levy_tail_laplace,
@@ -114,22 +114,27 @@ class TestGrids:
             QuadratureGrid(np.linspace(0.0, 1.0, 9), beta)
 
 
+def _series(g, beta):
+    """A stand-in for a sequence: caputo_termwise reads only g and beta."""
+    return SimpleNamespace(g=np.array(g, dtype=float), beta=beta)
+
+
 class TestTermwise:
     def test_constant_series_maps_to_zero(self):
-        out = caputo_termwise_array([0.5, 0.0, 0.0, 0.0], 0.7)
+        out = caputo_termwise(_series([0.5, 0.0, 0.0, 0.0], 0.7))
         assert np.all(out == 0.0)
 
     def test_single_power_gives_gamma_factor(self):
         # derivative of g_1 t^beta is the constant g_1 Gamma(beta+1)
         for beta in (0.3, 0.6, 0.9):
-            out = caputo_termwise_array([0.0, 2.0, 0.0], beta)
+            out = caputo_termwise(_series([0.0, 2.0, 0.0], beta))
             assert out[0] == pytest.approx(2.0 * math.exp(ln_gamma(beta + 1.0)), rel=1e-13)
             assert out[1] == 0.0
 
     @pytest.mark.parametrize("beta", (0.05, 0.3, 0.7, 1.0))
     def test_each_gamma_ratio_is_exp_of_a_log_gamma_difference(self, beta):
         g = np.random.default_rng(7).standard_normal(96)
-        out = caputo_termwise_array(g, beta)
+        out = caputo_termwise(_series(g, beta))
         for k in range(g.size - 1):
             ratio = math.exp(ln_gamma(beta * (k + 1) + 1.0) - ln_gamma(beta * k + 1.0))
             assert out[k] == g[k + 1] * ratio

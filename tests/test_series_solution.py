@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from felog import series_solution
 from felog.cli import main
 from felog.euler_beta import BetaEulerSequence, build_sequence, majorant_constants
 from felog.series_solution import (
@@ -328,6 +329,52 @@ class TestRatioTestPrefix:
         sol = SeriesSolution(dataclasses.replace(seq, g=g))
         assert sol.radius.r_empirical is None
         assert sol.domain_edge == sol.radius.r_guaranteed
+
+
+class TestRadiusPastTheDoubleRange:
+    """The majorant radius is inf once it passes the double range, and the
+    ratio test gives None unless its estimate is finite; neither raises nor
+    warns."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", (1e-300, 1e-10, 4e-4, 4.9e-4, 0.01, 0.1, 0.3, 0.7, 1.0))
+    @pytest.mark.parametrize("m", (1.0, 3.0, 1e31, 1e50, 1e94, 1e200, 1e308))
+    @pytest.mark.parametrize("n", (20, 64))
+    def test_grid(self, beta, m, n):
+        sol = SeriesSolution.build(beta, m, n)
+        r = sol.radius
+        assert r.r_guaranteed > 0.0
+        assert r.r_empirical is None or math.isfinite(r.r_empirical)
+        _, q = majorant_constants(beta)
+        log_radius = math.log(m * m / q) / (2.0 * beta)
+        if log_radius < 709.0:  # inside the double range: the power's own bits
+            assert r.r_guaranteed == (m * m / q) ** (1.0 / (2.0 * beta))
+        elif log_radius > 710.0:
+            assert r.r_guaranteed == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_ratio_test_gives_none(self):
+        # every odd ratio raised to 1/(2 beta) = 5 passes the double range
+        sol = SeriesSolution.build(0.1, 1e50)
+        assert sol.radius.r_empirical is None
+        assert sol.domain_edge == sol.radius.r_guaranteed == math.inf
+
+
+class TestFixedRadius:
+    def test_radius_and_edge_are_set_at_construction(self):
+        sol = SeriesSolution.build(0.7)
+        state = vars(sol)
+        assert state["radius"] == radius_report(sol.seq)
+        assert state["domain_edge"] == state["radius"].r_empirical
+        assert not hasattr(series_solution, "cached_property")
+
+    def test_no_state_is_written_after_construction(self):
+        sol = SeriesSolution.build(0.7)
+        before = dict(vars(sol))
+        sol.evaluate(np.linspace(0.0, 2.0, 9))
+        sol(0.5)
+        assert vars(sol).keys() == before.keys()
+        assert all(vars(sol)[key] is value for key, value in before.items())
 
 
 class TestTailFromTheNormalPrefix:
