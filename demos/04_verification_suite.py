@@ -20,6 +20,7 @@ for the solution itself.
 import time
 
 from felog import SeriesSolution, graded_grid, solve_pc, sonine_check, verify
+from felog.fracops import VERIFY_TOLERANCES
 
 beta, m = 0.7, 1.0
 sol = SeriesSolution.build(beta, m, n_terms=128)
@@ -27,14 +28,13 @@ edge = 0.8 * sol.domain_edge
 grid = graded_grid(edge, 2000, beta)
 print(f"beta={beta}, m={m}: verification window (0, {edge:.4f}], 2000 graded nodes\n")
 
-budgets = {"termwise": 1e-12, "l1": 1e-4, "integro": 1e-4, "pc": 1e-5}
-for method, budget in budgets.items():
+for method, budget in VERIFY_TOLERANCES.items():
     start = time.perf_counter()
     rep = verify(sol, method, None if method == "termwise" else grid,
-                 pc_step=1e-4 if method == "pc" else 1e-3)
+                 pc_step=1e-4 if method == "predictor_corrector" else 1e-3)
     elapsed = time.perf_counter() - start
     status = "ok" if rep.sup_norm <= budget else "EXCEEDED"
-    print(f"  {method:>9}: sup residual = {rep.sup_norm:.3e}  (budget {budget:.0e}, "
+    print(f"  {method:>19}: sup residual = {rep.sup_norm:.3e}  (budget {budget:.0e}, "
           f"{elapsed:.2f}s) {status}")
 
 # the kernel pair behind the integro rewrite convolves to exactly 1

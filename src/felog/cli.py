@@ -25,28 +25,16 @@ import sys
 
 import numpy as np
 
-from .euler_beta import build_sequence
-from .fracops import MAX_STEPS, make_grid, verify
+from .euler_beta import MAX_TERMS, build_sequence
+from .fracops import MAX_STEPS, VERIFY_TOLERANCES, make_grid, verify
 from .series_solution import SeriesSolution, _classical_curves, radius_report
 
 __all__ = ["VERIFY_TOLERANCES", "MAX_TERMS", "MAX_STEPS", "main"]
-
-#: Default pass thresholds per verification method (override with --tol).
-VERIFY_TOLERANCES = {
-    "termwise": 1e-12,
-    "l1": 1e-4,
-    "integro": 1e-4,
-    "predictor_corrector": 1e-5,
-}
 
 #: Verification grids default to this fraction of the empirical radius: far
 #: enough in to be interesting, close enough that the default 64-term series
 #: stays well below every method tolerance.
 DEFAULT_VERIFY_WINDOW = 0.7
-
-#: Largest -n accepted, far above any use (-n 256) but small enough that no
-#: array it sizes can exhaust memory; --steps is capped at fracops.MAX_STEPS.
-MAX_TERMS = 10_000
 
 
 def _cell(value) -> str:
@@ -72,7 +60,7 @@ def _emit(args: argparse.Namespace, payload: dict, header, rows) -> None:
     """Write ``payload`` as JSON, each non-finite float in it as ``null``, or
     ``header`` and ``rows`` as CSV, to stdout or --out."""
     if args.format == "json":
-        text = json.dumps(_finite_or_null(payload), allow_nan=False)
+        text = json.dumps(_finite_or_null(payload), allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -80,7 +68,7 @@ def _emit(args: argparse.Namespace, payload: dict, header, rows) -> None:
         writer.writerows([_cell(v) for v in row] for row in rows)
         text = buf.getvalue()
     if args.out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -35,6 +35,10 @@ __all__ = [
     "sequence_from_json",
 ]
 
+#: Most coefficients build_sequence makes (and most -n the CLI accepts): far
+#: above any use (-n 256), small enough that no array it sizes exhausts memory.
+MAX_TERMS = 10_000
+
 
 @dataclass(frozen=True, eq=False)
 class BetaEulerSequence:
@@ -143,6 +147,8 @@ def build_sequence(beta: float, m: float, n_terms: int = 64) -> BetaEulerSequenc
     _check_order(beta, m)
     if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 2):
         raise ValueError(f"n_terms must be an integer >= 2, got {n_terms}")
+    if n_terms > MAX_TERMS:
+        raise ValueError(f"n_terms must be <= {MAX_TERMS}, got {n_terms}")
 
     lg = np.array([ln_gamma(beta * k + 1.0) for k in range(n_terms)])
     # exp(lg[k] - lg[k+1]), exactly: negating a difference rounds nothing
@@ -158,6 +164,15 @@ def build_sequence(beta: float, m: float, n_terms: int = 64) -> BetaEulerSequenc
             nxt = 0.0
         g[k + 1] = g_rev[n_terms - 2 - k] = g_k = nxt
     return BetaEulerSequence(beta=beta, m=m, g=g)
+
+
+def _normal_odd(g: np.ndarray) -> np.ndarray:
+    """|g_1|, |g_3|, ... up to the first odd coefficient that is zero or
+    below the smallest normal double: underflowed ones no longer follow the
+    series' geometric rate."""
+    odd = np.abs(g[1::2])
+    small = np.flatnonzero(odd < sys.float_info.min)
+    return odd[: small[0]] if small.size else odd
 
 
 def sequence_from_json(payload: Union[str, dict]) -> BetaEulerSequence:

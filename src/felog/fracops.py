@@ -35,7 +35,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .euler_beta import BetaEulerSequence, _check_beta, _check_order, _read_only
-from .series_solution import SeriesSolution
 from .specfun import gamma_fn, ln_gamma
 
 __all__ = [
@@ -58,8 +57,16 @@ __all__ = [
     "solve_pc",
 ]
 
+#: Default pass thresholds per verification method (felog verify --tol overrides).
+VERIFY_TOLERANCES = {
+    "termwise": 1e-12,
+    "l1": 1e-4,
+    "integro": 1e-4,
+    "predictor_corrector": 1e-5,
+}
+
 #: Canonical verification method names ("pc" is accepted as an alias).
-VERIFY_METHODS = ("termwise", "l1", "integro", "predictor_corrector")
+VERIFY_METHODS = tuple(VERIFY_TOLERANCES)
 
 #: Grid-based residual reports start here: at the origin the solution has a
 #: t^beta cusp, where the piecewise-linear L1 defect is O(1) no matter how
@@ -413,12 +420,13 @@ def fractional_integral_midpoint(
 
 
 def verify(
-    sol: SeriesSolution,
+    sol,
     method: str,
     grid: Optional[QuadratureGrid] = None,
     pc_step: float = 1e-3,
 ) -> ResidualReport:
-    """Residual of the fractional logistic equation under one oracle.
+    """Residual of the fractional logistic equation under one oracle, read
+    from ``sol`` through ``sol.seq``, ``sol.domain_edge`` and ``sol.evaluate(t).w``.
 
     termwise: coefficient-wise defect of the recurrence (index grid);
     l1/integro: pointwise defect on the grid nodes with t >= REPORT_START;

@@ -18,13 +18,12 @@ claimed constant and empirical estimate together and asserts nothing.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .euler_beta import BetaEulerSequence, build_sequence, majorant_constants
+from .euler_beta import BetaEulerSequence, _normal_odd, build_sequence, majorant_constants
 from .specfun import EULER_MASCHERONI
 
 __all__ = [
@@ -107,15 +106,6 @@ def _formula_ii(beta: float, m: float) -> float:
     )
 
 
-def _normal_odd(g: np.ndarray) -> np.ndarray:
-    """|g_1|, |g_3|, ... up to the first odd coefficient that is zero or
-    below the smallest normal double: underflowed ones no longer follow the
-    series' geometric rate."""
-    odd = np.abs(g[1::2])
-    small = np.flatnonzero(odd < sys.float_info.min)
-    return odd[: small[0]] if small.size else odd
-
-
 def radius_report(seq: BetaEulerSequence) -> RadiusReport:
     """Evaluate the two printed radius formulas, the majorant radius, and the
     ratio-test estimate.
@@ -128,7 +118,8 @@ def radius_report(seq: BetaEulerSequence) -> RadiusReport:
     or when the estimate is not finite.
     """
     if seq.n_terms < _MIN_TERMS:
-        raise ValueError(f"radius_report needs n_terms >= {_MIN_TERMS}")
+        raise ValueError(f"a series needs n_terms >= {_MIN_TERMS} for its radius, "
+                         f"got {seq.n_terms}")
     beta, m = seq.beta, seq.m
 
     r_i = _formula_i(beta, m)
@@ -174,9 +165,6 @@ class SeriesSolution:
     """
 
     def __init__(self, seq: BetaEulerSequence):
-        if seq.n_terms < _MIN_TERMS:
-            raise ValueError(f"SeriesSolution needs n_terms >= {_MIN_TERMS} for its radius, "
-                             f"got {seq.n_terms}")
         self.seq = seq
         self.radius = r = radius_report(seq)
         self.domain_edge = r.r_empirical if r.r_empirical is not None else r.r_guaranteed
@@ -198,8 +186,8 @@ class SeriesSolution:
 
         The tail applies the ratio q * t^(2*beta) / m^2 to the last normal
         odd term (see :func:`_normal_odd`); it is +inf where that ratio reaches
-        1 or no odd term is normal. ``in_domain`` flags t values at or below
-        the operative radius. Negative t is rejected.
+        1 or no odd term is normal. ``in_domain`` flags the t at or below the
+        operative radius where w is finite. Negative t is rejected.
         """
         t_arr = np.asarray(t, dtype=float)
         if t_arr.ndim == 0:
@@ -229,7 +217,7 @@ class SeriesSolution:
             last_term = self._last * np.exp(beta * self._k_last * log_t)
             ratio = self._q * tau / (m * m)
             tail = np.where(ratio < 1.0, last_term * ratio / (1.0 - ratio), np.inf)
-        in_domain = t_arr <= self.domain_edge
+        in_domain = (t_arr <= self.domain_edge) & np.isfinite(w)
         for arr in (w, tail, in_domain):
             arr.setflags(write=False)
         return EvalResult(w, tail, in_domain)
@@ -251,7 +239,7 @@ class SeriesSolution:
             if ratio < 1.0:
                 last_term = self._last * float(np.exp(beta * self._k_last * log_t))
                 tail = last_term * ratio / (1.0 - ratio)
-        return EvalResult(w, tail, t <= self.domain_edge)
+        return EvalResult(w, tail, t <= self.domain_edge and math.isfinite(w))
 
     def __call__(self, t):
         return self.evaluate(t).w

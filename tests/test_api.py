@@ -2,6 +2,7 @@
 its modules' lists, the value types store only their inputs, and each
 computation has one entry point."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import felog
-from felog import euler_beta, fracops, series_solution, specfun
+from felog import cli, euler_beta, fracops, series_solution, specfun
 from felog.euler_beta import (
     BetaEulerSequence,
     bound_sequences,
@@ -136,6 +137,33 @@ def test_oracles_take_their_argument_rules_from_the_series():
     assert fracops._check_beta is euler_beta._check_beta
     assert fracops._check_order is euler_beta._check_order
     assert fracops._read_only is euler_beta._read_only
+
+
+def _tree(module):
+    return ast.parse(inspect.getsource(module))
+
+
+def test_oracles_import_nothing_from_the_series_layer():
+    # verify reads a solution through three members, so the oracles need no
+    # name from the module whose output they check
+    for node in ast.walk(_tree(fracops)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            assert not any("series_solution" in n for n in names), ast.unparse(node)
+
+
+def test_each_rule_has_one_home():
+    assert cli.VERIFY_TOLERANCES is fracops.VERIFY_TOLERANCES
+    assert fracops.VERIFY_METHODS == tuple(fracops.VERIFY_TOLERANCES)
+    assert "VERIFY_TOLERANCES" not in fracops.__all__
+    assert cli.MAX_TERMS is euler_beta.MAX_TERMS
+    # the normal-range cut sits beside the even-step rule that shares its bound
+    homes = [name for name in MODULES
+             if any(isinstance(node, ast.FunctionDef) and node.name == "_normal_odd"
+                    for node in ast.walk(_tree(importlib.import_module(name))))]
+    assert homes == ["felog.euler_beta"]
+    assert series_solution._normal_odd is euler_beta._normal_odd
+    assert not hasattr(series_solution, "sys")
 
 
 def test_acceptance_criteria_are_never_skipped():

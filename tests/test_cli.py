@@ -153,6 +153,18 @@ class TestEval:
                                         "1000.0,-inf,inf,false"]
 
     @pytest.mark.filterwarnings("error")
+    def test_null_w_is_never_in_domain(self, cli):
+        # the edge is inf at m = 1e200, but t^(2 beta) overflows before m^-k
+        # can scale it, so w is NaN past t = 0
+        code, out, err = cli("eval", "--beta", "1", "--m", "1e200", "--t1", "1e160",
+                             "--steps", "2")
+        assert code == 0
+        payload = json.loads(out, parse_constant=_reject)
+        assert payload["w"] == [0.5, None, None]
+        assert payload["in_domain"] == [True, False, False]
+        assert err.startswith("warning: 2 of 3 rows lie past the empirical radius")
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_grid_prints_only_the_domain_warning(self, cli):
         # t^(2 beta) overflows at t = 1e300; the rows are flagged, not warned
         code, out, err = cli("eval", "--beta", "1", "--t1", "1e300", "--steps", "2")
@@ -412,12 +424,12 @@ class TestCompare:
 
 
 class TestShortSeries:
-    @pytest.mark.parametrize("command", ("eval", "compare", "verify"))
+    @pytest.mark.parametrize("command", ("eval", "compare", "verify", "radius"))
     def test_fewer_than_twenty_terms_is_usage_error(self, cli, command):
         code, out, err = cli(command, "-n", "10")
         assert code == 2
         assert out == ""
-        assert err == "error: SeriesSolution needs n_terms >= 20 for its radius, got 10\n"
+        assert err == "error: a series needs n_terms >= 20 for its radius, got 10\n"
 
     def test_coefficients_need_no_radius(self, cli):
         code, out, _ = cli("coeffs", "-n", "10")
@@ -455,7 +467,10 @@ class TestContract:
             code = main(argv)
         assert code in (0, 1, 2, 3), (argv, err.getvalue())
         if code in (0, 1):
-            json.loads(out.getvalue(), parse_constant=_reject)
+            payload = json.loads(out.getvalue(), parse_constant=_reject)
+            if command[0] == "eval":
+                assert not any(flag for w, flag in zip(payload["w"], payload["in_domain"])
+                               if w is None), argv
         else:
             assert out.getvalue() == ""
 
@@ -469,6 +484,15 @@ class TestIOContract:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.decode().splitlines()[0] == "k,g_k,sign,log10_mag"
+
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    def test_out_file_holds_the_stdout_bytes(self, cli, tmp_path, fmt):
+        argv = ("eval", "--beta", "0.7", "--t1", "10", "--steps", "4", "--format", fmt)
+        path = tmp_path / f"w.{fmt}"
+        code, stdout, _ = cli(*argv)
+        assert code == 0 and stdout.endswith("\n")
+        assert cli(*argv, "--out", str(path))[:2] == (0, "")
+        assert path.read_bytes() == stdout.encode()
 
     def test_unwritable_out_is_io_error(self, tmp_path):
         code, _, _ = run_cli("coeffs", "--beta", "0.5", "-n", "8",

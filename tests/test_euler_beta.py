@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from felog.cli import main
+from felog import euler_beta
 from felog.euler_beta import (
+    MAX_TERMS,
     BetaEulerSequence,
     bound_sequences,
     build_sequence,
@@ -172,6 +174,18 @@ class TestBuildSequence:
             build_sequence(0.5, 1.0, 1)
         with pytest.raises(ValueError, match="finite"):
             build_sequence(0.5, math.inf, 8)
+
+    @pytest.mark.parametrize("build", (build_sequence, SeriesSolution.build))
+    def test_more_than_max_terms_rejected_before_any_work(self, build, monkeypatch):
+        # the first log-Gamma value fails the test if the bound does not fire
+        monkeypatch.setattr(euler_beta, "ln_gamma", lambda x: pytest.fail("recurrence ran"))
+        with pytest.raises(ValueError, match=r"^n_terms must be <= 10000, got 1000000000000$"):
+            build(0.5, 1.0, 10**12)
+        with pytest.raises(ValueError, match=r"^n_terms must be <= 10000, got 10001$"):
+            build(0.5, 1.0, MAX_TERMS + 1)
+
+    def test_max_terms_is_accepted(self):
+        assert build_sequence(1.0, 1.0, MAX_TERMS).n_terms == MAX_TERMS
 
     @pytest.mark.parametrize("payload", (
         {"beta": 1.5, "m": 0.5, "g": [0.5, 0.25 / 0.5 / math.gamma(2.5)]},

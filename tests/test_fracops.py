@@ -463,6 +463,31 @@ class TestVerify:
         assert lines[0] == "t,residual"
 
 
+def _mittag_leffler(beta, z, terms=400):
+    """E_beta(z) = sum_k z^k / Gamma(beta k + 1) for z <= 0, by its power
+    series in floats."""
+    k = np.arange(1, terms)
+    lg = np.array([math.lgamma(beta * j + 1.0) for j in k.tolist()])
+    with np.errstate(divide="ignore"):  # log 0 = -inf makes every term 0 at z = 0
+        log_z = np.log(-np.asarray(z, dtype=float))
+    mags = np.exp(np.multiply.outer(log_z, k) - lg)
+    return 1.0 + np.sum(np.where(k % 2, -mags, mags), axis=-1)
+
+
+def _west_ansatz(sol):
+    """A stand-in for ``sol`` whose values are West's ansatz
+    1/(1 + E_beta(-t^beta / m)) (Physica A 429, 2015) in place of the series.
+    It is exact at beta = 1, but Area, Losada & Nieto (Physica A 444, 2016)
+    showed that it does not solve the equation for beta < 1."""
+    beta, m = sol.seq.beta, sol.seq.m
+
+    def evaluate(t):
+        z = -np.asarray(t, dtype=float) ** beta / m
+        return SimpleNamespace(w=1.0 / (1.0 + _mittag_leffler(beta, z)))
+
+    return SimpleNamespace(seq=sol.seq, domain_edge=sol.domain_edge, evaluate=evaluate)
+
+
 class TestNegativeControls:
     """Each oracle fails a series with one coefficient, g_7, off by 1%, on the
     grid and at the tolerances of ``felog verify``, where it passes the
@@ -481,6 +506,26 @@ class TestNegativeControls:
         tol = VERIFY_TOLERANCES["predictor_corrector" if method == "pc" else method]
         assert verify(clean, method, grid).sup_norm <= tol
         assert verify(perturbed, method, grid).sup_norm > tol
+
+    @pytest.mark.parametrize("beta", (0.3, 0.5, 0.9))
+    def test_float_mittag_leffler_matches_mpmath(self, beta):
+        mp = pytest.importorskip("mpmath")
+        t1 = DEFAULT_VERIFY_WINDOW * SeriesSolution.build(beta, 1.0, 256).domain_edge
+        for t in (0.05, t1 / 3, 2 * t1 / 3, t1):
+            z = -(t**beta)
+            with mp.workdps(40):
+                ref = mp.fsum(mp.mpf(z) ** k / mp.gamma(beta * k + 1) for k in range(400))
+            assert abs(_mittag_leffler(beta, z) - float(ref)) <= 1e-13, t
+
+    @pytest.mark.parametrize("beta", (0.3, 0.5, 0.9))
+    def test_west_ansatz_fails_every_grid_oracle(self, beta):
+        # the ansatz is off by 2e-2 to 6e-2 here, where the series passes
+        sol = SeriesSolution.build(beta, 1.0, 256)
+        grid = make_grid(DEFAULT_VERIFY_WINDOW * sol.domain_edge, 2000, "graded", beta)
+        west = _west_ansatz(sol)
+        for method in ("l1", "integro", "pc"):
+            tol = VERIFY_TOLERANCES["predictor_corrector" if method == "pc" else method]
+            assert verify(west, method, grid).sup_norm >= 100 * tol, method
 
 
 class TestSonine:

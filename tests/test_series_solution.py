@@ -257,10 +257,14 @@ class TestRadiusReport:
     def test_short_series_rejected_at_construction(self, n):
         # every evaluation reads the radius, so a shorter series could never
         # be evaluated
-        with pytest.raises(ValueError, match=r"^SeriesSolution needs n_terms >= 20 "):
+        message = rf"^a series needs n_terms >= 20 for its radius, got {n}$"
+        with pytest.raises(ValueError, match=message):
             SeriesSolution(build_sequence(0.7, 1.0, n))
-        with pytest.raises(ValueError, match=r"n_terms >= 20"):
+        with pytest.raises(ValueError, match=message):
             SeriesSolution.build(0.7, 1.0, n)
+        # the one check is the radius report's
+        with pytest.raises(ValueError, match=message):
+            radius_report(build_sequence(0.7, 1.0, n))
 
     def test_twenty_terms_evaluate(self):
         assert SeriesSolution.build(0.7, 1.0, 20)(0.5) > 0.5
@@ -438,6 +442,19 @@ class TestEvaluatePastTheRadius:
         assert np.isfinite(res.w[0]) and not np.any(np.isfinite(res.w[1:]))
         assert res.in_domain.tolist() == [True, False, False]
         assert np.all(np.isinf(res.tail_bound[1:]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_w_is_never_in_domain(self):
+        # every odd coefficient past g_1 underflows and r_guaranteed overflows,
+        # so the edge is inf, but t^(2 beta) overflows before m^-k can scale it
+        sol = SeriesSolution.build(1.0, 1e200, 64)
+        assert sol.domain_edge == math.inf
+        one = sol.evaluate(1e160)
+        assert math.isnan(one.w) and one.tail_bound == math.inf
+        assert one.in_domain is False
+        grid = sol.evaluate(np.array([0.0, 5e159, 1e160]))
+        assert grid.w[0] == 0.5 and np.all(np.isnan(grid.w[1:]))
+        assert grid.in_domain.tolist() == [True, False, False]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("beta", (0.1, 0.7, 1.0))
