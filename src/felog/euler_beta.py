@@ -139,9 +139,10 @@ def build_sequence(beta: float, m: float, n_terms: int = 64) -> BetaEulerSequenc
     ratio recurrences, so the rounding budget stays a fixed multiple of eps
     per coefficient.
 
-    While g_k is a normal double an even step cancels exactly. Past that, its
-    residue (a signed zero or a subnormal) is stored as +0.0: left in, it
-    feeds later steps and wrecks the sum at small beta.
+    Only the steps that make odd coefficients run. In an even step every
+    product has an even-index factor, +0.0 but for g_0 = 1/2, so it would give
+    g_k - g_k = +0.0 while g_k is normal, and past that a residue that, left
+    in, would wreck the sum at small beta. Even coefficients are stored as +0.0.
     """
     beta, m = float(beta), float(m)
     _check_order(beta, m)
@@ -151,18 +152,15 @@ def build_sequence(beta: float, m: float, n_terms: int = 64) -> BetaEulerSequenc
         raise ValueError(f"n_terms must be <= {MAX_TERMS}, got {n_terms}")
 
     lg = np.array([ln_gamma(beta * k + 1.0) for k in range(n_terms)])
-    # exp(lg[k] - lg[k+1]), exactly: negating a difference rounds nothing
-    gamma_ratios = [math.exp(-d) for d in np.diff(lg).tolist()]
-    g = np.zeros(n_terms)
-    # g reversed, so that each convolution is a dot of two contiguous slices
-    g_rev = np.zeros(n_terms)
+    # exp(lg[k] - lg[k+1]) at even k, exactly: negating a difference rounds nothing
+    gamma_ratios = [math.exp(-d) for d in np.diff(lg)[::2].tolist()]
+    # g_rev is g reversed, so that each convolution dots two contiguous slices
+    g, g_rev = np.zeros(n_terms), np.zeros(n_terms)
     g[0] = g_rev[-1] = g_k = 0.5
-    for k in range(n_terms - 1):
+    for k, ratio in zip(range(0, n_terms - 1, 2), gamma_ratios):
         conv = float(np.dot(g[: k + 1], g_rev[n_terms - 1 - k:]))
-        nxt = gamma_ratios[k] * (g_k - conv) / m
-        if k % 2 and abs(nxt) < sys.float_info.min:
-            nxt = 0.0
-        g[k + 1] = g_rev[n_terms - 2 - k] = g_k = nxt
+        g[k + 1] = g_rev[n_terms - 2 - k] = ratio * (g_k - conv) / m
+        g_k = 0.0  # g_k of every later step: an even coefficient
     return BetaEulerSequence(beta=beta, m=m, g=g)
 
 
@@ -210,13 +208,7 @@ def closed_form_check(seq: BetaEulerSequence) -> Dict[int, float]:
         raise ValueError("closed_form_check needs at least 10 coefficients")
     beta = seq.beta
     p, _ = majorant_constants(beta)
-    g2 = gamma_fn(2 * beta + 1.0)
-    g3 = gamma_fn(3 * beta + 1.0)
-    g4 = gamma_fn(4 * beta + 1.0)
-    g5 = gamma_fn(5 * beta + 1.0)
-    g6 = gamma_fn(6 * beta + 1.0)
-    g7 = gamma_fn(7 * beta + 1.0)
-    g8 = gamma_fn(8 * beta + 1.0)
+    g2, g3, g4, g5, g6, g7, g8 = (gamma_fn(k * beta + 1.0) for k in range(2, 9))
     r23 = g2 / g3
 
     closed = {

@@ -1,13 +1,13 @@
 """Series evaluation, convergence radii, and the classical degeneration.
 
 The series is summed in the variable tau = t^(2*beta): even coefficients are
-exactly zero, so a Horner pass over the odd coefficients halves the work and
-never multiplies by stored zeros. Fractional powers are taken as
-exp(beta*k*log t) for every t: log 0 = -inf makes each power exactly 0 at
-t = 0, and a power past the double range is inf. A scalar t runs the
-same operations one at a time in Python floats, with numpy's exp and log,
-so that it agrees with the array path bit for bit at a small part of the
-cost of one-element arrays.
+exactly zero, so Horner runs over the odd ones only, from the highest nonzero
+one: from 0.0 it would stay +0.0 through the underflowed zeros above it.
+Fractional powers are exp(beta*k*log t) for every t: log 0 = -inf makes each
+power exactly 0 at t = 0, and a power past the double range is inf. A scalar
+t runs the same operations one at a time in Python floats, with numpy's exp
+and log, so that it agrees with the array path bit for bit at a small part of
+the cost of one-element arrays.
 
 Four radius notions are reported side by side. The two printed formula radii
 are *diagnostics only*: evaluated verbatim they do not reproduce their own
@@ -142,7 +142,7 @@ def radius_report(seq: BetaEulerSequence) -> RadiusReport:
                            for j in range(size - 6, size - 1)])
             k = np.arange(size - 5, size, dtype=float)
             level1 = k[1:] * xs[1:] - (k[1:] - 1.0) * xs[:-1]
-            estimate = float(np.median(level1))
+            estimate = _median(level1.tolist())
         r_empirical = estimate if math.isfinite(estimate) else None
 
     return RadiusReport(
@@ -152,6 +152,13 @@ def radius_report(seq: BetaEulerSequence) -> RadiusReport:
         r_empirical=r_empirical,
         m=m,
     )
+
+
+def _median(values: list) -> float:
+    """np.median of four floats, bit for bit: the mean of the middle two,
+    summed from +0.0 as numpy's is, or NaN if any value is NaN."""
+    s = sorted(values)
+    return math.nan if any(map(math.isnan, s)) else (0.0 + s[1] + s[2]) / 2.0
 
 
 class SeriesSolution:
@@ -168,8 +175,9 @@ class SeriesSolution:
         self.seq = seq
         self.radius = r = radius_report(seq)
         self.domain_edge = r.r_empirical if r.r_empirical is not None else r.r_guaranteed
-        odd = seq.g[1::2]  # odd coefficients; evens are exactly zero
-        self._horner = odd[::-1].tolist()  # highest order first
+        # odd coefficients, highest order first, less the zeros above the last
+        # nonzero one; g_1 > 0 stays, so 0 * tau = NaN still marks an overflow
+        self._horner = np.trim_zeros(seq.g[1::2], "b")[::-1].tolist()
         # the tail rests on the last normal odd coefficient; with none, a NaN
         # ratio makes it +inf at every t
         normal = _normal_odd(seq.g)

@@ -157,7 +157,8 @@ def test_each_rule_has_one_home():
     assert fracops.VERIFY_METHODS == tuple(fracops.VERIFY_TOLERANCES)
     assert "VERIFY_TOLERANCES" not in fracops.__all__
     assert cli.MAX_TERMS is euler_beta.MAX_TERMS
-    # the normal-range cut sits beside the even-step rule that shares its bound
+    # the normal-range cut lives in euler_beta, the only module that reads
+    # sys.float_info.min
     homes = [name for name in MODULES
              if any(isinstance(node, ast.FunctionDef) and node.name == "_normal_odd"
                     for node in ast.walk(_tree(importlib.import_module(name))))]

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from felog.cli import main
 from felog import euler_beta
@@ -71,6 +73,16 @@ class TestBuildSequence:
             ref = negative_stride_recurrence(beta, m, n)
             assert build_sequence(beta, m, n).g.tobytes() == ref.tobytes(), (beta, m, n)
 
+    @settings(max_examples=60, deadline=None)
+    @given(log_beta=st.floats(-4.0, 0.0), log_m=st.floats(0.0, 300.0),
+           n=st.integers(2, 3000))
+    def test_matches_the_reference_on_any_order(self, log_beta, log_m, n):
+        # the reference runs every even step and snaps it; build_sequence runs
+        # none, so this is where a residue that is not snapped would show
+        beta, m = 10.0**log_beta, 10.0**log_m
+        ref = negative_stride_recurrence(beta, m, n)
+        assert build_sequence(beta, m, n).g.tobytes() == ref.tobytes(), (beta, m, n)
+
     def test_even_steps_below_the_smallest_normal_are_positive_zero(self):
         beta, m, n = 0.056, 1.928, 2048
         seq = build_sequence(beta, m, n)
@@ -131,7 +143,7 @@ class TestBuildSequence:
         g = negative_stride_recurrence(beta, 1.0, 66, snap_even=False)
         for k in range(1, 33):
             assert abs(g[2 * k]) <= 1e-14 * max(1.0, abs(g[2 * k - 1]))
-        # so the even-step rule changes nothing here
+        # so storing each even coefficient as +0.0 changes nothing here
         assert np.array_equal(build_sequence(beta, 1.0, 66).g, g)
 
     @pytest.mark.parametrize("beta", BETA_GRID)

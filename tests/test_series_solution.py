@@ -2,6 +2,7 @@
 classical degeneration."""
 
 import dataclasses
+import itertools
 import math
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 
 from felog import series_solution
 from felog.cli import main
-from felog.euler_beta import BetaEulerSequence, build_sequence, majorant_constants
+from felog.euler_beta import BetaEulerSequence, _normal_odd, build_sequence, majorant_constants
 from felog.series_solution import (
     C1_CLAIMED,
     C2_CLAIMED,
@@ -278,6 +279,28 @@ def _same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def untrimmed_evaluate(sol, t):
+    """evaluate's array arithmetic as first written, kept as the reference:
+    Horner runs over every odd coefficient, the zeros at the top included."""
+    beta, m = sol.seq.beta, sol.seq.m
+    t = np.asarray(t, dtype=float)
+    normal = _normal_odd(sol.seq.g)
+    q = majorant_constants(beta)[1] if normal.size else math.nan
+    last = float(normal[-1]) if normal.size else 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_t = np.log(t)
+        tb = np.exp(beta * log_t)
+        tau = tb * tb
+        acc = np.zeros_like(t)
+        for coeff in sol.seq.g[1::2][::-1].tolist():
+            acc = acc * tau + coeff
+        w = 0.5 + tb * acc
+        last_term = last * np.exp(beta * (2 * normal.size - 1) * log_t)
+        ratio = q * tau / (m * m)
+        tail = np.where(ratio < 1.0, last_term * ratio / (1.0 - ratio), np.inf)
+    return w, tail, (t <= sol.domain_edge) & np.isfinite(w)
+
+
 def _loop_r_empirical(seq):
     """The ratio test as first written, kept as the reference: every odd
     ratio in a loop, pairs with a zero skipped, and the kept ratios labelled
@@ -333,6 +356,21 @@ class TestRatioTestPrefix:
         sol = SeriesSolution(dataclasses.replace(seq, g=g))
         assert sol.radius.r_empirical is None
         assert sol.domain_edge == sol.radius.r_guaranteed
+
+
+class TestMedian:
+    def test_bit_equal_to_numpy(self):
+        # every four-tuple of signed zeros, a subnormal, values whose sum
+        # overflows, the infinities and NaN
+        pool = (0.0, -0.0, 1.0, -2.5, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for xs in itertools.product(pool, repeat=4):
+                ref = np.median(np.array(xs))
+                assert _same_bits(series_solution._median(list(xs)), ref), xs
+
+    def test_two_negative_zeros_give_positive_zero(self):
+        got = series_solution._median([-0.0, -0.0, -0.0, 1.0])
+        assert np.float64(got).tobytes() == bytes(8)
 
 
 class TestRadiusPastTheDoubleRange:
@@ -467,6 +505,52 @@ class TestEvaluatePastTheRadius:
         assert np.all(np.isinf(grid.tail_bound[2:]))
         for ti in t:
             sol.evaluate(ti)
+
+
+class TestHornerTrim:
+    """Horner starts at the highest nonzero odd coefficient; the zeros above it
+    changed no bit of w, tail_bound or in_domain."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", (64, 1024, 3000))
+    @pytest.mark.parametrize("m", (1.0, 3.0, 1e200))
+    @pytest.mark.parametrize("beta", (1e-3, 0.1, 0.5, 1.0))
+    def test_matches_the_untrimmed_reference(self, beta, m, n):
+        sol = SeriesSolution.build(beta, m, n)
+        edge = sol.domain_edge
+        scale = edge if 0.0 < edge < math.inf else 1.0
+        t = np.concatenate((
+            [0.0, 5e-324, 1e-300],
+            scale * np.array([0.01, 0.3, 0.6, 0.9, 0.99, 1.0, 1.5, 10.0, 1e6]),
+            [1e10, 1e100, 1e160, 1e300, sys.float_info.max],
+        ))
+        w, tail, in_domain = untrimmed_evaluate(sol, t)
+        grid = sol.evaluate(t)
+        assert grid.w.tobytes() == w.tobytes()
+        assert grid.tail_bound.tobytes() == tail.tobytes()
+        assert grid.in_domain.tobytes() == in_domain.tobytes()
+        for i, ti in enumerate(t.tolist()):
+            one = sol.evaluate(ti)
+            assert _same_bits(one.w, w[i]) and _same_bits(one.tail_bound, tail[i]), ti
+            assert one.in_domain is bool(in_domain[i]), ti
+
+    def test_cases_above_trim_zeros_and_overflow(self):
+        # zeros above the last nonzero odd coefficient at every m = 3 and
+        # m = 1e200 case with n >= 1024; at m = 1e200 only g_1 is left, and
+        # the first Horner step's 0 * tau gives NaN where tau overflows
+        for beta in (1e-3, 0.1, 0.5, 1.0):
+            for m in (3.0, 1e200):
+                sol = SeriesSolution.build(beta, m, 1024)
+                assert len(sol._horner) < 512, (beta, m)
+        sol = SeriesSolution.build(1.0, 1e200, 64)
+        assert sol._horner == [sol.seq.g[1]]
+        assert math.isnan(sol(1e160)) and math.isnan(untrimmed_evaluate(sol, [1e160])[0][0])
+
+    def test_g1_is_never_trimmed(self):
+        # g_1 = p / m is positive for every finite m, so Horner has a step
+        sol = SeriesSolution.build(0.5, sys.float_info.max, 20)
+        assert 0.0 < sol.seq.g[1] < sys.float_info.min
+        assert sol._horner == [sol.seq.g[1]]
 
 
 class TestRemarkBound:
