@@ -128,9 +128,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         t1 = args.t1
         if t1 is None:
             t1 = DEFAULT_VERIFY_WINDOW * sol.domain_edge
-            if not math.isfinite(t1):
-                raise ValueError(f"the default grid end is not finite ({t1!r}); give --t1")
-        grid = make_grid(t1, args.steps or 2000, args.grid or "graded", args.beta)
+            if not 0.0 < t1 < math.inf:
+                kind = "positive" if math.isfinite(t1) else "finite"
+                raise ValueError(f"the default grid end is not {kind} ({t1!r}); give --t1")
+        # pc reads only the grid end, which two uniform cells reach
+        cells, spacing = (2, "uniform") if args.method == "pc" else (args.steps, args.grid)
+        grid = make_grid(t1, cells or 2000, spacing or "graded", args.beta)
     report = verify(sol, args.method, grid)
 
     tol = args.tol if args.tol is not None else VERIFY_TOLERANCES[report.method]
@@ -199,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--method", choices=("termwise", "l1", "integro", "pc"), default="termwise")
     p.add_argument("--t1", type=float, default=None,
-                   help="grid end (default: 0.7 * empirical radius)")
+                   help="grid end, for pc the stepper's end (default: 0.7 * empirical radius)")
     p.add_argument("--steps", type=int, help="grid cells for l1 and integro (default 2000)")
     p.add_argument("--grid", choices=("uniform", "graded"),
                    help="grid spacing for l1 and integro (default graded)")

@@ -148,7 +148,12 @@ def graded_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
     _check_cells(n)
     _check_beta(beta)
     j = np.arange(n + 1, dtype=float)
-    return QuadratureGrid(t1 * (j / n) ** (2.0 / beta), beta)
+    nodes = t1 * (j / n) ** (2.0 / beta)
+    if nodes[1] == 0.0:
+        raise ValueError(f"a graded grid of {n} cells at beta = {beta:g} on (0, {t1:.6g}] "
+                         "underflows: its first node t1 * n^(-2/beta) is 0; use fewer cells "
+                         "or a uniform grid")
+    return QuadratureGrid(nodes, beta)
 
 
 def make_grid(t1: float, n: int, spacing: str, beta: float) -> QuadratureGrid:
@@ -429,11 +434,13 @@ def verify(
     from ``sol`` through ``sol.seq``, ``sol.domain_edge`` and ``sol.evaluate(t).w``.
 
     termwise: coefficient-wise defect of the recurrence (index grid);
-    l1/integro: pointwise defect on the grid nodes with t >= REPORT_START;
-    predictor_corrector: deviation from the solution stepped by solve_pc
-    on its own uniform grid up to the last grid node. Grids must be built
-    for the series' beta, stay within (0, 0.8 * empirical radius) and reach
-    REPORT_START.
+    l1/integro: pointwise defect on the grid nodes with t >= REPORT_START,
+    from one evaluation at the nodes (and, for integro, one at the cell
+    midpoints); predictor_corrector: deviation from the solution stepped by
+    solve_pc on its own uniform grid up to the last grid node, at its steps
+    with t >= REPORT_START; of the grid it reads only that node and beta.
+    Grids must be built for the series' beta, stay within (0, 0.8 *
+    empirical radius) and reach REPORT_START.
     """
     method = "predictor_corrector" if method == "pc" else method
     if method not in VERIFY_METHODS:
@@ -460,40 +467,32 @@ def verify(
         )
 
     if method == "predictor_corrector":
-        t_pc, u_pc = solve_pc(seq.beta, seq.m, float(grid.nodes[-1]), pc_step)
-        keep = _reported(t_pc)
-        w = sol.evaluate(t_pc[keep]).w
-        return ResidualReport(method, t_pc[keep], np.abs(w - u_pc[keep]))
-
-    t = grid.nodes[1:]
-    keep = _reported(t)
-    if method == "l1":
-        w = sol.evaluate(grid.nodes).w
-        lhs = caputo_l1_all(w, grid)
-        rhs = (w[1:] - w[1:] ** 2) / seq.m
-        residual = np.abs(lhs - rhs)[keep]
+        t, u_pc = solve_pc(seq.beta, seq.m, float(grid.nodes[-1]), pc_step)
     else:
-        # The singular-kernel rewriting is checked in its integrated form
-        # w(t) - w(0) = I^beta[(w - w^2)/m]: as printed, with w' on the left,
-        # the two sides' Laplace symbols differ by a factor lambda and the
-        # pointwise defect is O(1) for every grid.
-        mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-        w_mid = sol.evaluate(mids).w
-        f_mid = (w_mid - w_mid**2) / seq.m
-        rhs = fractional_integral_midpoint(f_mid, grid)
-        w_nodes = sol.evaluate(t[keep]).w
-        residual = np.abs((w_nodes - 0.5) - rhs[keep])
-    return ResidualReport(method, t[keep], residual)
-
-
-def _reported(t: np.ndarray) -> np.ndarray:
-    """Mask of the points t >= REPORT_START a report keeps; there must be one."""
+        t = grid.nodes[1:]
     keep = t >= REPORT_START
     if not keep.any():
         raise ValueError(
             f"no node lies at or after t_min = {REPORT_START:g}; the last is {t[-1]:.6g}"
         )
-    return keep
+    t = t[keep]
+
+    if method == "predictor_corrector":
+        residual = sol.evaluate(t).w - u_pc[keep]
+    else:
+        w = sol.evaluate(grid.nodes).w
+        if method == "l1":
+            residual = caputo_l1_all(w, grid) - (w[1:] - w[1:] ** 2) / seq.m
+        else:
+            # The singular-kernel rewriting is checked in its integrated form
+            # w(t) - w(0) = I^beta[(w - w^2)/m]: as printed, with w' on the left,
+            # the two sides' Laplace symbols differ by a factor lambda and the
+            # pointwise defect is O(1) for every grid.
+            w_mid = sol.evaluate(0.5 * (grid.nodes[:-1] + grid.nodes[1:])).w
+            rhs = fractional_integral_midpoint((w_mid - w_mid**2) / seq.m, grid)
+            residual = (w[1:] - 0.5) - rhs
+        residual = residual[keep]
+    return ResidualReport(method, t, np.abs(residual))
 
 
 def _beta_integral(a: float, b: float) -> float:
@@ -517,26 +516,22 @@ def _beta_integral(a: float, b: float) -> float:
 
 
 def sonine_check(beta: float, t_grid) -> float:
-    """Max deviation from 1 of the convolution of the kernel pair
+    """Deviation from 1 of the convolution of the kernel pair
     t^(-beta)/Gamma(1-beta) and t^(beta-1)/Gamma(beta).
 
     Substituting s = t*z turns the doubly singular convolution into the Beta
-    integral of (1-beta, beta) scaled by t^0; the z-integral is evaluated by
-    a fixed tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974),
-    independently of the Gamma identities it confirms.
+    integral of (1-beta, beta) scaled by t^0: the identity does not depend on
+    t, so the t values are only validated. The z-integral is evaluated by a
+    fixed tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974), independently
+    of the Gamma identities it confirms.
     """
     _check_strict(beta, "the kernel pair")
     t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_arr.size == 0:
         raise ValueError("the t grid is empty")
     _check_positive("t values", t_arr)
-    z_integral = _beta_integral(1.0 - beta, beta)
     norm = math.exp(-ln_gamma(1.0 - beta) - ln_gamma(beta))
-    # t enters only through t^((1-beta) + (beta-1)); keep it to expose any
-    # t-dependence a transcription error would introduce
-    exponent = (1.0 - beta) + (beta - 1.0)
-    values = norm * z_integral * t_arr**exponent
-    return float(np.max(np.abs(values - 1.0)))
+    return abs(norm * _beta_integral(1.0 - beta, beta) - 1.0)
 
 
 def sonine_product_quadrature(beta: float, t: float) -> float:

@@ -109,6 +109,7 @@ def test_second_paths_are_gone():
     assert not hasattr(euler_beta, "EVEN_SNAP_TOL")
     assert not hasattr(series_solution, "_exp")
     assert not hasattr(fracops, "caputo_termwise_array")
+    assert not hasattr(fracops, "_reported")
     # the output depends on the arguments alone
     for name in ("felog",) + MODULES:
         source = inspect.getsource(importlib.import_module(name))

@@ -282,6 +282,32 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: the default grid end is not finite (inf); give --t1\n"
 
+    @pytest.mark.parametrize("method", ("l1", "integro", "pc"))
+    def test_negative_default_grid_end_asks_for_t1(self, cli, method):
+        # r_empirical is negative here (ROADMAP H), and so is 0.7 * domain_edge
+        code, out, err = cli("verify", "--method", method, "--beta", "0.02", "-n", "64")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the default grid end is not positive (-")
+        assert err.endswith("); give --t1\n")
+
+    @pytest.mark.parametrize("beta", ("0.012", "0.015", "0.019"))
+    def test_pc_runs_where_a_graded_grid_underflows(self, cli, beta):
+        # pc reads only the grid end, so the CLI gives it two uniform cells
+        code, out, err = cli("verify", "--method", "pc", "--beta", beta, "-n", "256")
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert payload["tol"] == 1e-5 and 1.0e-5 < payload["sup_norm"] < 1.4e-5
+
+    @pytest.mark.parametrize("method", ("l1", "integro"))
+    def test_graded_underflow_is_named_and_uniform_runs(self, cli, method):
+        args = ("verify", "--method", method, "--beta", "0.015", "-n", "256")
+        code, out, err = cli(*args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a graded grid of 2000 cells at beta = 0.015 on (0, ")
+        assert "underflows" in err
+        code, out, _ = cli(*args, "--grid", "uniform")
+        assert code == 0 and json.loads(out)["sup_norm"] < 2e-5
+
     def test_given_grid_end_at_huge_m_still_runs(self, cli):
         code, out, _ = cli("verify", "--method", "pc", "--m", "1e200", "--t1", "1")
         assert code == 0 and json.loads(out)["t"][-1] == 1.0

@@ -76,6 +76,16 @@ class TestGrids:
         nodes = make(1.0, np.int64(4), 0.5).nodes
         assert nodes.size == 5 and nodes[-1] == 1.0
 
+    def test_graded_underflow_is_named(self):
+        # at t1 = 1 and 2000 cells, t1 * n^(-2/beta) underflows below beta ~ 0.0204
+        with pytest.raises(ValueError) as exc:
+            graded_grid(1.0, 2000, 0.01)
+        assert str(exc.value) == (
+            "a graded grid of 2000 cells at beta = 0.01 on (0, 1] underflows: its "
+            "first node t1 * n^(-2/beta) is 0; use fewer cells or a uniform grid"
+        )
+        assert graded_grid(1.0, 2000, 0.021).nodes[1] > 0.0
+
     def test_make_grid_dispatch(self):
         assert make_grid(1.0, 8, "uniform", 0.5).nodes.size == 9
         with pytest.raises(ValueError):
@@ -424,6 +434,37 @@ class TestVerify:
         assert sup_pc <= 1e-4 + 1e-5
         assert sup_l1 <= 1e-4
 
+    @pytest.mark.parametrize("beta", (1.0, 0.7, 0.3))
+    def test_pc_reads_only_the_grid_end(self, beta):
+        sol = SeriesSolution.build(beta, 1.0, 64)
+        t1 = 0.7 * sol.domain_edge
+        graded = verify(sol, "pc", graded_grid(t1, 2000, beta))
+        two = verify(sol, "pc", uniform_grid(t1, 2, beta))
+        assert graded.grid.tobytes() == two.grid.tobytes()
+        assert graded.residual.tobytes() == two.residual.tobytes()
+
+    @pytest.mark.parametrize("method", ("l1", "integro", "pc"))
+    def test_each_method_evaluates_only_what_it_reads(self, method):
+        sol = SeriesSolution.build(0.5, 1.0, 64)
+        grid = graded_grid(0.7 * sol.domain_edge, 200, 0.5)
+        calls = []
+
+        def evaluate(t):
+            calls.append(np.array(t))
+            return sol.evaluate(t)
+
+        stub = SimpleNamespace(seq=sol.seq, domain_edge=sol.domain_edge, evaluate=evaluate)
+        rep = verify(stub, method, grid)
+        nodes = grid.nodes
+        t_pc, _ = solve_pc(0.5, 1.0, nodes[-1], 1e-3)
+        expected = {
+            "l1": [nodes],
+            "integro": [nodes, 0.5 * (nodes[:-1] + nodes[1:])],
+            "pc": [t_pc[t_pc >= fracops.REPORT_START]],
+        }[method]
+        assert [c.tobytes() for c in calls] == [e.tobytes() for e in expected]
+        assert rep.residual.tobytes() == verify(sol, method, grid).residual.tobytes()
+
     def test_grid_past_domain_rejected(self):
         sol = SeriesSolution.build(0.5, 1.0, 64)
         bad = graded_grid(2.0 * sol.domain_edge, 100, 0.5)
@@ -535,6 +576,12 @@ class TestSonine:
     @pytest.mark.parametrize("beta", (0.001, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999))
     def test_identity_across_t(self, beta):
         assert sonine_check(beta, [0.5, 1.0, 3.0]) <= 1e-10
+
+    @pytest.mark.parametrize("beta", (0.001, 0.3, 0.5, 0.999))
+    def test_one_value_serves_every_t(self, beta):
+        # the identity is free of t, which is only validated
+        grids = ([0.5], [0.5, 1.0, 3.0], [1e-300, 1e300])
+        assert len({sonine_check(beta, t) for t in grids}) == 1
 
     def test_t_independence_variance(self):
         from scipy import integrate
