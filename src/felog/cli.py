@@ -101,15 +101,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     t, w, tail, in_dom = (a.tolist() for a in (t, res.w, res.tail_bound, res.in_domain))
-    payload = {
-        "beta": args.beta,
-        "m": args.m,
-        "n_terms": args.n_terms,
-        "t": t,
-        "w": w,
-        "tail_bound": tail,
-        "in_domain": in_dom,
-    }
+    payload = {key: getattr(args, key) for key in ("beta", "m", "n_terms")}
+    payload.update(t=t, w=w, tail_bound=tail, in_domain=in_dom)
     _emit(args, payload, ["t", "w", "tail_bound", "in_domain"], zip(t, w, tail, in_dom))
     return 0
 

@@ -23,7 +23,7 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .specfun import EULER_MASCHERONI, gamma_fn, ln_gamma
+from .specfun import EULER_MASCHERONI, _ln_gamma_table, gamma_fn, ln_gamma
 
 __all__ = [
     "BetaEulerSequence",
@@ -83,7 +83,7 @@ class BetaEulerSequence:
     def raw_log10(self) -> np.ndarray:
         """log10 |E_k|; -inf where g_k is exactly zero."""
         n = self.g.size
-        lg = np.array([ln_gamma(self.beta * k + 1.0) for k in range(n)])
+        lg = np.array(_ln_gamma_table(self.beta, n))
         with np.errstate(divide="ignore"):  # log10(0) = -inf marks a zero g_k
             log_g = np.log10(np.abs(self.g))
         return _read_only(log_g + np.arange(n) * math.log10(self.m) + lg / math.log(10.0))
@@ -151,15 +151,14 @@ def build_sequence(beta: float, m: float, n_terms: int = 64) -> BetaEulerSequenc
     if n_terms > MAX_TERMS:
         raise ValueError(f"n_terms must be <= {MAX_TERMS}, got {n_terms}")
 
-    lg = np.array([ln_gamma(beta * k + 1.0) for k in range(n_terms)])
-    # exp(lg[k] - lg[k+1]) at even k, exactly: negating a difference rounds nothing
-    gamma_ratios = [math.exp(-d) for d in np.diff(lg)[::2].tolist()]
-    # g_rev is g reversed, so that each convolution dots two contiguous slices
+    lg = _ln_gamma_table(beta, n_terms)
+    gamma_ratios = map(math.exp, map(float.__sub__, lg[0::2], lg[1::2]))  # lg[k] - lg[k+1], even k
+    # g_rev is g reversed, so even step k dots contiguous g[:k + 1] and g_rev[n_terms - 1 - k:]
     g, g_rev = np.zeros(n_terms), np.zeros(n_terms)
     g[0] = g_rev[-1] = g_k = 0.5
-    for k, ratio in zip(range(0, n_terms - 1, 2), gamma_ratios):
-        conv = float(np.dot(g[: k + 1], g_rev[n_terms - 1 - k:]))
-        g[k + 1] = g_rev[n_terms - 2 - k] = ratio * (g_k - conv) / m
+    for k1, j, ratio in zip(range(1, n_terms, 2), range(n_terms - 1, 0, -2), gamma_ratios):
+        conv = float(g[:k1].dot(g_rev[j:]))
+        g[k1] = g_rev[j - 1] = ratio * (g_k - conv) / m
         g_k = 0.0  # g_k of every later step: an even coefficient
     return BetaEulerSequence(beta=beta, m=m, g=g)
 

@@ -177,7 +177,7 @@ class SeriesSolution:
         self.domain_edge = r.r_empirical if r.r_empirical is not None else r.r_guaranteed
         # odd coefficients, highest order first, less the zeros above the last
         # nonzero one; g_1 > 0 stays, so 0 * tau = NaN still marks an overflow
-        self._horner = np.trim_zeros(seq.g[1::2], "b")[::-1].tolist()
+        self._horner = seq.g[2 * np.flatnonzero(seq.g[1::2])[-1] + 1 :: -2].tolist()
         # the tail rests on the last normal odd coefficient; with none, a NaN
         # ratio makes it +inf at every t
         normal = _normal_odd(seq.g)

@@ -168,6 +168,23 @@ def test_each_rule_has_one_home():
     assert not hasattr(series_solution, "sys")
 
 
+def test_the_log_gamma_table_has_one_home():
+    # ln Gamma(beta*k + 1) over k < n is built in specfun alone: no module
+    # maps ln_gamma over a range, and the table's users hold the one function
+    homes = [name for name in MODULES
+             if any(isinstance(node, ast.FunctionDef) and node.name == "_ln_gamma_table"
+                    for node in ast.walk(_tree(importlib.import_module(name))))]
+    assert homes == ["felog.specfun"]
+    assert euler_beta._ln_gamma_table is specfun._ln_gamma_table
+    assert fracops._ln_gamma_table is specfun._ln_gamma_table
+    for name in MODULES:
+        for node in ast.walk(_tree(importlib.import_module(name))):
+            if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.Call)):
+                calls = ast.walk(node.elt) if hasattr(node, "elt") else node.args[:1]
+                assert not any(isinstance(c, ast.Name) and c.id == "ln_gamma"
+                               for c in calls), (name, ast.unparse(node))
+
+
 def test_acceptance_criteria_are_never_skipped():
     # a failing criterion must show as a failure, never as a skip or an xfail
     text = (Path(__file__).resolve().parent / "test_acceptance.py").read_text(encoding="utf-8")

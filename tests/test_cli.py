@@ -273,6 +273,16 @@ class TestVerify:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "t_min" in err
 
+    @pytest.mark.parametrize("method, t1", (("l1", "0.04"), ("integro", "0.04"),
+                                            ("pc", "0.04"), ("pc", "1e-9")))
+    def test_t_min_error_names_the_given_grid_end(self, cli, method, t1):
+        # at 1e-9 pc's stepper still takes one step of 1e-3, but the message
+        # names the grid end the caller gave, as it does for l1 and integro
+        code, out, err = cli("verify", "--method", method, "--t1", t1)
+        assert (code, out) == (2, "")
+        given = f"{float(t1):.6g}"
+        assert err == f"error: no node lies at or after t_min = 0.05; the last is {given}\n"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ("l1", "pc"))
     @pytest.mark.parametrize("m", ("1e200", "1e308"))

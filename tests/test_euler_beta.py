@@ -175,6 +175,16 @@ class TestBuildSequence:
             )
             assert seq.raw_log10[k] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("beta, n", [(1.0, 300), (0.5, 1024), (0.3, 1000), (1e-3, 64)])
+    def test_raw_log_magnitude_matches_the_per_element_loop(self, beta, n):
+        # bit for bit, on both sides of the log-Gamma table's cut at x = 171
+        seq = build_sequence(beta, 2.0, n)
+        lg = np.array([ln_gamma(beta * k + 1.0) for k in range(n)])
+        with np.errstate(divide="ignore"):
+            log_g = np.log10(np.abs(seq.g))
+        ref = log_g + np.arange(n) * math.log10(2.0) + lg / math.log(10.0)
+        assert seq.raw_log10.tobytes() == ref.tobytes()
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             build_sequence(0.0, 1.0, 8)
