@@ -25,15 +25,15 @@ import sys
 
 import numpy as np
 
-from .euler_beta import MAX_TERMS, build_sequence
+from .euler_beta import DEFAULT_TERMS, MAX_TERMS, build_sequence
 from .fracops import MAX_STEPS, VERIFY_TOLERANCES, make_grid, verify
 from .series_solution import SeriesSolution, _classical_curves, radius_report
 
 __all__ = ["VERIFY_TOLERANCES", "MAX_TERMS", "MAX_STEPS", "main"]
 
-#: Verification grids default to this fraction of the empirical radius: far
-#: enough in to be interesting, close enough that the default 64-term series
-#: stays well below every method tolerance.
+#: Verification grids default to this fraction of ``domain_edge``: far enough
+#: in to be interesting, close enough that a default-length series stays well
+#: below every method tolerance.
 DEFAULT_VERIFY_WINDOW = 0.7
 
 
@@ -96,8 +96,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     res = sol.evaluate(t)
     if not np.all(res.in_domain):
         print(
-            f"warning: {int(np.sum(~res.in_domain))} of {t.size} rows lie past the "
-            f"empirical radius {sol.domain_edge:.6g}; values there are extrapolation",
+            f"warning: {int(np.sum(~res.in_domain))} of {t.size} rows lie past domain_edge "
+            f"{sol.domain_edge:.6g} or have no finite sum; in_domain is false there",
             file=sys.stderr,
         )
     t, w, tail, in_dom = (a.tolist() for a in (t, res.w, res.tail_bound, res.in_domain))
@@ -148,8 +148,6 @@ def cmd_radius(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     t = _t_grid(args)
-    if args.beta != 1.0:
-        raise ValueError("the closed-form comparison requires beta = 1")
     w, closed = _classical_curves(args.m, t, args.n_terms)
     deviation = np.abs(w - closed)
     payload = {key: getattr(args, key) for key in ("beta", "m", "n_terms", "t0", "t1", "steps")}
@@ -175,37 +173,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--beta", type=float, default=0.5, help="fractional order in (0, 1]")
+    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        if name != "compare":  # the closed form exists at beta = 1 alone
+            p.add_argument("--beta", type=float, default=0.5, help="fractional order in (0, 1]")
         p.add_argument("--m", type=float, default=1.0, help="rate parameter, >= 1")
-        p.add_argument("-n", "--n-terms", dest="n_terms", type=int, default=64)
+        p.add_argument("-n", "--n-terms", dest="n_terms", type=int, default=DEFAULT_TERMS)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
+        return p
 
-    p = sub.add_parser("coeffs", help="emit the coefficient sequence")
-    common(p)
+    command("coeffs", "emit the coefficient sequence")
 
-    p = sub.add_parser("eval", help="evaluate the series on a t grid")
-    common(p)
+    p = command("eval", "evaluate the series on a t grid")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=200, help="number of grid intervals")
 
-    p = sub.add_parser("verify", help="run one verification oracle (pass/fail exit code)")
-    common(p)
+    p = command("verify", "run one verification oracle (pass/fail exit code)")
     p.add_argument("--method", choices=("termwise", "l1", "integro", "pc"), default="termwise")
     p.add_argument("--t1", type=float, default=None,
-                   help="grid end, for pc the stepper's end (default: 0.7 * empirical radius)")
+                   help="grid end, for pc the stepper's end (default: 0.7 * domain_edge)")
     p.add_argument("--steps", type=int, help="grid cells for l1 and integro (default 2000)")
     p.add_argument("--grid", choices=("uniform", "graded"),
                    help="grid spacing for l1 and integro (default graded)")
     p.add_argument("--tol", type=float, default=None, help="override the method tolerance")
 
-    p = sub.add_parser("radius", help="report the four radius estimates")
-    common(p)
+    command("radius", "report the four radius estimates")
 
-    p = sub.add_parser("compare", help="beta=1 series against the closed form")
-    common(p)
+    p = command("compare", "beta=1 series against the closed form")
     p.set_defaults(beta=1.0)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=2.0)

@@ -39,6 +39,9 @@ __all__ = [
 #: above any use (-n 256), small enough that no array it sizes exhausts memory.
 MAX_TERMS = 10_000
 
+#: Coefficients a series gets when the caller names no count (and -n's default).
+DEFAULT_TERMS = 64
+
 
 @dataclass(frozen=True, eq=False)
 class BetaEulerSequence:
@@ -130,7 +133,7 @@ class BoundSequences:
     q_majorant: float
 
 
-def build_sequence(beta: float, m: float, n_terms: int = 64) -> BetaEulerSequence:
+def build_sequence(beta: float, m: float, n_terms: int = DEFAULT_TERMS) -> BetaEulerSequence:
     """Run the normalized recurrence and package the coefficients.
 
     g_{k+1} = [Gamma(beta*k+1)/Gamma(beta*(k+1)+1)] * (g_k - sum_{i+j=k} g_i g_j) / m
@@ -242,19 +245,11 @@ def bound_sequences(seq: BetaEulerSequence) -> BoundSequences:
         raise ValueError("bound sequences are defined for m = 1 sequences")
     beta = seq.beta
     p, q_majorant = majorant_constants(beta)
-    base_a = (
-        (1.0 / 2.0**beta)
-        * ((2 * beta + 1) / (3 * beta + 1)) ** (2 * beta + 0.5)
-        * math.exp(beta)
-        / (3 * beta + 1) ** (beta + 0.5 - EULER_MASCHERONI)
-    )
-    base_b = (
-        0.5
-        * ((2 * beta + 1) / (3 * beta + 1)) ** (2 * beta + 0.5)
-        * math.exp(2 * beta)
-        / (3 * beta + 1) ** (beta + 0.5 - EULER_MASCHERONI)
-        / (beta + 1) ** (beta + 1 - EULER_MASCHERONI)
-    )
+    shrink = ((2 * beta + 1) / (3 * beta + 1)) ** (2 * beta + 0.5)
+    spread = (3 * beta + 1) ** (beta + 0.5 - EULER_MASCHERONI)
+    base_a = (1.0 / 2.0**beta) * shrink * math.exp(beta) / spread
+    base_b = (0.5 * shrink * math.exp(2 * beta) / spread
+              / (beta + 1) ** (beta + 1 - EULER_MASCHERONI))
 
     n = np.arange(seq.n_terms, dtype=float)
     a = p * base_a ** (n / 2.0)

@@ -440,7 +440,7 @@ def verify(
     solve_pc on its own uniform grid up to the last grid node, at its steps
     with t >= REPORT_START; of the grid it reads only that node and beta.
     Grids must be built for the series' beta, stay within (0, 0.8 *
-    empirical radius) and reach REPORT_START.
+    sol.domain_edge) and reach REPORT_START.
     """
     method = "predictor_corrector" if method == "pc" else method
     if method not in VERIFY_METHODS:
@@ -463,7 +463,7 @@ def verify(
     edge = 0.8 * sol.domain_edge
     if grid.nodes[-1] > edge * (1.0 + 1e-12):
         raise ValueError(
-            f"grid extends to {grid.nodes[-1]:.6g}, past 0.8 * empirical radius = {edge:.6g}"
+            f"grid extends to {grid.nodes[-1]:.6g}, past 0.8 * domain_edge = {edge:.6g}"
         )
 
     if method == "predictor_corrector":

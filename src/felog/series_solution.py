@@ -23,7 +23,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .euler_beta import BetaEulerSequence, _normal_odd, build_sequence, majorant_constants
+from .euler_beta import (DEFAULT_TERMS, BetaEulerSequence, _normal_odd, build_sequence,
+                         majorant_constants)
 from .specfun import EULER_MASCHERONI
 
 __all__ = [
@@ -126,24 +127,21 @@ def radius_report(seq: BetaEulerSequence) -> RadiusReport:
     r_ii = _formula_ii(beta, m) if beta > EULER_MASCHERONI - 0.5 else None
 
     _, q = majorant_constants(beta)
-    try:
-        r_guaranteed = (m * m / q) ** (1.0 / (2.0 * beta))
-    except OverflowError:  # past the double range, as at small beta or large m
-        r_guaranteed = math.inf
-
     odd = _normal_odd(seq.g)
     size = odd.size
     r_empirical: Optional[float] = None
-    if size >= 6:
-        # ratio k = odd[k-1] / odd[k], for the last five k of the prefix; one
-        # past the double range leaves no finite estimate
-        with np.errstate(over="ignore", invalid="ignore"):
+    # past the double range r_guaranteed is inf, as at small beta or large m,
+    # and a ratio there leaves no finite estimate
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_guaranteed = float(np.float64(m * m / q) ** (1.0 / (2.0 * beta)))
+        if size >= 6:
+            # ratio k = odd[k-1] / odd[k], for the last five k of the prefix
             xs = np.array([(odd[j] / odd[j + 1]) ** (1.0 / (2.0 * beta))
                            for j in range(size - 6, size - 1)])
             k = np.arange(size - 5, size, dtype=float)
             level1 = k[1:] * xs[1:] - (k[1:] - 1.0) * xs[:-1]
             estimate = _median(level1.tolist())
-        r_empirical = estimate if math.isfinite(estimate) else None
+            r_empirical = estimate if math.isfinite(estimate) else None
 
     return RadiusReport(
         r_formula_i=r_i,
@@ -186,7 +184,7 @@ class SeriesSolution:
         self._k_last = 2 * normal.size - 1
 
     @classmethod
-    def build(cls, beta: float, m: float = 1.0, n_terms: int = 64) -> "SeriesSolution":
+    def build(cls, beta: float, m: float = 1.0, n_terms: int = DEFAULT_TERMS) -> "SeriesSolution":
         return cls(build_sequence(beta, m, n_terms))
 
     def evaluate(self, t) -> EvalResult:
@@ -253,14 +251,19 @@ class SeriesSolution:
         return self.evaluate(t).w
 
 
+def _check_remark_beta(beta: float) -> None:
+    """The orders the closed-form majorant is stated for."""
+    if not (0.5 < beta <= 1.0):
+        raise ValueError("the closed-form majorant requires beta in (1/2, 1]")
+
+
 def remark_radius(beta: float) -> float:
     """Printed radius of the closed-form majorant: 2^(2b-1) (1 + 2b^2/(2b+1)).
 
     At beta = 1 this evaluates to 10/3, although it is printed as <= 3; the
     value is returned exactly as the formula gives it.
     """
-    if not (0.5 < beta <= 1.0):
-        raise ValueError("the closed-form majorant requires beta in (1/2, 1]")
+    _check_remark_beta(beta)
     return 2.0 ** (2 * beta - 1) * (1.0 + 2 * beta * beta / (2 * beta + 1))
 
 
@@ -270,8 +273,7 @@ def remark_bound_pole(beta: float) -> float:
     This lies strictly below :func:`remark_radius`; between the two the
     printed expression is negative and useless as a bound.
     """
-    if not (0.5 < beta <= 1.0):
-        raise ValueError("the closed-form majorant requires beta in (1/2, 1]")
+    _check_remark_beta(beta)
     return 2.0 ** (2 * beta - 1) * (3 * beta + 1 + 2 * beta * beta) / (3 * beta + 1)
 
 
@@ -290,7 +292,7 @@ def remark_bound(beta: float, t: float) -> float:
     return 0.5 + p / (1.0 - rate * t)
 
 
-def compare_classical(m: float, t_grid, n_terms: int = 64) -> float:
+def compare_classical(m: float, t_grid, n_terms: int = DEFAULT_TERMS) -> float:
     """Max absolute deviation of the beta = 1 series from 1/(1 + exp(-t/m)).
 
     The closed form solves u' = (u - u^2)/m from u(0) = 1/2, the classical

@@ -2,6 +2,7 @@
 its modules' lists, the value types store only their inputs, and each
 computation has one entry point."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -166,6 +167,33 @@ def test_each_rule_has_one_home():
     assert homes == ["felog.euler_beta"]
     assert series_solution._normal_odd is euler_beta._normal_odd
     assert not hasattr(series_solution, "sys")
+
+
+def test_the_default_term_count_has_one_home():
+    # euler_beta alone spells the number, beside MAX_TERMS, and exports it nowhere
+    default = euler_beta.DEFAULT_TERMS
+    assert "DEFAULT_TERMS" not in euler_beta.__all__ and not hasattr(felog, "DEFAULT_TERMS")
+    homes = [name for name in MODULES
+             if any(isinstance(node, ast.Constant) and type(node.value) is int
+                    and node.value == default
+                    for node in ast.walk(_tree(importlib.import_module(name))))]
+    assert homes == ["felog.euler_beta"]
+    for fn in (build_sequence, SeriesSolution.build, compare_classical):
+        assert inspect.signature(fn).parameters["n_terms"].default == default, fn
+    parser = cli._build_parser()
+    assert [parser.parse_args([name]).n_terms for name in cli._COMMANDS] == [default] * 5
+
+
+def test_compare_takes_no_beta():
+    # the closed form exists at beta = 1 alone: no flag, no check, and the
+    # payload still carries the order
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    without = [name for name, sub in commands.choices.items()
+               if not any("--beta" in a.option_strings for a in sub._actions)]
+    assert without == ["compare"]
+    assert parser.parse_args(["compare"]).beta == 1.0
+    assert "args.beta" not in inspect.getsource(cli.cmd_compare)
 
 
 def test_the_log_gamma_table_has_one_home():

@@ -141,7 +141,7 @@ class TestEval:
         payload = json.loads(out, parse_constant=_reject)
         assert payload["w"] == [0.5, None, None]
         assert payload["in_domain"] == [True, False, False]
-        assert err.startswith("warning: 2 of 3 rows lie past the empirical radius")
+        assert err.startswith("warning: 2 of 3 rows lie past domain_edge 3.14159 ")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.filterwarnings("error")
@@ -162,7 +162,9 @@ class TestEval:
         payload = json.loads(out, parse_constant=_reject)
         assert payload["w"] == [0.5, None, None]
         assert payload["in_domain"] == [True, False, False]
-        assert err.startswith("warning: 2 of 3 rows lie past the empirical radius")
+        # no row lies past the edge: the warning names both reasons
+        assert err.startswith("warning: 2 of 3 rows lie past domain_edge inf "
+                              "or have no finite sum")
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_grid_prints_only_the_domain_warning(self, cli):
@@ -170,7 +172,7 @@ class TestEval:
         code, out, err = cli("eval", "--beta", "1", "--t1", "1e300", "--steps", "2")
         assert code == 0
         assert json.loads(out)["in_domain"] == [True, False, False]
-        assert err.startswith("warning: 2 of 3 rows lie past the empirical radius")
+        assert err.startswith("warning: 2 of 3 rows lie past domain_edge 3.14159 ")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.filterwarnings("error")
@@ -424,7 +426,9 @@ class TestCompare:
     def test_within_budget(self, cli):
         code, out, _ = cli("compare", "--m", "1", "--t1", "2", "--steps", "20")
         assert code == 0
-        assert json.loads(out)["max_abs_deviation"] <= 1e-8
+        payload = json.loads(out)
+        assert payload["max_abs_deviation"] <= 1e-8
+        assert payload["beta"] == 1.0  # the order it was built at, though not a flag
 
     @pytest.mark.parametrize("fmt", ("json", "csv"))
     def test_builds_the_series_once(self, cli, monkeypatch, fmt):
@@ -445,10 +449,14 @@ class TestCompare:
             rows = list(csv.DictReader(io.StringIO(out)))
             assert max(float(row["abs_deviation"]) for row in rows) == expected
 
-    def test_rejects_fractional_order(self, cli):
-        code, _, err = cli("compare", "--beta", "0.7")
-        assert code == 2
-        assert "beta = 1" in err
+    @pytest.mark.parametrize("beta", ("1", "0.7"))
+    def test_takes_no_beta(self, capsys, beta):
+        # the closed form exists at beta = 1 alone, so argparse rejects the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--beta", beta])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: --beta {beta}" in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t1", ("inf", "nan"))
@@ -473,7 +481,7 @@ class TestShortSeries:
         assert len(json.loads(out)["g"]) == 10
 
 
-#: Each subcommand the contract test draws; compare is stated for beta = 1 only.
+#: Each subcommand the contract test draws; compare is built at beta = 1 and takes no --beta.
 CONTRACT_COMMANDS = (
     ("coeffs",),
     ("radius",),
@@ -496,8 +504,8 @@ class TestContract:
     )
     def test_every_order_and_rate_exits_with_a_code_and_strict_json(
             self, command, log_beta, log_m, n):
-        beta = 1.0 if command[0] == "compare" else 10.0**log_beta
-        argv = [*command, "--beta", repr(beta), "--m", repr(10.0**log_m), "-n", str(n)]
+        order = () if command[0] == "compare" else ("--beta", repr(10.0**log_beta))
+        argv = [*command, *order, "--m", repr(10.0**log_m), "-n", str(n)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -547,7 +555,8 @@ class TestIOContract:
     @pytest.mark.parametrize("command, beta", [(c, b) for c in ("coeffs", "eval", "radius", "verify")
                                                for b in ("0.5", "1")] + [("compare", "1")])
     def test_json_has_no_non_finite_tokens(self, cli, command, beta, m):
-        code, out, _ = cli(command, "--beta", beta, "--m", m)
+        order = () if command == "compare" else ("--beta", beta)  # compare is at beta = 1
+        code, out, _ = cli(command, *order, "--m", m)
         assert code == 0
         json.loads(out, parse_constant=_reject)
 

@@ -24,7 +24,7 @@ from felog.euler_beta import (
     sequence_from_json,
 )
 from felog.series_solution import SeriesSolution
-from felog.specfun import euler_poly_exact, ln_gamma
+from felog.specfun import EULER_MASCHERONI, euler_poly_exact, ln_gamma
 
 BETA_GRID = (0.3, 0.5, 0.7, 0.9, 1.0)
 
@@ -354,6 +354,29 @@ class TestBoundSequences:
     def test_requires_normalized_sequence(self):
         with pytest.raises(ValueError):
             bound_sequences(build_sequence(0.5, 2.0, 32))
+
+    def test_bases_match_the_unshared_expressions(self):
+        # each printed base as first written, its two shared factors inline
+        gamma_em = EULER_MASCHERONI
+        for beta in np.linspace(1e-4, 1.0, 500).tolist():
+            base_a = (
+                (1.0 / 2.0**beta)
+                * ((2 * beta + 1) / (3 * beta + 1)) ** (2 * beta + 0.5)
+                * math.exp(beta)
+                / (3 * beta + 1) ** (beta + 0.5 - gamma_em)
+            )
+            base_b = (
+                0.5
+                * ((2 * beta + 1) / (3 * beta + 1)) ** (2 * beta + 0.5)
+                * math.exp(2 * beta)
+                / (3 * beta + 1) ** (beta + 0.5 - gamma_em)
+                / (beta + 1) ** (beta + 1 - gamma_em)
+            )
+            bs = bound_sequences(build_sequence(beta, 1.0, 64))
+            p, _ = majorant_constants(beta)
+            n = np.arange(64, dtype=float)
+            assert bs.a.tobytes() == (p * base_a ** (n / 2.0)).tobytes(), beta
+            assert bs.b.tobytes() == (p * base_b ** (n / 2.0)).tobytes(), beta
 
 
 class TestSerialization:

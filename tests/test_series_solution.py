@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from felog import series_solution
 from felog.cli import main
@@ -373,6 +375,32 @@ class TestMedian:
         assert np.float64(got).tobytes() == bytes(8)
 
 
+def try_except_radius_report(seq):
+    """Reference: radius_report as first written, with the majorant radius
+    from a Python float power that raises OverflowError past the double
+    range, outside the ratio test's errstate block."""
+    beta, m = seq.beta, seq.m
+    r_ii = series_solution._formula_ii(beta, m) if beta > EULER_MASCHERONI - 0.5 else None
+    _, q = majorant_constants(beta)
+    try:
+        r_guaranteed = (m * m / q) ** (1.0 / (2.0 * beta))
+    except OverflowError:
+        r_guaranteed = math.inf
+    odd = _normal_odd(seq.g)
+    size = odd.size
+    r_empirical = None
+    if size >= 6:
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = np.array([(odd[j] / odd[j + 1]) ** (1.0 / (2.0 * beta))
+                           for j in range(size - 6, size - 1)])
+            k = np.arange(size - 5, size, dtype=float)
+            level1 = k[1:] * xs[1:] - (k[1:] - 1.0) * xs[:-1]
+            estimate = series_solution._median(level1.tolist())
+        r_empirical = estimate if math.isfinite(estimate) else None
+    return series_solution.RadiusReport(series_solution._formula_i(beta, m), r_ii,
+                                        r_guaranteed, r_empirical, m)
+
+
 class TestRadiusPastTheDoubleRange:
     """The majorant radius is inf once it passes the double range, and the
     ratio test gives None unless its estimate is finite; neither raises nor
@@ -393,6 +421,16 @@ class TestRadiusPastTheDoubleRange:
             assert r.r_guaranteed == (m * m / q) ** (1.0 / (2.0 * beta))
         elif log_radius > 710.0:
             assert r.r_guaranteed == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(log_beta=st.floats(-4.0, 0.0), log_m=st.floats(0.0, 200.0),
+           n=st.sampled_from((20, 64, 256)))
+    def test_bit_identical_to_the_try_except_form(self, log_beta, log_m, n):
+        # numpy's scalar power and Python's float power give the same bits;
+        # repr tells 0.0 from -0.0 and a numpy scalar from a float
+        seq = build_sequence(10.0**log_beta, 10.0**log_m, n)
+        assert repr(radius_report(seq)) == repr(try_except_radius_report(seq))
 
     @pytest.mark.filterwarnings("error")
     def test_overflowed_ratio_test_gives_none(self):
