@@ -18,7 +18,7 @@ radius of the classical series.
 
 import math
 
-from felog import build_sequence, radius_report
+from felog import C1_CLAIMED, C2_CLAIMED, build_sequence, radius_report
 
 print(f"{'beta':>5} {'formula i':>11} {'formula ii':>11} {'guaranteed':>11} {'empirical':>11}")
 for beta in (0.05, 0.3, 0.5, 0.7, 0.9, 1.0):
@@ -27,7 +27,7 @@ for beta in (0.05, 0.3, 0.5, 0.7, 0.9, 1.0):
     print(f"{beta:5.2f} {rep.r_formula_i:11.6f} {f2} {rep.r_guaranteed:11.6f} "
           f"{rep.r_empirical:11.6f}")
 
-print("\nclaimed limiting constants: c1 =", 3.074366, " c2 =", 3.116623)
+print("\nclaimed limiting constants: c1 =", C1_CLAIMED, " c2 =", C2_CLAIMED)
 rep = radius_report(build_sequence(1.0, 1.0, 128))
 print(f"formula i at beta=1 evaluates to {rep.r_formula_i:.6f}, formula ii to "
       f"{rep.r_formula_ii:.6f}: neither matches its constant, so the report "

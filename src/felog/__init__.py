@@ -12,7 +12,7 @@ Quick start:
 >>> from felog import SeriesSolution
 >>> sol = SeriesSolution.build(beta=0.7, m=1.0)
 >>> sol(0.5)
-0.6237...
+0.6601561544...
 >>> sol.radius.r_guaranteed
 2.302...
 """

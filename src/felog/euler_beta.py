@@ -60,10 +60,7 @@ class BetaEulerSequence:
 
     def __post_init__(self) -> None:
         _check_order(self.beta, self.m)
-        # a copy: the caller's array must stay writeable
-        object.__setattr__(self, "g", _read_only(np.array(self.g)))
-        if self.g.ndim != 1 or self.g.size < 2:
-            raise ValueError("g must be a 1-D array of at least 2 coefficients")
+        _take_array(self, "g", 2)
         bad = np.flatnonzero(~np.isfinite(self.g))
         if bad.size:
             raise ValueError(f"g must be finite, got g[{bad[0]}] = {self.g[bad[0]]}")
@@ -123,6 +120,17 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _take_array(record, name: str, min_size: int) -> None:
+    """Store on a frozen record a read-only float64 copy of its field ``name``,
+    which must be 1-D with at least min_size entries. The caller's array stays
+    writeable."""
+    arr = np.array(getattr(record, name), dtype=float)
+    if arr.ndim != 1 or arr.size < min_size:
+        raise ValueError(f"{name} must be a 1-D array of {min_size} or more entries, "
+                         f"got shape {arr.shape}")
+    object.__setattr__(record, name, _read_only(arr))
+
+
 @dataclass(frozen=True, eq=False)
 class BoundSequences:
     """Majorant data for a normalized (m = 1) sequence: the two printed
@@ -180,12 +188,23 @@ def sequence_from_json(payload: Union[str, dict]) -> BetaEulerSequence:
 
     Only "beta", "m" and "g" are read: the "raw" entries are derived from g,
     so a stale or edited "raw" list cannot disagree with it. json.loads
-    accepts NaN and Infinity, but a non-finite g entry raises ValueError.
+    accepts NaN and Infinity, but a non-finite g entry raises ValueError, as
+    does a payload that is not an object or lacks a field or has one that is
+    not numeric.
     """
     obj = json.loads(payload) if isinstance(payload, str) else payload
-    return BetaEulerSequence(
-        beta=float(obj["beta"]), m=float(obj["m"]), g=np.array(obj["g"], dtype=float)
-    )
+    if not isinstance(obj, dict):
+        raise ValueError(f"a sequence payload must be a JSON object, got {type(obj).__name__}")
+    fields = {}
+    for name, read, what in (("beta", float, "a number"), ("m", float, "a number"),
+                             ("g", lambda x: np.array(x, dtype=float), "a list of numbers")):
+        if name not in obj:
+            raise ValueError(f"the sequence payload has no {name!r} field")
+        try:
+            fields[name] = read(obj[name])
+        except (TypeError, ValueError):
+            raise ValueError(f"the payload's {name!r} field must be {what}") from None
+    return BetaEulerSequence(**fields)
 
 
 def majorant_constants(beta: float) -> Tuple[float, float]:

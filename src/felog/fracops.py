@@ -19,10 +19,10 @@ matrix-vector product per inner block, and older history by the blocked FFT
 convolution of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6,
 1985), O(N log^2 N) time and O(N) memory for N steps. The kernel-pair check
 takes its Beta integral from a fixed tanh-sinh rule (Takahasi & Mori, Publ.
-RIMS 9, 1974), not from the Gamma function; its raw form and the stable
-tail's transform share one product-midpoint rule. Only the argument checks
-come from euler_beta, never its numerics. Agreement between these routes and
-the series is the point; neither side is ground truth alone.
+RIMS 9, 1974), not from the Gamma function; the stable tail's transform takes
+a product-midpoint rule. Only the argument checks come from euler_beta, never
+its numerics. Agreement between these routes and the series is the point;
+neither side is ground truth alone.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .euler_beta import BetaEulerSequence, _check_beta, _check_order, _read_only
+from .euler_beta import BetaEulerSequence, _check_beta, _check_order, _read_only, _take_array
 from .specfun import _ln_gamma_table, gamma_fn, ln_gamma
 
 __all__ = [
     "QuadratureGrid",
     "ResidualReport",
     "RLDerivative",
-    "VERIFY_METHODS",
     "uniform_grid",
     "graded_grid",
     "make_grid",
@@ -51,7 +50,6 @@ __all__ = [
     "fractional_integral_midpoint",
     "verify",
     "sonine_check",
-    "sonine_product_quadrature",
     "stable_levy_tail",
     "levy_tail_laplace",
     "solve_pc",
@@ -64,9 +62,6 @@ VERIFY_TOLERANCES = {
     "integro": 1e-4,
     "predictor_corrector": 1e-5,
 }
-
-#: Canonical verification method names ("pc" is accepted as an alias).
-VERIFY_METHODS = tuple(VERIFY_TOLERANCES)
 
 #: Grid-based residual reports start here: at the origin the solution has a
 #: t^beta cusp, where the piecewise-linear L1 defect is O(1) no matter how
@@ -97,24 +92,21 @@ _FAR_TERMS = 52
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Finite, strictly increasing nodes starting at 0 for the memory integrals."""
+    """Finite, strictly increasing nodes starting at 0 for the memory integrals:
+    a 1-D array of at least 3."""
 
     nodes: np.ndarray
     beta: float
 
     def __post_init__(self) -> None:
         _check_beta(self.beta)
-        # a copy: the caller's array must stay writeable
-        nodes = np.array(self.nodes, dtype=float)
-        if nodes.size < 3:
-            raise ValueError("a quadrature grid needs at least 3 nodes")
-        if not np.all(np.isfinite(nodes)):
+        _take_array(self, "nodes", 3)
+        if not np.all(np.isfinite(self.nodes)):
             raise ValueError("nodes must be finite")
-        if nodes[0] != 0.0:
+        if self.nodes[0] != 0.0:
             raise ValueError("nodes must start at 0")
-        if np.any(np.diff(nodes) <= 0.0):
+        if np.any(np.diff(self.nodes) <= 0.0):
             raise ValueError("nodes must be strictly increasing")
-        object.__setattr__(self, "nodes", _read_only(nodes))
 
 
 def _check_positive(name: str, x) -> None:
@@ -168,7 +160,7 @@ def make_grid(t1: float, n: int, spacing: str, beta: float) -> QuadratureGrid:
 class ResidualReport:
     """Pointwise defect of one verification route at the points ``grid``.
 
-    Stores only the defect; ``sup_norm`` is its largest entry.
+    Stores only the defect, one entry per point; ``sup_norm`` is its largest.
     """
 
     method: str
@@ -176,9 +168,11 @@ class ResidualReport:
     residual: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("grid", "residual"):
-            arr = np.array(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, _read_only(arr))
+        _take_array(self, "grid", 1)
+        _take_array(self, "residual", 1)
+        if self.grid.size != self.residual.size:
+            raise ValueError(f"grid and residual must have the same length, "
+                             f"got {self.grid.size} and {self.residual.size}")
         if np.any(self.residual < 0.0):
             raise ValueError("residual entries must be >= 0")
 
@@ -443,8 +437,8 @@ def verify(
     sol.domain_edge) and reach REPORT_START.
     """
     method = "predictor_corrector" if method == "pc" else method
-    if method not in VERIFY_METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {VERIFY_METHODS}")
+    if method not in VERIFY_TOLERANCES:
+        raise ValueError(f"unknown method {method!r}; choose from {tuple(VERIFY_TOLERANCES)}")
     seq = sol.seq
 
     if method == "termwise":
@@ -534,22 +528,6 @@ def sonine_check(beta: float, t_grid) -> float:
     return abs(norm * _beta_integral(1.0 - beta, beta) - 1.0)
 
 
-def sonine_product_quadrature(beta: float, t: float) -> float:
-    """The same convolution by raw product quadrature (no substitution).
-
-    Split at t/2; on each half of 1000 cells the singular factor is
-    integrated exactly per cell and the smooth one takes its midpoint value.
-    Validates the product quadrature itself, to ~1e-3.
-    """
-    _check_strict(beta, "the kernel pair")
-    _check_positive("t", t)
-    norm = math.exp(-ln_gamma(1.0 - beta) - ln_gamma(beta))
-    left = _product_midpoint(1.0 - beta, t / 2.0, 1000, lambda s: (t - s) ** (beta - 1.0))
-    # the right half [t/2, t] is summed in r = t - s, where r^(beta-1) is singular
-    right = _product_midpoint(beta, t / 2.0, 1000, lambda r: (t - r) ** -beta)
-    return norm * (left + right)
-
-
 def _product_midpoint(a: float, u: float, cells: int, f) -> float:
     """int_0^u r^(a-1) f(r) dr on equal cells: r^(a-1) is integrated exactly
     on each cell and f is taken at the cell midpoints."""
@@ -570,7 +548,7 @@ def levy_tail_laplace(beta: float, lam: float) -> float:
     """Laplace transform of the tail, truncated at z = 40; should approach
     lam^(beta-1).
 
-    Product quadrature again, on 100,000 equal cells: the z^-beta factor is
+    Product quadrature on 100,000 equal cells: the z^-beta factor is
     integrated exactly per cell against the midpoint value of exp(-lam z),
     so the origin singularity costs nothing.
     """

@@ -23,8 +23,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .euler_beta import (DEFAULT_TERMS, BetaEulerSequence, _normal_odd, build_sequence,
-                         majorant_constants)
+from .euler_beta import (DEFAULT_TERMS, BetaEulerSequence, _normal_odd, _read_only,
+                         build_sequence, majorant_constants)
 from .specfun import EULER_MASCHERONI
 
 __all__ = [
@@ -224,9 +224,7 @@ class SeriesSolution:
             ratio = self._q * tau / (m * m)
             tail = np.where(ratio < 1.0, last_term * ratio / (1.0 - ratio), np.inf)
         in_domain = (t_arr <= self.domain_edge) & np.isfinite(w)
-        for arr in (w, tail, in_domain):
-            arr.setflags(write=False)
-        return EvalResult(w, tail, in_domain)
+        return EvalResult(_read_only(w), _read_only(tail), _read_only(in_domain))
 
     def _evaluate_scalar(self, t: float) -> EvalResult:
         """The array path's arithmetic, one operation at a time in floats,

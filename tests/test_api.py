@@ -5,6 +5,7 @@ computation has one entry point."""
 import argparse
 import ast
 import dataclasses
+import doctest
 import importlib
 import inspect
 import subprocess
@@ -43,6 +44,11 @@ def test_package_all_is_its_reexports():
     for home in homes:
         for name in home.__all__:
             assert getattr(felog, name) is getattr(home, name), (home.__name__, name)
+
+
+def test_package_docstring_runs():
+    result = doctest.testmod(felog, optionflags=doctest.ELLIPSIS)
+    assert result.failed == 0 and result.attempted > 0
 
 
 def test_package_import_leaves_out_the_cli():
@@ -111,6 +117,10 @@ def test_second_paths_are_gone():
     assert not hasattr(series_solution, "_exp")
     assert not hasattr(fracops, "caputo_termwise_array")
     assert not hasattr(fracops, "_reported")
+    # one home each: sonine_check is the kernel-pair check, and the verify
+    # methods are the keys of VERIFY_TOLERANCES
+    assert not hasattr(fracops, "sonine_product_quadrature")
+    assert not hasattr(fracops, "VERIFY_METHODS")
     # the output depends on the arguments alone
     for name in ("felog",) + MODULES:
         source = inspect.getsource(importlib.import_module(name))
@@ -123,10 +133,10 @@ def test_stepper_has_no_knobs():
     assert all(p.default is inspect.Parameter.empty for p in params)
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
     assert fracops.__all__ == [
-        "QuadratureGrid", "ResidualReport", "RLDerivative", "VERIFY_METHODS", "uniform_grid",
+        "QuadratureGrid", "ResidualReport", "RLDerivative", "uniform_grid",
         "graded_grid", "make_grid", "caputo_termwise", "rl_derivative_termwise",
         "caputo_l1_all", "fractional_integral_midpoint", "verify", "sonine_check",
-        "sonine_product_quadrature", "stable_levy_tail", "levy_tail_laplace", "solve_pc",
+        "stable_levy_tail", "levy_tail_laplace", "solve_pc",
     ]
 
 
@@ -139,6 +149,17 @@ def test_oracles_take_their_argument_rules_from_the_series():
     assert fracops._check_beta is euler_beta._check_beta
     assert fracops._check_order is euler_beta._check_order
     assert fracops._read_only is euler_beta._read_only
+    assert fracops._take_array is euler_beta._take_array
+
+
+def test_arrays_are_frozen_in_one_place():
+    # every read-only array passes through euler_beta._read_only, and every
+    # record array through euler_beta._take_array
+    for name in MODULES:
+        for node in ast.walk(_tree(importlib.import_module(name))):
+            if isinstance(node, ast.Attribute) and node.attr in ("setflags", "__setattr__"):
+                assert name == "felog.euler_beta", ast.unparse(node)
+    assert series_solution._read_only is euler_beta._read_only
 
 
 def _tree(module):
@@ -156,7 +177,6 @@ def test_oracles_import_nothing_from_the_series_layer():
 
 def test_each_rule_has_one_home():
     assert cli.VERIFY_TOLERANCES is fracops.VERIFY_TOLERANCES
-    assert fracops.VERIFY_METHODS == tuple(fracops.VERIFY_TOLERANCES)
     assert "VERIFY_TOLERANCES" not in fracops.__all__
     assert cli.MAX_TERMS is euler_beta.MAX_TERMS
     # the normal-range cut lives in euler_beta, the only module that reads

@@ -403,6 +403,31 @@ class TestSerialization:
         with pytest.raises(ValueError, match=rf"g must be finite, got g\[{k}\]"):
             sequence_from_json(text)
 
+    @pytest.mark.parametrize("payload, message", (
+        ([], "a sequence payload must be a JSON object, got list"),
+        ("[0.5, 0.25]", "a sequence payload must be a JSON object, got list"),
+        ('"g"', "a sequence payload must be a JSON object, got str"),
+        ({"m": 1.0, "g": [0.5, 0.25]}, "the sequence payload has no 'beta' field"),
+        ({"beta": 1.0, "g": [0.5, 0.25]}, "the sequence payload has no 'm' field"),
+        ('{"beta": 1.0, "m": 1.0}', "the sequence payload has no 'g' field"),
+        ({"beta": "one", "m": 1.0, "g": [0.5, 0.25]}, "the payload's 'beta' field must be a number"),
+        ({"beta": 1.0, "m": None, "g": [0.5, 0.25]}, "the payload's 'm' field must be a number"),
+        ({"beta": 1.0, "m": [1.0], "g": [0.5, 0.25]}, "the payload's 'm' field must be a number"),
+        ({"beta": 1.0, "m": 1.0, "g": {"0": 0.5}},
+         "the payload's 'g' field must be a list of numbers"),
+        ({"beta": 1.0, "m": 1.0, "g": [0.5, "x"]},
+         "the payload's 'g' field must be a list of numbers"),
+        ({"beta": 1.0, "m": 1.0, "g": [[0.5], [0.25, 0.0]]},
+         "the payload's 'g' field must be a list of numbers"),
+        ({"beta": 1.0, "m": 1.0, "g": [[0.5, 0.25]]},
+         "g must be a 1-D array of 2 or more entries, got shape (1, 2)"),
+    ))
+    def test_malformed_payload_names_its_field(self, payload, message):
+        # a payload is input from outside the program: no KeyError or TypeError
+        with pytest.raises(ValueError) as exc:
+            sequence_from_json(payload)
+        assert str(exc.value) == message
+
     def test_raw_entries_of_payload_are_ignored(self):
         seq = build_sequence(0.7, 1.0, 16)
         truncated = seq.to_json_dict()

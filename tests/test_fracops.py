@@ -29,7 +29,6 @@ from felog.fracops import (
     rl_derivative_termwise,
     solve_pc,
     sonine_check,
-    sonine_product_quadrature,
     stable_levy_tail,
     uniform_grid,
     verify,
@@ -105,6 +104,15 @@ class TestGrids:
         for nodes in ([0.0, 0.5, bad, 1.0], [0.0, 0.5, 1.0, bad]):
             with pytest.raises(ValueError, match="nodes must be finite"):
                 QuadratureGrid(np.array(nodes), 0.5)
+
+    @pytest.mark.parametrize("nodes", ([[0.0], [0.5], [1.0]], [[0.0, 0.5, 1.0]], 0.0))
+    def test_nodes_must_be_one_dimensional(self, nodes):
+        # a column reached numpy's "object too deep" in verify, a row its
+        # "truth value is ambiguous" in the constructor
+        shape = np.shape(nodes)
+        with pytest.raises(ValueError) as exc:
+            QuadratureGrid(np.array(nodes), 0.5)
+        assert str(exc.value) == f"nodes must be a 1-D array of 3 or more entries, got shape {shape}"
 
     def test_constructors_leave_the_callers_arrays_writeable(self):
         # each stores a read-only copy; np.asarray alone would freeze the input
@@ -498,6 +506,28 @@ class TestVerify:
         with pytest.raises(ValueError, match="beta = 0.9"):
             verify(sol, method, grid)
 
+    def test_unknown_method_names_the_choices(self):
+        with pytest.raises(ValueError) as exc:
+            verify(SeriesSolution.build(0.5), "spectral")
+        assert str(exc.value) == ("unknown method 'spectral'; choose from "
+                                  "('termwise', 'l1', 'integro', 'predictor_corrector')")
+
+    @pytest.mark.parametrize("grid, residual, message", (
+        ([0.1, 0.2], [0.0], "grid and residual must have the same length, got 2 and 1"),
+        ([], [], "grid must be a 1-D array of 1 or more entries, got shape (0,)"),
+        ([0.1], [], "residual must be a 1-D array of 1 or more entries, got shape (0,)"),
+        ([[0.1, 0.2]], [0.0, 0.0], "grid must be a 1-D array of 1 or more entries, "
+                                   "got shape (1, 2)"),
+        ([0.1, 0.2], [[0.0], [0.0]], "residual must be a 1-D array of 1 or more entries, "
+                                     "got shape (2, 1)"),
+    ))
+    def test_report_needs_one_residual_per_point(self, grid, residual, message):
+        # a mismatch gave JSON lists of different lengths, an empty report a
+        # sup_norm that raised numpy's "zero-size array" error
+        with pytest.raises(ValueError) as exc:
+            ResidualReport("l1", grid, residual)
+        assert str(exc.value) == message
+
     def test_report_rejects_a_negative_residual(self):
         with pytest.raises(ValueError, match="residual entries must be >= 0"):
             ResidualReport("l1", [0.1, 0.2], [1e-6, -1e-9])
@@ -591,37 +621,6 @@ class TestSonine:
         grids = ([0.5], [0.5, 1.0, 3.0], [1e-300, 1e300])
         assert len({sonine_check(beta, t) for t in grids}) == 1
 
-    def test_t_independence_variance(self):
-        from scipy import integrate
-
-        t = np.linspace(0.2, 5.0, 25)
-        beta = 0.3
-        val, _ = integrate.quad(lambda s: 1.0, 0.0, 1.0, weight="alg",
-                                wvar=(-beta, beta - 1.0))
-        norm = math.exp(-ln_gamma(1.0 - beta) - ln_gamma(beta))
-        exponent = (1.0 - beta) + (beta - 1.0)
-        values = norm * val * t**exponent
-        assert float(np.var(values)) <= 1e-20
-
-    def test_raw_product_quadrature_path(self):
-        assert abs(sonine_product_quadrature(0.5, 1.0) - 1.0) <= 1e-3
-
-    @pytest.mark.parametrize("beta", (0.2, 0.5, 0.9))
-    @pytest.mark.parametrize("t", (0.1, 1.0, 7.0))
-    def test_product_quadrature_against_the_unmirrored_sum(self, beta, t):
-        # reference: the right half summed in s itself, not in r = t - s
-        norm = math.exp(-ln_gamma(1.0 - beta) - ln_gamma(beta))
-        edges = np.linspace(0.0, t / 2.0, 1001)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        moments = (edges[1:] ** (1.0 - beta) - edges[:-1] ** (1.0 - beta)) / (1.0 - beta)
-        left = float(np.dot((t - mids) ** (beta - 1.0), moments))
-        edges = np.linspace(t / 2.0, t, 1001)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        moments = ((t - edges[:-1]) ** beta - (t - edges[1:]) ** beta) / beta
-        right = float(np.dot(mids ** (-beta), moments))
-        assert sonine_product_quadrature(beta, t) == pytest.approx(norm * (left + right),
-                                                                   rel=1e-14, abs=0.0)
-
     @pytest.mark.parametrize("beta", (0.0, 1.0))
     def test_degenerate_orders_rejected(self, beta):
         with pytest.raises(ValueError):
@@ -635,8 +634,6 @@ class TestSonine:
     def test_points_must_be_finite_and_positive(self, t):
         with pytest.raises(ValueError, match="finite and positive"):
             sonine_check(0.5, [1.0, t])
-        with pytest.raises(ValueError, match="finite and positive"):
-            sonine_product_quadrature(0.5, t)
 
 
 class TestStableLevyTail:
