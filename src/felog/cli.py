@@ -11,7 +11,7 @@ cells are empty for a missing value, ``true``/``false`` for a flag, and
 ``repr`` for a float.
 
 Exit codes: 0 success or verification pass, 1 verification failure, 2 usage
-error, 3 I/O failure.
+error or a defect that could not be computed, 3 I/O failure.
 """
 
 from __future__ import annotations

@@ -61,9 +61,6 @@ class BetaEulerSequence:
     def __post_init__(self) -> None:
         _check_order(self.beta, self.m)
         _take_array(self, "g", 2)
-        bad = np.flatnonzero(~np.isfinite(self.g))
-        if bad.size:
-            raise ValueError(f"g must be finite, got g[{bad[0]}] = {self.g[bad[0]]}")
         if self.g[0] != 0.5:
             raise ValueError("g_0 must equal 1/2")
         p, _ = majorant_constants(self.beta)
@@ -120,14 +117,26 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _as_real(x, name: str) -> np.ndarray:
+    """The caller's ``x`` as a float64 array. A complex ``x`` is a ValueError:
+    numpy would drop its imaginary part with only a warning."""
+    arr = np.asarray(x)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got {arr.dtype}")
+    return np.asarray(arr, dtype=float)
+
+
 def _take_array(record, name: str, min_size: int) -> None:
     """Store on a frozen record a read-only float64 copy of its field ``name``,
-    which must be 1-D with at least min_size entries. The caller's array stays
-    writeable."""
-    arr = np.array(getattr(record, name), dtype=float)
+    which must be real, finite and 1-D with at least min_size entries. The
+    caller's array stays writeable."""
+    arr = _as_real(getattr(record, name), name).copy()
     if arr.ndim != 1 or arr.size < min_size:
         raise ValueError(f"{name} must be a 1-D array of {min_size} or more entries, "
                          f"got shape {arr.shape}")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {name}[{bad[0]}] = {arr[bad[0]]}")
     object.__setattr__(record, name, _read_only(arr))
 
 
@@ -197,7 +206,7 @@ def sequence_from_json(payload: Union[str, dict]) -> BetaEulerSequence:
         raise ValueError(f"a sequence payload must be a JSON object, got {type(obj).__name__}")
     fields = {}
     for name, read, what in (("beta", float, "a number"), ("m", float, "a number"),
-                             ("g", lambda x: np.array(x, dtype=float), "a list of numbers")):
+                             ("g", lambda x: _as_real(x, "g"), "a list of numbers")):
         if name not in obj:
             raise ValueError(f"the sequence payload has no {name!r} field")
         try:

@@ -34,7 +34,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .euler_beta import BetaEulerSequence, _check_beta, _check_order, _read_only, _take_array
+from .euler_beta import (BetaEulerSequence, _as_real, _check_beta, _check_order, _read_only,
+                         _take_array)
 from .specfun import _ln_gamma_table, gamma_fn, ln_gamma
 
 __all__ = [
@@ -101,8 +102,6 @@ class QuadratureGrid:
     def __post_init__(self) -> None:
         _check_beta(self.beta)
         _take_array(self, "nodes", 3)
-        if not np.all(np.isfinite(self.nodes)):
-            raise ValueError("nodes must be finite")
         if self.nodes[0] != 0.0:
             raise ValueError("nodes must start at 0")
         if np.any(np.diff(self.nodes) <= 0.0):
@@ -160,7 +159,7 @@ def make_grid(t1: float, n: int, spacing: str, beta: float) -> QuadratureGrid:
 class ResidualReport:
     """Pointwise defect of one verification route at the points ``grid``.
 
-    Stores only the defect, one entry per point; ``sup_norm`` is its largest.
+    Stores only the defect, finite and >= 0 at each point; ``sup_norm`` is its largest.
     """
 
     method: str
@@ -393,7 +392,7 @@ def caputo_l1_all(w_values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     each cell. O(h^(2-beta)) for twice-differentiable data.
     """
     t = grid.nodes
-    vals = np.asarray(w_values, dtype=float)
+    vals = _as_real(w_values, "w_values")
     if vals.shape != t.shape:
         raise ValueError("value array must match the grid nodes")
     beta = grid.beta
@@ -412,7 +411,7 @@ def fractional_integral_midpoint(
     """
     t = grid.nodes
     beta = grid.beta
-    f_mid = np.asarray(f_mid, dtype=float)
+    f_mid = _as_real(f_mid, "f_mid")
     if f_mid.shape != (t.size - 1,):
         raise ValueError("need one midpoint value per cell")
     return _graded_history(f_mid, t, beta, 1.0 / gamma_fn(beta) / beta)
@@ -520,7 +519,7 @@ def sonine_check(beta: float, t_grid) -> float:
     of the Gamma identities it confirms.
     """
     _check_strict(beta, "the kernel pair")
-    t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    t_arr = np.atleast_1d(_as_real(t_grid, "t_grid"))
     if t_arr.size == 0:
         raise ValueError("the t grid is empty")
     _check_positive("t values", t_arr)

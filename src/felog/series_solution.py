@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .euler_beta import (DEFAULT_TERMS, BetaEulerSequence, _normal_odd, _read_only,
+from .euler_beta import (DEFAULT_TERMS, BetaEulerSequence, _as_real, _normal_odd, _read_only,
                          build_sequence, majorant_constants)
 from .specfun import EULER_MASCHERONI
 
@@ -195,7 +195,7 @@ class SeriesSolution:
         1 or no odd term is normal. ``in_domain`` flags the t at or below the
         operative radius where w is finite. Negative t is rejected.
         """
-        t_arr = np.asarray(t, dtype=float)
+        t_arr = _as_real(t, "t")
         if t_arr.ndim == 0:
             x = float(t_arr)
             finite, negative = math.isfinite(x), x < 0.0
@@ -303,7 +303,7 @@ def compare_classical(m: float, t_grid, n_terms: int = DEFAULT_TERMS) -> float:
 
 def _classical_curves(m: float, t_grid, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """The beta = 1 series and 1/(1 + exp(-t/m)) on a grid within [0, pi * m)."""
-    t_arr = np.asarray(t_grid, dtype=float)
+    t_arr = _as_real(t_grid, "t_grid")
     if t_arr.size == 0:
         raise ValueError("the t grid is empty")
     if np.any(t_arr < 0.0) or np.any(t_arr >= math.pi * m):

@@ -10,9 +10,14 @@ import importlib
 import inspect
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import felog
 from felog import cli, euler_beta, fracops, series_solution, specfun
@@ -22,7 +27,9 @@ from felog.euler_beta import (
     build_sequence,
     sequence_from_json,
 )
-from felog.fracops import ResidualReport, graded_grid, rl_derivative_termwise
+from felog.fracops import (QuadratureGrid, ResidualReport, caputo_l1_all,
+                           fractional_integral_midpoint, graded_grid, rl_derivative_termwise,
+                           sonine_check)
 from felog.series_solution import RadiusReport, SeriesSolution, compare_classical, radius_report
 from felog.specfun import BoundFlags, bound_predicates
 
@@ -166,6 +173,43 @@ def _tree(module):
     return ast.parse(inspect.getsource(module))
 
 
+def _float_conversions(tree):
+    """The np.asarray and np.array calls in ``tree`` that ask for float64."""
+    def is_float(node):
+        return ((isinstance(node, ast.Name) and node.id == "float")
+                or (isinstance(node, ast.Attribute) and node.attr in ("float64", "double")))
+
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("asarray", "array")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+            and (any(k.arg == "dtype" and is_float(k.value) for k in node.keywords)
+                 or (len(node.args) > 1 and is_float(node.args[1])))]
+
+
+def test_caller_arrays_have_one_intake():
+    # every caller array becomes float64 in euler_beta._as_real, which
+    # rejects complex input, and every record array is finite by
+    # euler_beta._take_array alone
+    homes = []
+    for name in MODULES:
+        tree = _tree(importlib.import_module(name))
+        intakes = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "_as_real"]
+        homes += [name] * len(intakes)
+        inside = {id(call) for node in intakes for call in _float_conversions(node)}
+        outside = [ast.unparse(call) for call in _float_conversions(tree)
+                   if id(call) not in inside]
+        assert outside == [], name
+    assert homes == ["felog.euler_beta"]
+    assert fracops._as_real is euler_beta._as_real
+    assert series_solution._as_real is euler_beta._as_real
+    for record in (BetaEulerSequence, QuadratureGrid, ResidualReport):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(record.__post_init__)))
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                       for node in ast.walk(tree)), record.__name__
+
+
 def test_oracles_import_nothing_from_the_series_layer():
     # verify reads a solution through three members, so the oracles need no
     # name from the module whose output they check
@@ -237,3 +281,70 @@ def test_acceptance_criteria_are_never_skipped():
     # a failing criterion must show as a failure, never as a skip or an xfail
     text = (Path(__file__).resolve().parent / "test_acceptance.py").read_text(encoding="utf-8")
     assert "skip" not in text and "xfail" not in text
+
+
+def _grid():
+    return graded_grid(1.0, 8, 0.5)
+
+
+def _complex(name):
+    return f"{name} must be real, got complex128"
+
+
+# each way a caller's array enters felog, with the message that rejects it
+COMPLEX_INTAKES = {
+    "BetaEulerSequence.g": (lambda z: BetaEulerSequence(0.5, 1.0, _sequence().g + z),
+                            _complex("g")),
+    "QuadratureGrid.nodes": (lambda z: QuadratureGrid(_grid().nodes + z, 0.5), _complex("nodes")),
+    "ResidualReport.grid": (lambda z: ResidualReport("l1", [0.1 + z, 0.2], [0.0, 0.0]),
+                            _complex("grid")),
+    "ResidualReport.residual": (lambda z: ResidualReport("l1", [0.1, 0.2], [z, 0.0]),
+                                _complex("residual")),
+    "sequence_from_json": (lambda z: sequence_from_json(
+        {"beta": 0.5, "m": 1.0, "g": _sequence().g + z}),
+        "the payload's 'g' field must be a list of numbers"),
+    "evaluate, array": (lambda z: SeriesSolution(_sequence()).evaluate(np.array([0.5 + z])),
+                        _complex("t")),
+    "evaluate, scalar": (lambda z: SeriesSolution(_sequence()).evaluate(0.5 + z),
+                         _complex("t")),
+    "compare_classical": (lambda z: compare_classical(1.0, [0.5 + z]), _complex("t_grid")),
+    "caputo_l1_all": (lambda z: caputo_l1_all(np.full(9, 0.5) + z, _grid()),
+                      _complex("w_values")),
+    "fractional_integral_midpoint": (lambda z: fractional_integral_midpoint(
+        np.full(8, 0.5) + z, _grid()), _complex("f_mid")),
+    "sonine_check": (lambda z: sonine_check(0.5, [1.0 + z]), _complex("t_grid")),
+}
+
+
+@pytest.mark.parametrize("site", COMPLEX_INTAKES)
+@pytest.mark.parametrize("z", (1j, 0j))
+def test_complex_input_is_rejected_by_name(site, z):
+    # numpy kept the real part and dropped the rest with only a warning; a
+    # complex dtype is refused even where every imaginary part is zero
+    call, message = COMPLEX_INTAKES[site]
+    with pytest.raises(ValueError) as exc:
+        call(z)
+    assert str(exc.value) == message
+
+
+def _real_arrays(dtype):
+    finite = {"allow_nan": False, "allow_infinity": False} if dtype.startswith("float") else {}
+    return hnp.arrays(dtype, st.integers(1, 16),
+                      elements=hnp.from_dtype(np.dtype(dtype), **finite))
+
+
+REAL_INPUT = st.one_of(
+    st.sampled_from(["float64", "float32", "int64", "bool"]).flatmap(_real_arrays),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False)
+             | st.integers(-2**63, 2**64) | st.booleans(), min_size=1, max_size=16),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(REAL_INPUT)
+def test_real_input_is_read_as_numpy_reads_it(x):
+    want = np.array(x, dtype=float)
+    got = euler_beta._as_real(x, "x")
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    report = ResidualReport("l1", x, np.zeros(len(x)))
+    assert report.grid.tobytes() == want.tobytes()

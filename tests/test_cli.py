@@ -294,6 +294,16 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: the default grid end is not finite (inf); give --t1\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ("l1", "integro"))
+    def test_defect_that_could_not_be_computed_is_usage_error(self, cli, method):
+        # t^(2 beta) overflows past the first nodes, so the defect there is
+        # NaN: no verdict, where it used to exit 1 with a JSON of nulls
+        code, out, err = cli("verify", "--beta", "1", "--m", "1e200", "--t1", "1e160",
+                             "--method", method)
+        assert (code, out) == (2, "")
+        assert err == "error: residual must be finite, got residual[2] = nan\n"
+
     @pytest.mark.parametrize("method", ("l1", "integro", "pc"))
     def test_negative_default_grid_end_asks_for_t1(self, cli, method):
         # r_empirical is negative here (ROADMAP H), and so is 0.7 * domain_edge

@@ -532,6 +532,18 @@ class TestVerify:
         with pytest.raises(ValueError, match="residual entries must be >= 0"):
             ResidualReport("l1", [0.1, 0.2], [1e-6, -1e-9])
 
+    @pytest.mark.parametrize("grid, residual, message", (
+        ([0.1, 0.2], [math.nan, 1.0], "residual must be finite, got residual[0] = nan"),
+        ([0.1, 0.2], [0.0, math.inf], "residual must be finite, got residual[1] = inf"),
+        ([0.1, math.inf], [0.0, 0.0], "grid must be finite, got grid[1] = inf"),
+    ))
+    def test_report_rejects_a_non_finite_entry(self, grid, residual, message):
+        # a NaN passed the sign check, and sup_norm and the JSON carried it
+        # as a defect that was never computed
+        with pytest.raises(ValueError) as exc:
+            ResidualReport("l1", grid, residual)
+        assert str(exc.value) == message
+
     def test_report_serialization(self, capsys):
         sol = SeriesSolution.build(0.5, 1.0, 64)
         rep = verify(sol, "termwise")
