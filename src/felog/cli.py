@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .euler_beta import DEFAULT_TERMS, MAX_TERMS, build_sequence
+from .euler_beta import DEFAULT_TERMS, MAX_TERMS, _check_count, build_sequence
 from .fracops import MAX_STEPS, VERIFY_TOLERANCES, make_grid, verify
 from .series_solution import SeriesSolution, _classical_curves, radius_report
 
@@ -37,14 +37,9 @@ __all__ = ["VERIFY_TOLERANCES", "MAX_TERMS", "MAX_STEPS", "main"]
 DEFAULT_VERIFY_WINDOW = 0.7
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+def _cell(value):
+    """csv writes None as an empty cell and numbers by str; a flag is true/false."""
+    return ("true" if value else "false") if isinstance(value, bool) else value
 
 
 def _finite_or_null(value):
@@ -75,6 +70,7 @@ def _emit(args: argparse.Namespace, payload: dict, header, rows) -> None:
 
 
 def _t_grid(args: argparse.Namespace) -> np.ndarray:
+    _check_count("steps", args.steps, 1, MAX_STEPS)
     if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
         raise ValueError("t0 and t1 must be finite")
     if not args.t0 < args.t1:
@@ -126,7 +122,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raise ValueError(f"the default grid end is not {kind} ({t1!r}); give --t1")
         # pc reads only the grid end, which two uniform cells reach
         cells, spacing = (2, "uniform") if args.method == "pc" else (args.steps, args.grid)
-        grid = make_grid(t1, cells or 2000, spacing or "graded", args.beta)
+        grid = make_grid(t1, 2000 if cells is None else cells, spacing or "graded", args.beta)
     report = verify(sol, args.method, grid)
 
     tol = args.tol if args.tol is not None else VERIFY_TOLERANCES[report.method]
@@ -213,13 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        steps = getattr(args, "steps", None)
-        if steps is not None and steps < 1:
-            raise ValueError("steps must be >= 1")
-        if steps is not None and steps > MAX_STEPS:
-            raise ValueError(f"steps must be <= {MAX_STEPS}")
-        if args.n_terms > MAX_TERMS:
-            raise ValueError(f"n_terms must be <= {MAX_TERMS}")
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -112,6 +112,12 @@ def _check_order(beta: float, m: float) -> None:
         raise ValueError(f"m must be finite, got {m}")
 
 
+def _check_count(name: str, n, lo: int, hi: int) -> None:
+    """A count that sizes an array must be an integer from lo to hi."""
+    if not isinstance(n, (int, np.integer)) or not lo <= n <= hi:
+        raise ValueError(f"{name} must be an integer from {lo} to {hi}, got {n!r}")
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -166,10 +172,7 @@ def build_sequence(beta: float, m: float, n_terms: int = DEFAULT_TERMS) -> BetaE
     """
     beta, m = float(beta), float(m)
     _check_order(beta, m)
-    if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 2):
-        raise ValueError(f"n_terms must be an integer >= 2, got {n_terms}")
-    if n_terms > MAX_TERMS:
-        raise ValueError(f"n_terms must be <= {MAX_TERMS}, got {n_terms}")
+    _check_count("n_terms", n_terms, 2, MAX_TERMS)
 
     lg = _ln_gamma_table(beta, n_terms)
     gamma_ratios = map(math.exp, map(float.__sub__, lg[0::2], lg[1::2]))  # lg[k] - lg[k+1], even k

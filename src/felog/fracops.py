@@ -34,8 +34,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .euler_beta import (BetaEulerSequence, _as_real, _check_beta, _check_order, _read_only,
-                         _take_array)
+from .euler_beta import (BetaEulerSequence, _as_real, _check_beta, _check_count, _check_order,
+                         _read_only, _take_array)
 from .specfun import _ln_gamma_table, gamma_fn, ln_gamma
 
 __all__ = [
@@ -120,23 +120,17 @@ def _check_strict(beta: float, what: str) -> None:
         raise ValueError(f"{what} needs beta strictly inside (0, 1)")
 
 
-def _check_cells(n) -> None:
-    """A grid's cell count must be an integer from 2 to MAX_STEPS."""
-    if not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_STEPS:
-        raise ValueError(f"the cell count must be an integer from 2 to {MAX_STEPS}, got {n!r}")
-
-
 def uniform_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
     """n equal cells on [0, t1]."""
     _check_positive("t1", t1)
-    _check_cells(n)
+    _check_count("the cell count", n, 2, MAX_STEPS)
     return QuadratureGrid(np.linspace(0.0, t1, n + 1), beta)
 
 
 def graded_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
     """Nodes t_j = t1 * (j/n)^(2/beta), clustered at the origin cusp."""
     _check_positive("t1", t1)
-    _check_cells(n)
+    _check_count("the cell count", n, 2, MAX_STEPS)
     _check_beta(beta)
     j = np.arange(n + 1, dtype=float)
     nodes = t1 * (j / n) ** (2.0 / beta)
@@ -284,9 +278,8 @@ def _far_history(
     boundary passes first, so every S_p lies within the data's range at any
     grading and scale (beta = .1, or a grid end near 5e4 at m = 3). A row
     then needs only x = tau/t_n <= 1/2 and its block's S. Blocks go in
-    groups of at most HISTORY_BLOCK // (2 P) rows, unless one block alone
-    has more, and cells in chunks of that size, so every table of P powers
-    stays that size.
+    groups of at most HISTORY_BLOCK // (2 P) rows, and cells in chunks of
+    that size, so every table of P powers stays that size.
     """
     terms = _FAR_TERMS
     chunk = max(1, HISTORY_BLOCK // (2 * terms))
@@ -296,7 +289,7 @@ def _far_history(
     carry, passed = np.zeros(terms), 0
     i = 0
     while i < len(blocks):
-        j = max(i + 1, int(np.searchsorted(blocks[:, 1], blocks[i, 0] + chunk, side="right")))
+        j = int(np.searchsorted(blocks[:, 1], blocks[i, 0] + chunk, side="right"))
         starts, stops, lows = blocks[i:j].T
         tau = t[lows]
         sums = _passed_cells(data, t, lows, passed, chunk)
@@ -527,15 +520,6 @@ def sonine_check(beta: float, t_grid) -> float:
     return abs(norm * _beta_integral(1.0 - beta, beta) - 1.0)
 
 
-def _product_midpoint(a: float, u: float, cells: int, f) -> float:
-    """int_0^u r^(a-1) f(r) dr on equal cells: r^(a-1) is integrated exactly
-    on each cell and f is taken at the cell midpoints."""
-    edges = np.linspace(0.0, u, cells + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    moments = (edges[1:] ** a - edges[:-1] ** a) / a
-    return float(np.dot(f(mids), moments))
-
-
 def stable_levy_tail(beta: float, z: float) -> float:
     """Tail z^(-beta)/Gamma(1-beta) of the stable jump measure."""
     _check_strict(beta, "the stable symbol")
@@ -553,8 +537,11 @@ def levy_tail_laplace(beta: float, lam: float) -> float:
     """
     _check_strict(beta, "the stable symbol")
     _check_positive("lam", lam)
-    integral = _product_midpoint(1.0 - beta, 40.0, 100_000, lambda z: np.exp(-lam * z))
-    return integral / gamma_fn(1.0 - beta)
+    a = 1.0 - beta
+    edges = np.linspace(0.0, 40.0, 100_001)
+    moments = (edges[1:] ** a - edges[:-1] ** a) / a
+    integral = float(np.dot(np.exp(-lam * (0.5 * (edges[:-1] + edges[1:]))), moments))
+    return integral / gamma_fn(a)
 
 
 def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -592,8 +579,9 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
     # compared before ceil, which cannot take the inf of an overflowed ratio
     ratio = t_end / h - 1e-12
     if ratio > MAX_STEPS:
-        steps = math.ceil(ratio) if ratio < math.inf else ratio
-        raise ValueError(f"t_end / h needs {steps} steps, more than the {MAX_STEPS} allowed")
+        # .7g prints each count up to MAX_STEPS + 1 in full and a huge one in short
+        raise ValueError(f"t_end / h needs {np.ceil(ratio):.7g} steps, "
+                         f"more than the {MAX_STEPS} allowed")
     # at least one step, so that a t_end far below h is still reached
     n_steps = max(1, math.ceil(ratio))
     t = np.arange(n_steps + 1) * h

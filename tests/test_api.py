@@ -124,6 +124,8 @@ def test_second_paths_are_gone():
     assert not hasattr(series_solution, "_exp")
     assert not hasattr(fracops, "caputo_termwise_array")
     assert not hasattr(fracops, "_reported")
+    assert not hasattr(fracops, "_check_cells")
+    assert not hasattr(fracops, "_product_midpoint")
     # one home each: sonine_check is the kernel-pair check, and the verify
     # methods are the keys of VERIFY_TOLERANCES
     assert not hasattr(fracops, "sonine_product_quadrature")
@@ -157,6 +159,7 @@ def test_oracles_take_their_argument_rules_from_the_series():
     assert fracops._check_order is euler_beta._check_order
     assert fracops._read_only is euler_beta._read_only
     assert fracops._take_array is euler_beta._take_array
+    assert fracops._check_count is euler_beta._check_count
 
 
 def test_arrays_are_frozen_in_one_place():
@@ -231,6 +234,19 @@ def test_each_rule_has_one_home():
     assert homes == ["felog.euler_beta"]
     assert series_solution._normal_odd is euler_beta._normal_odd
     assert not hasattr(series_solution, "sys")
+
+
+def test_each_count_has_one_check():
+    # euler_beta._check_count alone spells the integer-range rule, and the
+    # CLI leaves each count to the code that sizes an array with it
+    homes = [(name, fn.name) for name in MODULES
+             for fn in ast.walk(_tree(importlib.import_module(name)))
+             if isinstance(fn, ast.FunctionDef)
+             and any(isinstance(c, ast.Constant) and "must be an integer from" in str(c.value)
+                     for c in ast.walk(fn))]
+    assert homes == [("felog.euler_beta", "_check_count")]
+    names = {node.id for node in ast.walk(_tree(cli.main)) if isinstance(node, ast.Name)}
+    assert not names & {"MAX_TERMS", "MAX_STEPS"}
 
 
 def test_the_default_term_count_has_one_home():

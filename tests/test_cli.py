@@ -6,19 +6,24 @@ the environment checks run ``python -m felog.cli`` in a child process.
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from felog import series_solution
+from felog import cli as cli_module
+from felog import euler_beta, fracops, series_solution
 from felog.cli import _COMMANDS, MAX_STEPS, MAX_TERMS, _emit, main
 from felog.euler_beta import build_sequence, sequence_from_json
 from felog.fracops import graded_grid, verify
@@ -80,7 +85,7 @@ class TestCoeffs:
     def test_too_few_terms_is_usage_error(self, cli):
         code, _, err = cli("coeffs", "--beta", "0.5", "-n", "1")
         assert code == 2
-        assert "n_terms" in err and ">= 2" in err
+        assert err == "error: n_terms must be an integer from 2 to 10000, got 1\n"
 
     def test_json_round_trip_bit_exact(self, cli):
         code, out, _ = cli("coeffs", "--beta", "0.7", "--m", "2.0", "-n", "32",
@@ -343,6 +348,14 @@ class TestVerify:
         assert err.startswith("error: t_end / h needs ")
         assert f"more than the {MAX_STEPS} allowed" in err
 
+    def test_an_overflowing_step_count_is_printed_short(self, cli):
+        # t_end / h is about 1e163 here: the count is rounded, not spelled out
+        code, out, err = cli("verify", "--beta", "1", "--m", "1e200", "--t1", "1e160",
+                             "--method", "pc")
+        assert (code, out) == (2, "")
+        assert err == "error: t_end / h needs 1e+163 steps, more than the 1000000 allowed\n"
+        assert len(err) < 100
+
     @pytest.mark.parametrize("method", ("termwise", "pc"))
     @pytest.mark.parametrize("flag", (("--steps", "300"), ("--grid", "uniform"),
                                       ("--grid", "graded")))
@@ -594,29 +607,51 @@ class TestIOContract:
         )
         assert proc.stdout == "[]\n"
 
-    @pytest.mark.parametrize("command", (("eval",), ("verify",),
-                                         ("verify", "--method", "termwise"), ("compare",)))
-    def test_steps_below_one_is_usage_error(self, cli, command):
-        code, _, err = cli(*command, "--steps", "0")
-        assert code == 2
-        assert "steps must be >= 1" in err
-
     @pytest.mark.parametrize("argv, message", (
-        (("eval", "--steps", str(10**12)), "steps must be <="),
-        (("compare", "--steps", str(MAX_STEPS + 1)), "steps must be <="),
-        (("verify", "--method", "l1", "--steps", str(MAX_STEPS + 1)), "steps must be <="),
-        (("coeffs", "-n", str(MAX_TERMS + 1)), "n_terms must be <="),
-        (("radius", "-n", str(10**12)), "n_terms must be <="),
-        (("eval", "-n", str(MAX_TERMS + 1)), "n_terms must be <="),
+        (("eval", "--steps", "0"), "steps must be an integer from 1 to 1000000, got 0"),
+        (("compare", "--steps", "-1"), "steps must be an integer from 1 to 1000000, got -1"),
+        (("verify", "--method", "l1", "--steps", "0"),
+         "the cell count must be an integer from 2 to 1000000, got 0"),
+        (("verify", "--method", "integro", "--steps", "1"),
+         "the cell count must be an integer from 2 to 1000000, got 1"),
+        (("verify", "--steps", "0"), "--steps and --grid apply only to --method l1 and integro"),
     ))
-    def test_sizes_above_the_limit_are_usage_errors(self, cli, monkeypatch, argv, message):
-        # every command is stubbed out, so nothing is allocated even if the
-        # bound fails to fire
-        for name in _COMMANDS:
-            monkeypatch.setitem(_COMMANDS, name, lambda args: pytest.fail("command ran"))
+    def test_sizes_below_the_limit_are_usage_errors(self, cli, argv, message):
+        # a zero count is refused, never read as "use the default"
+        code, out, err = cli(*argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message, stub", (
+        (("eval", "--steps", str(10**12)), "steps must be an integer from 1 to 1000000",
+         (cli_module, "linspace")),
+        (("compare", "--steps", str(MAX_STEPS + 1)), "steps must be an integer from 1 to 1000000",
+         (cli_module, "linspace")),
+        (("verify", "--method", "l1", "--steps", str(MAX_STEPS + 1)),
+         "the cell count must be an integer from 2 to 1000000", (fracops, "arange")),
+        (("verify", "--method", "integro", "--grid", "uniform", "--steps", str(10**12)),
+         "the cell count must be an integer from 2 to 1000000", (fracops, "linspace")),
+        (("coeffs", "-n", str(MAX_TERMS + 1)), "n_terms must be an integer from 2 to 10000",
+         (euler_beta, "_ln_gamma_table")),
+        (("radius", "-n", str(10**12)), "n_terms must be an integer from 2 to 10000",
+         (euler_beta, "_ln_gamma_table")),
+        (("eval", "-n", str(MAX_TERMS + 1)), "n_terms must be an integer from 2 to 10000",
+         (euler_beta, "_ln_gamma_table")),
+    ))
+    def test_sizes_above_the_limit_are_usage_errors(self, cli, monkeypatch, argv, message, stub):
+        # the allocator that the count sizes fails the test, so nothing that
+        # large is built even if the bound fails to fire
+        module, name = stub
+
+        def fail(*args, **kwargs):
+            pytest.fail(f"{name} ran")
+
+        if name == "_ln_gamma_table":
+            monkeypatch.setattr(module, name, fail)
+        else:  # numpy as the one module sees it
+            monkeypatch.setattr(module, "np", SimpleNamespace(**{**vars(np), name: fail}))
         code, out, err = cli(*argv)
         assert (code, out) == (2, "")
-        assert message in err
+        assert err.startswith(f"error: {message}, got ") and len(err.splitlines()) == 1
 
     def test_sizes_at_the_limit_reach_the_command(self, cli, monkeypatch):
         seen = []
@@ -717,3 +752,13 @@ def test_emitted_table_matches_library(cli, command, fmt):
         assert rows[0][3] is True and rows[-1][3] is False
     if command == "radius":
         assert dict(rows)["r_formula_ii"] is None
+
+
+def test_the_console_script_runs_main(cli):
+    # pyproject.toml's [project.scripts] entry, read by pattern: Python 3.10
+    # has no tomllib
+    text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, attr = re.search(r'^felog = "([\w.]+):(\w+)"$', text, re.M).groups()
+    assert getattr(importlib.import_module(module), attr) is main
+    code, out, _ = cli("coeffs", "-n", "4")
+    assert code == 0 and len(json.loads(out)["g"]) == 4

@@ -199,11 +199,15 @@ class TestBuildSequence:
 
     @pytest.mark.parametrize("build", (build_sequence, SeriesSolution.build))
     def test_more_than_max_terms_rejected_before_any_work(self, build, monkeypatch):
-        # the first log-Gamma value fails the test if the bound does not fire
-        monkeypatch.setattr(euler_beta, "ln_gamma", lambda x: pytest.fail("recurrence ran"))
-        with pytest.raises(ValueError, match=r"^n_terms must be <= 10000, got 1000000000000$"):
+        # the log-Gamma table, the first array n_terms sizes, fails the test
+        # if the bound does not fire
+        for name in ("ln_gamma", "_ln_gamma_table"):
+            monkeypatch.setattr(euler_beta, name, lambda *a: pytest.fail("recurrence ran"))
+        with pytest.raises(ValueError, match=r"^n_terms must be an integer from 2 to 10000, "
+                                             r"got 1000000000000$"):
             build(0.5, 1.0, 10**12)
-        with pytest.raises(ValueError, match=r"^n_terms must be <= 10000, got 10001$"):
+        with pytest.raises(ValueError, match=r"^n_terms must be an integer from 2 to 10000, "
+                                             r"got 10001$"):
             build(0.5, 1.0, MAX_TERMS + 1)
 
     def test_max_terms_is_accepted(self):

@@ -321,6 +321,23 @@ def _history_inputs(draw):
     return data, t, exponent
 
 
+@st.composite
+def _long_grids(draw):
+    """Nodes from 0 on 2 to 10,000 cells: power-graded up to r = 200, with
+    geometric gaps, or with exponential or Pareto random gaps. Nodes that
+    round onto the one before are dropped."""
+    cells = draw(st.integers(2, 10_000))
+    kind = draw(st.sampled_from(("power", "geometric", "exponential", "pareto")))
+    if kind == "power":
+        return np.unique((np.arange(cells + 1) / cells) ** draw(st.floats(1.0, 200.0)))
+    if kind == "geometric":
+        gaps = np.exp(np.linspace(0.0, draw(st.floats(-600.0, 600.0)), cells))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        gaps = rng.exponential(size=cells) if kind == "exponential" else rng.pareto(1.0, cells)
+    return np.unique(np.concatenate(([0.0], np.cumsum(gaps))))
+
+
 class TestGradedHistoryBlocks:
     # 15 and 16 cells end in a block cut short, 17 in a full one
     @pytest.mark.parametrize("cells", (2, 15, 16, 17, 2000))
@@ -351,6 +368,17 @@ class TestGradedHistoryBlocks:
                 assert height[-1] < a[-1] // 4
             for blocked, reference in _oracle_cases(beta, cells):
                 assert float(np.max(np.abs(blocked - reference))) <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(_long_grids())
+    def test_every_block_fits_in_one_far_group(self, t):
+        # a block has at most min(a // 4, HISTORY_BLOCK // (a // 4 + 1))
+        # rows, so _far_history's groups of HISTORY_BLOCK // (2 P) rows always
+        # take at least one whole block
+        a, b, _ = fracops._row_blocks(t).T
+        tallest = math.isqrt(fracops.HISTORY_BLOCK)
+        assert np.max(b - a) <= tallest
+        assert tallest <= fracops.HISTORY_BLOCK // (2 * fracops._FAR_TERMS)
 
     def test_temporary_memory_is_bounded(self):
         # blocks hold about HISTORY_BLOCK entries at any grid size; a fixed
