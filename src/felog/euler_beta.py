@@ -6,10 +6,9 @@ The series coefficients are carried in normalized form
 
 which stays bounded on the convergence disk; the raw numbers E_k overflow
 double range near k ~ 170/beta because of the Gamma normalizer, so they are
-reported only as (sign, log10 magnitude) pairs. The recurrence advances the
-full Cauchy convolution of g with itself, including both endpoints; with
-g_0 = 1/2 the linear term cancels against the two endpoint products and the
-even-indexed coefficients come out zero on their own.
+reported only as (sign, log10 magnitude) pairs. Only the steps that make odd
+coefficients run: an even one would give g_k - 2 g_0 g_k = 0, as its other
+products have a zero even factor, so each even g_k is stored as +0.0.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .specfun import EULER_MASCHERONI, _ln_gamma_table, gamma_fn, ln_gamma
+from .specfun import (EULER_MASCHERONI, MAX_TERMS, _check_count, _ln_gamma_table, gamma_fn,
+                      ln_gamma)
 
 __all__ = [
     "BetaEulerSequence",
@@ -34,10 +34,6 @@ __all__ = [
     "majorant_constants",
     "sequence_from_json",
 ]
-
-#: Most coefficients build_sequence makes (and most -n the CLI accepts): far
-#: above any use (-n 256), small enough that no array it sizes exhausts memory.
-MAX_TERMS = 10_000
 
 #: Coefficients a series gets when the caller names no count (and -n's default).
 DEFAULT_TERMS = 64
@@ -112,24 +108,21 @@ def _check_order(beta: float, m: float) -> None:
         raise ValueError(f"m must be finite, got {m}")
 
 
-def _check_count(name: str, n, lo: int, hi: int) -> None:
-    """A count that sizes an array must be an integer from lo to hi."""
-    if not isinstance(n, (int, np.integer)) or not lo <= n <= hi:
-        raise ValueError(f"{name} must be an integer from {lo} to {hi}, got {n!r}")
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
 def _as_real(x, name: str) -> np.ndarray:
-    """The caller's ``x`` as a float64 array. A complex ``x`` is a ValueError:
-    numpy would drop its imaginary part with only a warning."""
+    """The caller's ``x`` as a float64 array. A complex ``x`` (numpy would drop its
+    imaginary part) or an integer past the double range is a ValueError."""
     arr = np.asarray(x)
     if arr.dtype.kind == "c":
         raise ValueError(f"{name} must be real, got {arr.dtype}")
-    return np.asarray(arr, dtype=float)
+    try:
+        return np.asarray(arr, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer past the double range") from None
 
 
 def _take_array(record, name: str, min_size: int) -> None:
@@ -172,7 +165,7 @@ def build_sequence(beta: float, m: float, n_terms: int = DEFAULT_TERMS) -> BetaE
     """
     beta, m = float(beta), float(m)
     _check_order(beta, m)
-    _check_count("n_terms", n_terms, 2, MAX_TERMS)
+    n_terms = _check_count("n_terms", n_terms, 2, MAX_TERMS)
 
     lg = _ln_gamma_table(beta, n_terms)
     gamma_ratios = map(math.exp, map(float.__sub__, lg[0::2], lg[1::2]))  # lg[k] - lg[k+1], even k
@@ -195,6 +188,13 @@ def _normal_odd(g: np.ndarray) -> np.ndarray:
     return odd[: small[0]] if small.size else odd
 
 
+def _json_number(x) -> float:
+    """A JSON number as a float: an int or a float, but not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"not a JSON number: {x!r}")
+    return float(x)
+
+
 def sequence_from_json(payload: Union[str, dict]) -> BetaEulerSequence:
     """Rebuild a sequence from its JSON export, bit-exact in g.
 
@@ -202,19 +202,19 @@ def sequence_from_json(payload: Union[str, dict]) -> BetaEulerSequence:
     so a stale or edited "raw" list cannot disagree with it. json.loads
     accepts NaN and Infinity, but a non-finite g entry raises ValueError, as
     does a payload that is not an object or lacks a field or has one that is
-    not numeric.
+    not a JSON number or list of them (a bool or a numeric string is not).
     """
     obj = json.loads(payload) if isinstance(payload, str) else payload
     if not isinstance(obj, dict):
         raise ValueError(f"a sequence payload must be a JSON object, got {type(obj).__name__}")
     fields = {}
-    for name, read, what in (("beta", float, "a number"), ("m", float, "a number"),
-                             ("g", lambda x: _as_real(x, "g"), "a list of numbers")):
+    for name, read, what in (("beta", _json_number, "a number"), ("m", _json_number, "a number"),
+                             ("g", lambda x: [*map(_json_number, x)], "a list of numbers")):
         if name not in obj:
             raise ValueError(f"the sequence payload has no {name!r} field")
         try:
             fields[name] = read(obj[name])
-        except (TypeError, ValueError):
+        except (TypeError, OverflowError):
             raise ValueError(f"the payload's {name!r} field must be {what}") from None
     return BetaEulerSequence(**fields)
 

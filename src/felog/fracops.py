@@ -34,9 +34,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .euler_beta import (BetaEulerSequence, _as_real, _check_beta, _check_count, _check_order,
-                         _read_only, _take_array)
-from .specfun import _ln_gamma_table, gamma_fn, ln_gamma
+from .euler_beta import (BetaEulerSequence, _as_real, _check_beta, _check_order, _read_only,
+                         _take_array)
+from .specfun import _check_count, _ln_gamma_table, gamma_fn, ln_gamma
 
 __all__ = [
     "QuadratureGrid",
@@ -123,14 +123,14 @@ def _check_strict(beta: float, what: str) -> None:
 def uniform_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
     """n equal cells on [0, t1]."""
     _check_positive("t1", t1)
-    _check_count("the cell count", n, 2, MAX_STEPS)
+    n = _check_count("the cell count", n, 2, MAX_STEPS)
     return QuadratureGrid(np.linspace(0.0, t1, n + 1), beta)
 
 
 def graded_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
     """Nodes t_j = t1 * (j/n)^(2/beta), clustered at the origin cusp."""
     _check_positive("t1", t1)
-    _check_count("the cell count", n, 2, MAX_STEPS)
+    n = _check_count("the cell count", n, 2, MAX_STEPS)
     _check_beta(beta)
     j = np.arange(n + 1, dtype=float)
     nodes = t1 * (j / n) ** (2.0 / beta)

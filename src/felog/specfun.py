@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -38,6 +39,17 @@ __all__ = [
 EULER_MASCHERONI = 0.5772156649015329
 
 Rational = Union[int, Fraction]
+
+#: Most coefficients build_sequence makes (and most -n the CLI accepts), and the
+#: last Bernoulli number a table reaches: it bounds a length, not a time.
+MAX_TERMS = 10_000
+
+
+def _check_count(name: str, n, lo: int, hi: int) -> int:
+    """A count that sizes an array or table must be an integer from lo to hi; returns int(n)."""
+    if not isinstance(n, numbers.Integral) or not lo <= n <= hi:
+        raise ValueError(f"{name} must be an integer from {lo} to {hi}, got {n!r}")
+    return int(n)
 
 
 def ln_gamma(x: float) -> float:
@@ -83,8 +95,7 @@ def bernoulli_numbers(n_max: int) -> List[Fraction]:
     recurrence sum_{j<=s} C(s+1, j) b_j = 0 so that no cancellation ever
     enters the rational arithmetic.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    n_max = _check_count("n_max", n_max, 0, MAX_TERMS)
     out = [Fraction(1)]
     for s in range(1, n_max + 1):
         acc = Fraction(0)
@@ -105,16 +116,14 @@ def _bernoulli_horner(s: int, x: Fraction, b: List[Fraction]) -> Fraction:
 
 def bernoulli_poly_exact(s: int, x: Rational) -> Fraction:
     """B_s(x) for rational x, exactly."""
-    if s < 0:
-        raise ValueError("polynomial index must be >= 0")
+    s = _check_count("s", s, 0, MAX_TERMS)
     return _bernoulli_horner(s, Fraction(x), bernoulli_numbers(s))
 
 
 def euler_poly_exact(k: int, x: Rational) -> Fraction:
     """E_k(x) = 2/(k+1) [B_(k+1)(x) - 2^(k+1) B_(k+1)(x/2)] (DLMF 24.4.23) for
     rational x, exactly, from one Bernoulli table b_0..b_(k+1)."""
-    if k < 0:
-        raise ValueError("polynomial index must be >= 0")
+    k = _check_count("k", k, 0, MAX_TERMS - 1)
     x = Fraction(x)
     b = bernoulli_numbers(k + 1)
     diff = _bernoulli_horner(k + 1, x, b) - 2 ** (k + 1) * _bernoulli_horner(k + 1, x / 2, b)
@@ -134,8 +143,7 @@ def euler_poly(k: int, x: float) -> float:
 def classical_series_coeffs(n_max: int) -> List[float]:
     """Coefficients E_k(1)/2 of the classical logistic Taylor series, k <= n_max:
     1/2, then (2^(k+1) - 1) b_(k+1) / (k+1), from one Bernoulli table."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    n_max = _check_count("n_max", n_max, 0, MAX_TERMS - 1)
     b = bernoulli_numbers(n_max + 1)
     return [0.5] + [float((2 ** (k + 1) - 1) * b[k + 1] / (k + 1)) for k in range(1, n_max + 1)]
 

@@ -11,6 +11,7 @@ import inspect
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -237,20 +238,48 @@ def test_each_rule_has_one_home():
 
 
 def test_each_count_has_one_check():
-    # euler_beta._check_count alone spells the integer-range rule, and the
-    # CLI leaves each count to the code that sizes an array with it
+    # specfun._check_count alone spells the integer-range rule, for the
+    # Euler-number indices as for terms, cells and steps, and the CLI leaves
+    # each count to the code that sizes an array with it
     homes = [(name, fn.name) for name in MODULES
              for fn in ast.walk(_tree(importlib.import_module(name)))
              if isinstance(fn, ast.FunctionDef)
              and any(isinstance(c, ast.Constant) and "must be an integer from" in str(c.value)
                      for c in ast.walk(fn))]
-    assert homes == [("felog.euler_beta", "_check_count")]
+    assert homes == [("felog.specfun", "_check_count")]
+    for module in (euler_beta, fracops, cli):
+        assert module._check_count is specfun._check_count, module.__name__
+    assert euler_beta.MAX_TERMS is specfun.MAX_TERMS and cli.MAX_TERMS is specfun.MAX_TERMS
+    assert "must be >= 0" not in inspect.getsource(specfun)
     names = {node.id for node in ast.walk(_tree(cli.main)) if isinstance(node, ast.Name)}
     assert not names & {"MAX_TERMS", "MAX_STEPS"}
 
 
+def test_the_rule_layer_imports_no_numpy():
+    # specfun is the bottom layer: exact rationals and the standard library
+    imported = [alias.name for node in ast.walk(_tree(specfun))
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(_tree(specfun))
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    assert imported and not any(name.split(".")[0] == "numpy" for name in imported)
+
+
+@pytest.mark.parametrize("n", (True, 3, np.int64(3), np.uint8(3), np.int32(3), np.bool_(True),
+                               3.0, np.float64(3.0), Fraction(3), np.array(3)), ids=repr)
+def test_a_count_is_what_numpy_counts_as_an_integer(n):
+    # numbers.Integral keeps specfun numpy-free and draws numpy's own line
+    try:
+        specfun._check_count("n", n, 0, 5)
+    except ValueError as exc:
+        assert str(exc) == f"n must be an integer from 0 to 5, got {n!r}"
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == isinstance(n, (int, np.integer))
+
+
 def test_the_default_term_count_has_one_home():
-    # euler_beta alone spells the number, beside MAX_TERMS, and exports it nowhere
+    # euler_beta alone spells the number, and exports it nowhere
     default = euler_beta.DEFAULT_TERMS
     assert "DEFAULT_TERMS" not in euler_beta.__all__ and not hasattr(felog, "DEFAULT_TERMS")
     homes = [name for name in MODULES
@@ -303,44 +332,55 @@ def _grid():
     return graded_grid(1.0, 8, 0.5)
 
 
-def _complex(name):
-    return f"{name} must be real, got complex128"
-
-
-# each way a caller's array enters felog, with the message that rejects it
-COMPLEX_INTAKES = {
-    "BetaEulerSequence.g": (lambda z: BetaEulerSequence(0.5, 1.0, _sequence().g + z),
-                            _complex("g")),
-    "QuadratureGrid.nodes": (lambda z: QuadratureGrid(_grid().nodes + z, 0.5), _complex("nodes")),
-    "ResidualReport.grid": (lambda z: ResidualReport("l1", [0.1 + z, 0.2], [0.0, 0.0]),
-                            _complex("grid")),
-    "ResidualReport.residual": (lambda z: ResidualReport("l1", [0.1, 0.2], [z, 0.0]),
-                                _complex("residual")),
-    "sequence_from_json": (lambda z: sequence_from_json(
-        {"beta": 0.5, "m": 1.0, "g": _sequence().g + z}),
-        "the payload's 'g' field must be a list of numbers"),
-    "evaluate, array": (lambda z: SeriesSolution(_sequence()).evaluate(np.array([0.5 + z])),
-                        _complex("t")),
-    "evaluate, scalar": (lambda z: SeriesSolution(_sequence()).evaluate(0.5 + z),
-                         _complex("t")),
-    "compare_classical": (lambda z: compare_classical(1.0, [0.5 + z]), _complex("t_grid")),
-    "caputo_l1_all": (lambda z: caputo_l1_all(np.full(9, 0.5) + z, _grid()),
-                      _complex("w_values")),
-    "fractional_integral_midpoint": (lambda z: fractional_integral_midpoint(
-        np.full(8, 0.5) + z, _grid()), _complex("f_mid")),
-    "sonine_check": (lambda z: sonine_check(0.5, [1.0 + z]), _complex("t_grid")),
+# each way a caller's array enters felog: a call that puts one entry v into
+# an input that is valid for v = 0.5, and the name that a refusal carries
+INTAKES = {
+    "BetaEulerSequence.g": (lambda v: BetaEulerSequence(0.5, 1.0, [*_sequence().g, v]), "g"),
+    "QuadratureGrid.nodes": (lambda v: QuadratureGrid([0.0, 0.25, v], 0.5), "nodes"),
+    "ResidualReport.grid": (lambda v: ResidualReport("l1", [0.1, v], [0.0, 0.0]), "grid"),
+    "ResidualReport.residual": (lambda v: ResidualReport("l1", [0.1, 0.2], [v, 0.0]),
+                                "residual"),
+    "sequence_from_json": (lambda v: sequence_from_json(
+        {"beta": 0.5, "m": 1.0, "g": [*_sequence().g.tolist(), v]}), None),
+    "evaluate, array": (lambda v: SeriesSolution(_sequence()).evaluate([0.1, v]), "t"),
+    "evaluate, scalar": (lambda v: SeriesSolution(_sequence()).evaluate(v), "t"),
+    "compare_classical": (lambda v: compare_classical(1.0, [0.1, v]), "t_grid"),
+    "caputo_l1_all": (lambda v: caputo_l1_all([0.5] * 8 + [v], _grid()), "w_values"),
+    "fractional_integral_midpoint": (lambda v: fractional_integral_midpoint(
+        [0.5] * 7 + [v], _grid()), "f_mid"),
+    "sonine_check": (lambda v: sonine_check(0.5, [v]), "t_grid"),
 }
 
+# a payload's fields are JSON, so sequence_from_json names its field instead
+PAYLOAD_G = "the payload's 'g' field must be a list of numbers"
 
-@pytest.mark.parametrize("site", COMPLEX_INTAKES)
+
+@pytest.mark.parametrize("site", INTAKES)
+def test_each_intake_case_is_valid_with_a_real_entry(site):
+    call, _ = INTAKES[site]
+    call(0.5)
+
+
+@pytest.mark.parametrize("site", INTAKES)
 @pytest.mark.parametrize("z", (1j, 0j))
 def test_complex_input_is_rejected_by_name(site, z):
     # numpy kept the real part and dropped the rest with only a warning; a
     # complex dtype is refused even where every imaginary part is zero
-    call, message = COMPLEX_INTAKES[site]
+    call, name = INTAKES[site]
     with pytest.raises(ValueError) as exc:
-        call(z)
-    assert str(exc.value) == message
+        call(0.5 + z)
+    assert str(exc.value) == (f"{name} must be real, got complex128" if name else PAYLOAD_G)
+
+
+@pytest.mark.parametrize("site", INTAKES)
+@pytest.mark.parametrize("big", (10**400, -(10**309)), ids=("1e400", "-1e309"))
+def test_an_integer_past_the_double_range_is_rejected_by_name(site, big):
+    # numpy raised OverflowError: int too large to convert to float
+    call, name = INTAKES[site]
+    with pytest.raises(ValueError) as exc:
+        call(big)
+    message = f"{name} must be finite, got an integer past the double range"
+    assert str(exc.value) == (message if name else PAYLOAD_G)
 
 
 def _real_arrays(dtype):

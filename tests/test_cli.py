@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -597,15 +598,31 @@ class TestIOContract:
         payload = json.loads(out)
         assert isinstance(payload, dict)
 
-    def test_import_loads_no_scipy(self):
-        # numpy is the only runtime dependency; scipy is a test oracle
+    def test_numpy_is_the_only_runtime_dependency(self):
+        # pytest, hypothesis, mpmath and scipy are test oracles: a fresh
+        # interpreter runs every subcommand, each verify method once, and
+        # loads no top-level module past those loaded at start-up (.pth
+        # hooks included) but the standard library, numpy and felog
+        script = textwrap.dedent("""
+            import contextlib, io, json, sys
+            before = {name.partition(".")[0] for name in sys.modules}
+            from felog.cli import main
+            runs = [["coeffs", "-n", "8"], ["eval", "--steps", "4"], ["radius"],
+                    ["compare", "--steps", "4"], ["verify", "--method", "termwise"],
+                    ["verify", "--method", "pc", "--t1", "0.3"]]
+            runs += [["verify", "--method", method, "--t1", "0.3", "--steps", "20"]
+                     for method in ("l1", "integro")]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [main(argv) for argv in runs]
+            new = {name.partition(".")[0] for name in sys.modules} - before
+            print(json.dumps([codes, sorted(new - set(sys.stdlib_module_names))]))
+        """)
         env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, felog.cli; print(sorted(m for m in sys.modules"
-             " if m == 'scipy' or m.startswith('scipy.')))"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert proc.stdout == "[]\n"
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, check=True)
+        codes, outside = json.loads(proc.stdout)
+        assert set(codes) <= {0, 1}, proc.stderr  # no run stopped at a usage error
+        assert "felog" in outside and set(outside) <= {"felog", "numpy"}
 
     @pytest.mark.parametrize("argv, message", (
         (("eval", "--steps", "0"), "steps must be an integer from 1 to 1000000, got 0"),

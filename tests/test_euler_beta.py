@@ -424,13 +424,36 @@ class TestSerialization:
         ({"beta": 1.0, "m": 1.0, "g": [[0.5], [0.25, 0.0]]},
          "the payload's 'g' field must be a list of numbers"),
         ({"beta": 1.0, "m": 1.0, "g": [[0.5, 0.25]]},
-         "g must be a 1-D array of 2 or more entries, got shape (1, 2)"),
+         "the payload's 'g' field must be a list of numbers"),
     ))
     def test_malformed_payload_names_its_field(self, payload, message):
         # a payload is input from outside the program: no KeyError or TypeError
         with pytest.raises(ValueError) as exc:
             sequence_from_json(payload)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field, value", (
+        ("beta", '"1"'), ("m", '"1"'), ("g", '["0.5", "0.25", "0"]'), ("g", '"[0.5, 0.25]"'),
+        ("beta", "true"), ("m", "true"), ("g", "[0.5, 0.25, false]"),
+        ("beta", "1" + "0" * 400), ("m", "1" + "0" * 400),
+        ("g", "[0.5, 0.25, -1%s]" % ("0" * 400)),
+    ), ids=lambda v: v if len(v) < 30 else v[:20] + "...")
+    def test_only_json_numbers_are_read(self, field, value):
+        # a string, a bool and an integer past the double range are not JSON
+        # numbers: float() would take the first two, and the third overflows
+        fields = {"beta": "1.0", "m": "1.0", "g": "[0.5, 0.25]", field: value}
+        text = "{%s}" % ", ".join(f'"{name}": {v}' for name, v in fields.items())
+        what = "a list of numbers" if field == "g" else "a number"
+        with pytest.raises(ValueError) as exc:
+            sequence_from_json(text)
+        assert str(exc.value) == f"the payload's {field!r} field must be {what}"
+
+    def test_json_integers_read_as_floats(self):
+        # an int is a JSON number: it reads as float() and numpy's float64 read it
+        text = '{"beta": 1, "m": 2, "g": [0.5, 0.125, 0, -%d, 0]}' % (2**70 + 1)
+        seq = sequence_from_json(text)
+        assert (type(seq.beta), type(seq.m)) == (float, float)
+        assert seq.g.tobytes() == np.array([0.5, 0.125, 0, -(2**70 + 1), 0], float).tobytes()
 
     def test_raw_entries_of_payload_are_ignored(self):
         seq = build_sequence(0.7, 1.0, 16)

@@ -75,6 +75,14 @@ class TestGrids:
         nodes = make(1.0, np.int64(4), 0.5).nodes
         assert nodes.size == 5 and nodes[-1] == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", (uniform_grid, graded_grid))
+    def test_a_numpy_cell_count_is_used_as_an_int(self, make):
+        # n + 1 nodes: in uint8, 255 + 1 wraps to 0
+        nodes = make(1.0, np.uint8(255), 0.5).nodes
+        assert nodes.size == 256 and nodes[-1] == 1.0
+        assert nodes.tobytes() == make(1.0, 255, 0.5).nodes.tobytes()
+
     def test_graded_underflow_is_named(self):
         # at t1 = 1 and 2000 cells, t1 * n^(-2/beta) underflows below beta ~ 0.0204
         with pytest.raises(ValueError) as exc:

@@ -170,10 +170,10 @@ class TestBernoulli:
             assert bernoulli_poly_exact(s, 0) == b[s]
 
     def test_negative_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_max must be an integer from 0 to 10000, got -1"):
             bernoulli_numbers(-1)
-        for poly in (bernoulli_poly_exact, euler_poly_exact):
-            with pytest.raises(ValueError, match="polynomial index must be >= 0"):
+        for poly, name, cap in ((bernoulli_poly_exact, "s", 10000), (euler_poly_exact, "k", 9999)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer from 0 to {cap}"):
                 poly(-1, Fraction(1, 2))
 
 
@@ -266,7 +266,7 @@ class TestClassicalCoeffs:
         assert u[5] == 0.25
 
     def test_negative_order_raises(self):
-        with pytest.raises(ValueError, match="n_max must be >= 0"):
+        with pytest.raises(ValueError, match="n_max must be an integer from 0 to 9999, got -1"):
             classical_series_coeffs(-1)
 
     def test_explicit_form_matches_the_euler_polynomial(self):
@@ -283,6 +283,55 @@ class TestClassicalCoeffs:
         monkeypatch.setattr(specfun, "bernoulli_numbers", counted)
         classical_series_coeffs(30)
         assert calls == [31]
+
+
+# each entry point of the Euler-number layer, the last index it takes and the
+# name its refusal carries: b_(k+1) is read for E_k, so those stop one short
+INDEX_ENTRIES = {
+    "bernoulli_numbers": (bernoulli_numbers, MAX_TERMS, "n_max"),
+    "bernoulli_poly_exact": (lambda s: bernoulli_poly_exact(s, Fraction(1, 3)), MAX_TERMS, "s"),
+    "euler_poly_exact": (lambda k: euler_poly_exact(k, Fraction(1, 3)), MAX_TERMS - 1, "k"),
+    "euler_poly": (lambda k: euler_poly(k, 0.5), MAX_TERMS - 1, "k"),
+    "classical_series_coeffs": (classical_series_coeffs, MAX_TERMS - 1, "n_max"),
+}
+
+
+class TestIndexRule:
+    @pytest.fixture
+    def no_table(self, monkeypatch):
+        # every Bernoulli table past b_0 calls comb, so a missing check fails
+        # here at once instead of running for hours
+        def started(*args):
+            raise AssertionError("a Bernoulli table was started")
+
+        monkeypatch.setattr(specfun, "comb", started)
+
+    @pytest.mark.parametrize("entry", INDEX_ENTRIES)
+    @pytest.mark.parametrize("bad", (-1, 2.5, np.float64(3.0), "cap + 1"), ids=repr)
+    def test_refused_before_a_table_is_started(self, no_table, entry, bad):
+        call, cap, name = INDEX_ENTRIES[entry]
+        bad = cap + 1 if bad == "cap + 1" else bad
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value) == f"{name} must be an integer from 0 to {cap}, got {bad!r}"
+
+    @pytest.mark.parametrize("entry", INDEX_ENTRIES)
+    def test_the_cap_itself_passes_the_check(self, no_table, entry):
+        call, cap, _ = INDEX_ENTRIES[entry]
+        with pytest.raises(AssertionError, match="a Bernoulli table was started"):
+            call(cap)
+
+    @pytest.mark.parametrize("index", (True, 7, np.int64(7), np.uint8(7), np.int32(7)), ids=repr)
+    def test_integers_of_any_type_give_the_same_values(self, index):
+        for entry, (call, _, _) in INDEX_ENTRIES.items():
+            assert call(index) == call(int(index)), entry
+
+    def test_a_numpy_index_is_used_as_an_int(self):
+        # in int64, 2^(k+1) wraps from k = 62, and a uint8 255 + 1 is 0
+        half = Fraction(1, 2)
+        assert euler_poly_exact(np.int64(70), half) == euler_poly_exact(70, half)
+        assert classical_series_coeffs(np.int64(70)) == classical_series_coeffs(70)
+        assert len(bernoulli_numbers(np.uint8(255))) == 256
 
 
 class TestBoundPredicates:
