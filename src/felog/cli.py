@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .euler_beta import DEFAULT_TERMS, MAX_TERMS, _check_count, build_sequence
+from .euler_beta import DEFAULT_TERMS, MAX_TERMS, _check_count, _check_real, build_sequence
 from .fracops import MAX_STEPS, VERIFY_TOLERANCES, make_grid, verify
 from .series_solution import SeriesSolution, _classical_curves, radius_report
 
@@ -71,11 +71,11 @@ def _emit(args: argparse.Namespace, payload: dict, header, rows) -> None:
 
 def _t_grid(args: argparse.Namespace) -> np.ndarray:
     _check_count("steps", args.steps, 1, MAX_STEPS)
-    if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
-        raise ValueError("t0 and t1 must be finite")
-    if not args.t0 < args.t1:
+    t0 = _check_real("t0", args.t0, -math.inf, math.inf, "()")
+    t1 = _check_real("t1", args.t1, -math.inf, math.inf, "()")
+    if not t0 < t1:
         raise ValueError("t0 must be less than t1")
-    return np.linspace(args.t0, args.t1, args.steps + 1)
+    return np.linspace(t0, t1, args.steps + 1)
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
@@ -104,8 +104,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.tol is not None and not 0.0 <= args.tol < math.inf:
-        raise ValueError("tol must be finite and >= 0")
+    tol = None if args.tol is None else _check_real("tol", args.tol, 0, math.inf, "[)")
     if args.method in ("termwise", "pc") and (args.steps is not None or args.grid is not None):
         raise ValueError("--steps and --grid apply only to --method l1 and integro")
     if args.method == "termwise" and args.t1 is not None:
@@ -125,7 +124,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         grid = make_grid(t1, 2000 if cells is None else cells, spacing or "graded", args.beta)
     report = verify(sol, args.method, grid)
 
-    tol = args.tol if args.tol is not None else VERIFY_TOLERANCES[report.method]
+    tol = VERIFY_TOLERANCES[report.method] if tol is None else tol
     passed = report.sup_norm <= tol
     payload = report.to_json_dict()
     payload.update({"tol": tol, "passed": passed})

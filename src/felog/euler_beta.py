@@ -17,13 +17,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .specfun import (EULER_MASCHERONI, MAX_TERMS, _check_count, _ln_gamma_table, gamma_fn,
-                      ln_gamma)
+from .specfun import (EULER_MASCHERONI, MAX_TERMS, _check_count, _check_real, _ln_gamma_table,
+                      gamma_fn, ln_gamma)
 
 __all__ = [
     "BetaEulerSequence",
@@ -55,7 +55,8 @@ class BetaEulerSequence:
     g: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_order(self.beta, self.m)
+        _take_real(self, "beta", _check_beta)
+        _take_real(self, "m", _check_m)
         _take_array(self, "g", 2)
         if self.g[0] != 0.5:
             raise ValueError("g_0 must equal 1/2")
@@ -93,19 +94,9 @@ class BetaEulerSequence:
         return {"beta": self.beta, "m": self.m, "g": self.g.tolist(), "raw": raw}
 
 
-def _check_beta(beta: float) -> None:
-    """The orders the series and its oracles are built for."""
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-
-
-def _check_order(beta: float, m: float) -> None:
-    """The (beta, m) pairs the series is built for."""
-    _check_beta(beta)
-    if not m >= 1.0:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not math.isfinite(m):
-        raise ValueError(f"m must be finite, got {m}")
+#: The orders beta and the rates m that the series is built for, read as floats.
+_check_beta = partial(_check_real, "beta", lo=0, hi=1, ends="(]")
+_check_m = partial(_check_real, "m", lo=1, hi=math.inf, ends="[)")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -139,6 +130,12 @@ def _take_array(record, name: str, min_size: int) -> None:
     object.__setattr__(record, name, _read_only(arr))
 
 
+def _take_real(record, name: str, check) -> None:
+    """Store on a frozen record the float that ``check``, a real-argument rule,
+    returns for its field ``name``."""
+    object.__setattr__(record, name, check(getattr(record, name)))
+
+
 @dataclass(frozen=True, eq=False)
 class BoundSequences:
     """Majorant data for a normalized (m = 1) sequence: the two printed
@@ -163,8 +160,7 @@ def build_sequence(beta: float, m: float, n_terms: int = DEFAULT_TERMS) -> BetaE
     g_k - g_k = +0.0 while g_k is normal, and past that a residue that, left
     in, would wreck the sum at small beta. Even coefficients are stored as +0.0.
     """
-    beta, m = float(beta), float(m)
-    _check_order(beta, m)
+    beta, m = _check_beta(beta), _check_m(m)
     n_terms = _check_count("n_terms", n_terms, 2, MAX_TERMS)
 
     lg = _ln_gamma_table(beta, n_terms)
@@ -224,6 +220,7 @@ def majorant_constants(beta: float) -> Tuple[float, float]:
     m = 1: p = 1/(4 Gamma(beta+1)) is the first number over its normalizer,
     q = 2p Gamma(2beta+1)/Gamma(3beta+1) the geometric base.
     """
+    beta = _check_beta(beta)
     p = 0.25 / gamma_fn(beta + 1.0)
     q = 2.0 * p * math.exp(ln_gamma(2 * beta + 1.0) - ln_gamma(3 * beta + 1.0))
     return p, q

@@ -20,9 +20,9 @@ convolution of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6,
 1985), O(N log^2 N) time and O(N) memory for N steps. The kernel-pair check
 takes its Beta integral from a fixed tanh-sinh rule (Takahasi & Mori, Publ.
 RIMS 9, 1974), not from the Gamma function; the stable tail's transform takes
-a product-midpoint rule. Only the argument checks come from euler_beta, never
-its numerics. Agreement between these routes and the series is the point;
-neither side is ground truth alone.
+a product-midpoint rule. Only the argument rules come from euler_beta and
+specfun, never the series' numerics. Agreement between these routes and the
+series is the point; neither side is ground truth alone.
 """
 
 from __future__ import annotations
@@ -30,13 +30,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .euler_beta import (BetaEulerSequence, _as_real, _check_beta, _check_order, _read_only,
-                         _take_array)
-from .specfun import _check_count, _ln_gamma_table, gamma_fn, ln_gamma
+from .euler_beta import (BetaEulerSequence, _as_real, _check_beta, _check_m, _read_only,
+                         _take_array, _take_real)
+from .specfun import _check_count, _check_real, _ln_gamma_table, gamma_fn, ln_gamma
 
 __all__ = [
     "QuadratureGrid",
@@ -100,7 +101,7 @@ class QuadratureGrid:
     beta: float
 
     def __post_init__(self) -> None:
-        _check_beta(self.beta)
+        _take_real(self, "beta", _check_beta)
         _take_array(self, "nodes", 3)
         if self.nodes[0] != 0.0:
             raise ValueError("nodes must start at 0")
@@ -108,30 +109,22 @@ class QuadratureGrid:
             raise ValueError("nodes must be strictly increasing")
 
 
-def _check_positive(name: str, x) -> None:
-    """x, a scalar or an array, must be finite and positive throughout."""
-    if not np.all((x > 0.0) & (x < math.inf)):
-        raise ValueError(f"{name} must be finite and positive")
-
-
-def _check_strict(beta: float, what: str) -> None:
-    """The kernel pair and the stable symbol degenerate at beta = 0 and 1."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"{what} needs beta strictly inside (0, 1)")
+#: The kernel pair and the stable symbol degenerate at beta = 0 and 1.
+_check_strict = partial(_check_real, "beta", lo=0, hi=1, ends="()")
 
 
 def uniform_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
     """n equal cells on [0, t1]."""
-    _check_positive("t1", t1)
+    t1 = _check_real("t1", t1, 0, math.inf, "()")
     n = _check_count("the cell count", n, 2, MAX_STEPS)
     return QuadratureGrid(np.linspace(0.0, t1, n + 1), beta)
 
 
 def graded_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
     """Nodes t_j = t1 * (j/n)^(2/beta), clustered at the origin cusp."""
-    _check_positive("t1", t1)
+    t1 = _check_real("t1", t1, 0, math.inf, "()")
     n = _check_count("the cell count", n, 2, MAX_STEPS)
-    _check_beta(beta)
+    beta = _check_beta(beta)
     j = np.arange(n + 1, dtype=float)
     nodes = t1 * (j / n) ** (2.0 / beta)
     if nodes[1] == 0.0:
@@ -511,19 +504,19 @@ def sonine_check(beta: float, t_grid) -> float:
     fixed tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974), independently
     of the Gamma identities it confirms.
     """
-    _check_strict(beta, "the kernel pair")
+    beta = _check_strict(beta)
     t_arr = np.atleast_1d(_as_real(t_grid, "t_grid"))
     if t_arr.size == 0:
         raise ValueError("the t grid is empty")
-    _check_positive("t values", t_arr)
+    if not np.all((t_arr > 0.0) & (t_arr < math.inf)):
+        raise ValueError("t values must be finite and positive")
     norm = math.exp(-ln_gamma(1.0 - beta) - ln_gamma(beta))
     return abs(norm * _beta_integral(1.0 - beta, beta) - 1.0)
 
 
 def stable_levy_tail(beta: float, z: float) -> float:
     """Tail z^(-beta)/Gamma(1-beta) of the stable jump measure."""
-    _check_strict(beta, "the stable symbol")
-    _check_positive("z", z)
+    beta, z = _check_strict(beta), _check_real("z", z, 0, math.inf, "()")
     return z ** (-beta) / gamma_fn(1.0 - beta)
 
 
@@ -535,8 +528,7 @@ def levy_tail_laplace(beta: float, lam: float) -> float:
     integrated exactly per cell against the midpoint value of exp(-lam z),
     so the origin singularity costs nothing.
     """
-    _check_strict(beta, "the stable symbol")
-    _check_positive("lam", lam)
+    beta, lam = _check_strict(beta), _check_real("lam", lam, 0, math.inf, "()")
     a = 1.0 - beta
     edges = np.linspace(0.0, 40.0, 100_001)
     moments = (edges[1:] ** a - edges[:-1] ** a) / a
@@ -565,11 +557,9 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
     SIAM J. Sci. Stat. Comput. 6, 1985), which costs O(N log^2 N) time and
     O(N) memory for N steps. At least one step is taken, so t[-1] >= t_end.
     """
-    if not all(math.isfinite(x) for x in (beta, m, t_end, h)):
-        raise ValueError("beta, m, t_end and h must be finite")
-    _check_order(beta, m)
-    _check_positive("h", h)
-    _check_positive("t_end", t_end)
+    beta, m = _check_beta(beta), _check_m(m)
+    t_end = _check_real("t_end", t_end, 0, math.inf, "()")
+    h = _check_real("h", h, 0, math.inf, "()")
     # a <= 1 makes a u^2 + (1 - a) u - base rise on u >= 0: u <= 1 if base <= 1
     c_corr = h**beta / gamma_fn(beta + 2.0)
     a = c_corr / m

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
 
-from .euler_beta import (DEFAULT_TERMS, BetaEulerSequence, _as_real, _normal_odd, _read_only,
-                         build_sequence, majorant_constants)
-from .specfun import EULER_MASCHERONI
+from .euler_beta import (DEFAULT_TERMS, BetaEulerSequence, _as_real, _check_m, _normal_odd,
+                         _read_only, build_sequence, majorant_constants)
+from .specfun import EULER_MASCHERONI, _check_real
 
 __all__ = [
     "C1_CLAIMED",
@@ -249,10 +250,8 @@ class SeriesSolution:
         return self.evaluate(t).w
 
 
-def _check_remark_beta(beta: float) -> None:
-    """The orders the closed-form majorant is stated for."""
-    if not (0.5 < beta <= 1.0):
-        raise ValueError("the closed-form majorant requires beta in (1/2, 1]")
+#: The orders the closed-form majorant is stated for, read as floats.
+_check_remark_beta = partial(_check_real, "beta", lo=0.5, hi=1, ends="(]")
 
 
 def remark_radius(beta: float) -> float:
@@ -261,7 +260,7 @@ def remark_radius(beta: float) -> float:
     At beta = 1 this evaluates to 10/3, although it is printed as <= 3; the
     value is returned exactly as the formula gives it.
     """
-    _check_remark_beta(beta)
+    beta = _check_remark_beta(beta)
     return 2.0 ** (2 * beta - 1) * (1.0 + 2 * beta * beta / (2 * beta + 1))
 
 
@@ -271,7 +270,7 @@ def remark_bound_pole(beta: float) -> float:
     This lies strictly below :func:`remark_radius`; between the two the
     printed expression is negative and useless as a bound.
     """
-    _check_remark_beta(beta)
+    beta = _check_remark_beta(beta)
     return 2.0 ** (2 * beta - 1) * (3 * beta + 1 + 2 * beta * beta) / (3 * beta + 1)
 
 
@@ -282,9 +281,8 @@ def remark_bound(beta: float, t: float) -> float:
     radius. The expression is transcribed verbatim, including the fact that
     its own pole precedes that radius.
     """
-    r = remark_radius(beta)
-    if not (0.0 <= t < r):
-        raise ValueError(f"t must lie in [0, {r}), got {t}")
+    beta = _check_remark_beta(beta)
+    t = _check_real("t", t, 0, remark_radius(beta), "[)")
     rate = 2.0 ** (1 - 2 * beta) * (3 * beta + 1) / (3 * beta + 1 + 2 * beta * beta)
     p, _ = majorant_constants(beta)
     return 0.5 + p / (1.0 - rate * t)
@@ -303,6 +301,7 @@ def compare_classical(m: float, t_grid, n_terms: int = DEFAULT_TERMS) -> float:
 
 def _classical_curves(m: float, t_grid, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """The beta = 1 series and 1/(1 + exp(-t/m)) on a grid within [0, pi * m)."""
+    m = _check_m(m)
     t_arr = _as_real(t_grid, "t_grid")
     if t_arr.size == 0:
         raise ValueError("the t grid is empty")

@@ -19,7 +19,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import List, Optional, Union
+from typing import List, Optional
 
 __all__ = [
     "EULER_MASCHERONI",
@@ -38,8 +38,6 @@ __all__ = [
 #: Euler-Mascheroni constant (float64 nearest).
 EULER_MASCHERONI = 0.5772156649015329
 
-Rational = Union[int, Fraction]
-
 #: Most coefficients build_sequence makes (and most -n the CLI accepts), and the
 #: last Bernoulli number a table reaches: it bounds a length, not a time.
 MAX_TERMS = 10_000
@@ -52,6 +50,19 @@ def _check_count(name: str, n, lo: int, hi: int) -> int:
     return int(n)
 
 
+def _check_real(name: str, x, lo: float, hi: float, ends: str) -> float:
+    """A real scalar argument must lie between lo and hi, each end open or closed
+    as ``ends`` ("(]", "[)" or "()") prints it; returns float(x). NaN, a number past
+    the double range and anything not a numbers.Real (a str, a 0-d array) fail."""
+    try:
+        v = x if type(x) is float else float(x) if isinstance(x, numbers.Real) else math.nan
+    except OverflowError:  # an int or a Fraction past the double range
+        v = math.nan
+    if not ((lo < v or lo == v and ends[0] == "[") and (v < hi or v == hi and ends[1] == "]")):
+        raise ValueError(f"{name} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {x!r}")
+    return v
+
+
 def ln_gamma(x: float) -> float:
     """Natural log of the Gamma function for finite positive real x.
 
@@ -62,8 +73,7 @@ def ln_gamma(x: float) -> float:
     6e-14, so that exp(ln_gamma(x)) is good to 1e-13 relative. Beyond, lgamma
     is all there is; on [171, 5000] its relative error stays within 3e-16.
     """
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"ln_gamma requires 0 < x < inf, got {x}")
+    x = _check_real("x", x, 0, math.inf, "()")
     if 1e-300 < x < 171.0:
         return math.log(math.gamma(x))
     return math.lgamma(x)
@@ -83,8 +93,7 @@ def gamma_fn(x: float) -> float:
 
 def beta_fn(x: float, y: float) -> float:
     """Beta integral B(x, y) for finite positive arguments, via log-Gamma."""
-    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
-        raise ValueError(f"beta_fn requires finite positive arguments, got ({x}, {y})")
+    x, y = _check_real("x", x, 0, math.inf, "()"), _check_real("y", y, 0, math.inf, "()")
     return math.exp(ln_gamma(x) + ln_gamma(y) - ln_gamma(x + y))
 
 
@@ -114,36 +123,48 @@ def _bernoulli_horner(s: int, x: Fraction, b: List[Fraction]) -> Fraction:
     return acc
 
 
-def bernoulli_poly_exact(s: int, x: Rational) -> Fraction:
-    """B_s(x) for rational x, exactly."""
+def _exact(x: numbers.Real) -> Fraction:
+    """x exactly: an int or a Fraction as it is, another real as its finite float."""
+    return Fraction(x if isinstance(x, (int, Fraction))
+                    else _check_real("x", x, -math.inf, math.inf, "()"))
+
+
+def bernoulli_poly_exact(s: int, x: numbers.Real) -> Fraction:
+    """B_s(x), exactly, at the rational value of x (see _exact)."""
     s = _check_count("s", s, 0, MAX_TERMS)
-    return _bernoulli_horner(s, Fraction(x), bernoulli_numbers(s))
+    return _bernoulli_horner(s, _exact(x), bernoulli_numbers(s))
 
 
-def euler_poly_exact(k: int, x: Rational) -> Fraction:
-    """E_k(x) = 2/(k+1) [B_(k+1)(x) - 2^(k+1) B_(k+1)(x/2)] (DLMF 24.4.23) for
-    rational x, exactly, from one Bernoulli table b_0..b_(k+1)."""
+def euler_poly_exact(k: int, x: numbers.Real) -> Fraction:
+    """E_k(x) = 2/(k+1) [B_(k+1)(x) - 2^(k+1) B_(k+1)(x/2)] (DLMF 24.4.23) at the
+    rational value of x (see _exact), exactly, from one Bernoulli table b_0..b_(k+1)."""
     k = _check_count("k", k, 0, MAX_TERMS - 1)
-    x = Fraction(x)
+    x = _exact(x)
     b = bernoulli_numbers(k + 1)
     diff = _bernoulli_horner(k + 1, x, b) - 2 ** (k + 1) * _bernoulli_horner(k + 1, x / 2, b)
     return 2 * diff / (k + 1)
 
 
-def euler_poly(k: int, x: float) -> float:
-    """Euler polynomial E_k(x), evaluated exactly at the rational value of x.
+def euler_poly(k: int, x: numbers.Real) -> float:
+    """Euler polynomial E_k(x): the correctly rounded float of euler_poly_exact(k, x),
+    which is -inf or +inf past the double range (E_219(1), E_40(1e10)).
 
     Rational arithmetic throughout; plain floating evaluation of the
     Bernoulli form loses all accuracy past k ~ 20 because of the
     factorial-scale terms.
     """
-    return float(euler_poly_exact(k, Fraction(x)))
+    exact = euler_poly_exact(k, x)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 def classical_series_coeffs(n_max: int) -> List[float]:
     """Coefficients E_k(1)/2 of the classical logistic Taylor series, k <= n_max:
-    1/2, then (2^(k+1) - 1) b_(k+1) / (k+1), from one Bernoulli table."""
-    n_max = _check_count("n_max", n_max, 0, MAX_TERMS - 1)
+    1/2, then (2^(k+1) - 1) b_(k+1) / (k+1), from one Bernoulli table. n_max stops
+    at 218: c_217 ~ 1.8e306 is the last nonzero one a double holds."""
+    n_max = _check_count("n_max", n_max, 0, 218)
     b = bernoulli_numbers(n_max + 1)
     return [0.5] + [float((2 ** (k + 1) - 1) * b[k + 1] / (k + 1)) for k in range(1, n_max + 1)]
 
@@ -168,8 +189,8 @@ def bound_predicates(x: float, y: Optional[float] = None) -> BoundFlags:
     non-strict ones. Raises if an argument is not finite or the point lies
     in no bound's domain.
     """
-    if not (math.isfinite(x) and (y is None or math.isfinite(y))):
-        raise ValueError(f"bound_predicates requires finite arguments, got ({x}, {y})")
+    x = _check_real("x", x, -math.inf, math.inf, "()")
+    y = None if y is None else _check_real("y", y, -math.inf, math.inf, "()")
     beta_bound = gamma_unit = gamma_envelope = None
 
     if y is not None and x > 1.0 and y > 1.0:

@@ -157,7 +157,7 @@ def test_bound_predicates_needs_x():
 def test_oracles_take_their_argument_rules_from_the_series():
     # fracops defines no copy of the order rule or of the read-only idiom
     assert fracops._check_beta is euler_beta._check_beta
-    assert fracops._check_order is euler_beta._check_order
+    assert fracops._check_m is euler_beta._check_m
     assert fracops._read_only is euler_beta._read_only
     assert fracops._take_array is euler_beta._take_array
     assert fracops._check_count is euler_beta._check_count
@@ -253,6 +253,26 @@ def test_each_count_has_one_check():
     assert "must be >= 0" not in inspect.getsource(specfun)
     names = {node.id for node in ast.walk(_tree(cli.main)) if isinstance(node, ast.Name)}
     assert not names & {"MAX_TERMS", "MAX_STEPS"}
+
+
+def test_each_real_has_one_rule():
+    # specfun._check_real alone spells the real-argument rule; every other
+    # module holds that one function, and the helpers it replaced are gone
+    homes = [(name, fn.name) for name in MODULES
+             for fn in ast.walk(_tree(importlib.import_module(name)))
+             if isinstance(fn, ast.FunctionDef)
+             and any(isinstance(c, ast.Constant) and "must lie in" in str(c.value)
+                     for c in ast.walk(fn))]
+    assert homes == [("felog.specfun", "_check_real")]
+    for module in (euler_beta, fracops, series_solution, cli):
+        assert module._check_real is specfun._check_real, module.__name__
+    assert not hasattr(fracops, "_check_positive")
+    assert not hasattr(euler_beta, "_check_order") and not hasattr(fracops, "_check_order")
+    for name in MODULES:
+        source = inspect.getsource(importlib.import_module(name))
+        for old in ("requires 0 <", "requires finite", "requires beta", "needs beta strictly",
+                    "must be >= 1", "t0 and t1 must be", "tol must be finite"):
+            assert old not in source, (name, old)
 
 
 def test_the_rule_layer_imports_no_numpy():

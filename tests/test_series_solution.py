@@ -616,7 +616,7 @@ class TestRemarkBound:
         with pytest.raises(ValueError):
             remark_bound(1.0, -0.1)
         for beta in (0.5, 1.01):
-            with pytest.raises(ValueError, match=r"beta in \(1/2, 1\]"):
+            with pytest.raises(ValueError, match=r"^beta must lie in \(0.5, 1\], got "):
                 remark_bound_pole(beta)
 
     @pytest.mark.parametrize("beta", (0.6, 0.75, 0.9, 1.0))

@@ -2,6 +2,7 @@
 and the printed inequality grids."""
 
 import math
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -266,12 +267,21 @@ class TestClassicalCoeffs:
         assert u[5] == 0.25
 
     def test_negative_order_raises(self):
-        with pytest.raises(ValueError, match="n_max must be an integer from 0 to 9999, got -1"):
+        with pytest.raises(ValueError, match="n_max must be an integer from 0 to 218, got -1"):
             classical_series_coeffs(-1)
 
     def test_explicit_form_matches_the_euler_polynomial(self):
         coeffs = classical_series_coeffs(40)
         assert coeffs == [float(euler_poly_exact(k, 1) / 2) for k in range(41)]
+
+    def test_the_cap_is_the_last_coefficient_a_double_holds(self):
+        # c_217 ~ 1.8e306 is the last nonzero one below the double range and
+        # c_218 = 0, while c_219 ~ 49 times the largest double would be inf
+        b = bernoulli_numbers(221)
+        exact = [Fraction(1, 2)] + [(2 ** (k + 1) - 1) * b[k + 1] / (k + 1) for k in range(1, 221)]
+        cap = [abs(c) <= Fraction(sys.float_info.max) for c in exact].index(False) - 1
+        assert cap == 218
+        assert classical_series_coeffs(cap) == [float(c) for c in exact[: cap + 1]]
 
     def test_reads_one_bernoulli_table(self, monkeypatch):
         calls = []
@@ -292,7 +302,7 @@ INDEX_ENTRIES = {
     "bernoulli_poly_exact": (lambda s: bernoulli_poly_exact(s, Fraction(1, 3)), MAX_TERMS, "s"),
     "euler_poly_exact": (lambda k: euler_poly_exact(k, Fraction(1, 3)), MAX_TERMS - 1, "k"),
     "euler_poly": (lambda k: euler_poly(k, 0.5), MAX_TERMS - 1, "k"),
-    "classical_series_coeffs": (classical_series_coeffs, MAX_TERMS - 1, "n_max"),
+    "classical_series_coeffs": (classical_series_coeffs, 218, "n_max"),
 }
 
 
@@ -320,6 +330,18 @@ class TestIndexRule:
         call, cap, _ = INDEX_ENTRIES[entry]
         with pytest.raises(AssertionError, match="a Bernoulli table was started"):
             call(cap)
+
+    @pytest.mark.parametrize("n_max", (219, MAX_TERMS - 1))
+    def test_classical_coefficients_past_the_double_range_refused(self, no_table, n_max):
+        with pytest.raises(ValueError, match=f"^n_max must be an integer from 0 to 218, "
+                                             f"got {n_max}$"):
+            classical_series_coeffs(n_max)
+
+    def test_euler_poly_past_the_double_range_is_infinite(self):
+        # the correctly rounded float of an exact value beyond the largest double
+        assert euler_poly(219, 1.0) == -math.inf
+        assert euler_poly(40, 1e10) == math.inf
+        assert euler_poly(40, -1e10) == math.inf and euler_poly(41, -1e10) == -math.inf
 
     @pytest.mark.parametrize("index", (True, 7, np.int64(7), np.uint8(7), np.int32(7)), ids=repr)
     def test_integers_of_any_type_give_the_same_values(self, index):
@@ -376,7 +398,7 @@ class TestBoundPredicates:
                                        {"x": 0.5, "y": -math.inf}])
     def test_non_finite_point_rejected(self, point):
         # a NaN y used to read as "no y given", so beta_bound came back None
-        with pytest.raises(ValueError, match="finite arguments"):
+        with pytest.raises(ValueError, match=r"must lie in \(-inf, inf\), got "):
             bound_predicates(**point)
 
 
