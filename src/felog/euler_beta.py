@@ -104,29 +104,36 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_real(x, name: str) -> np.ndarray:
-    """The caller's ``x`` as a float64 array. A complex ``x`` (numpy would drop its
-    imaginary part) or an integer past the double range is a ValueError."""
+def _as_real(x, name: str, lo=-math.inf, hi=math.inf, ends="()") -> np.ndarray:
+    """The caller's ``x`` as a float64 array, each entry in the interval of
+    specfun._check_real (finite by default); a refusal names ``name[k]``, k in
+    flat order. A complex ``x`` (numpy would drop its imaginary part) or an
+    integer past the double range is a ValueError."""
     arr = np.asarray(x)
     if arr.dtype.kind == "c":
         raise ValueError(f"{name} must be real, got {arr.dtype}")
     try:
-        return np.asarray(arr, dtype=float)
+        arr = np.asarray(arr, dtype=float)
     except OverflowError:
         raise ValueError(f"{name} must be finite, got an integer past the double range") from None
+    if arr.ndim == 0:
+        _check_real(name, arr.item(), lo, hi, ends)
+    elif arr.size:
+        # an interval holds the array if it holds the least and the greatest
+        # entry, and argmin and argmax both find the first NaN
+        for k in (arr.argmin(), arr.argmax()):
+            _check_real(f"{name}[{k}]", arr.item(k), lo, hi, ends)
+    return arr
 
 
-def _take_array(record, name: str, min_size: int) -> None:
+def _take_array(record, name: str, min_size: int, *interval) -> None:
     """Store on a frozen record a read-only float64 copy of its field ``name``,
-    which must be real, finite and 1-D with at least min_size entries. The
-    caller's array stays writeable."""
-    arr = _as_real(getattr(record, name), name).copy()
+    1-D with at least min_size entries, each in the (lo, hi, ends) ``interval``
+    of _as_real (finite if omitted). The caller's array stays writeable."""
+    arr = _as_real(getattr(record, name), name, *interval).copy()
     if arr.ndim != 1 or arr.size < min_size:
         raise ValueError(f"{name} must be a 1-D array of {min_size} or more entries, "
                          f"got shape {arr.shape}")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValueError(f"{name} must be finite, got {name}[{bad[0]}] = {arr[bad[0]]}")
     object.__setattr__(record, name, _read_only(arr))
 
 
@@ -234,8 +241,7 @@ def closed_form_check(seq: BetaEulerSequence) -> Dict[int, float]:
     an evaluation path independent of the convolution loop. Contract: every
     residual <= 1e-10.
     """
-    if seq.n_terms < 10:
-        raise ValueError("closed_form_check needs at least 10 coefficients")
+    _check_count("n_terms", seq.n_terms, 10, MAX_TERMS)
     beta = seq.beta
     p, _ = majorant_constants(beta)
     g2, g3, g4, g5, g6, g7, g8 = (gamma_fn(k * beta + 1.0) for k in range(2, 9))

@@ -155,12 +155,10 @@ class ResidualReport:
 
     def __post_init__(self) -> None:
         _take_array(self, "grid", 1)
-        _take_array(self, "residual", 1)
+        _take_array(self, "residual", 1, 0, math.inf, "[)")
         if self.grid.size != self.residual.size:
             raise ValueError(f"grid and residual must have the same length, "
                              f"got {self.grid.size} and {self.residual.size}")
-        if np.any(self.residual < 0.0):
-            raise ValueError("residual entries must be >= 0")
 
     @property
     def sup_norm(self) -> float:
@@ -219,8 +217,7 @@ def _graded_history(data: np.ndarray, t: np.ndarray, exponent: float, scale: flo
     j >= n are 0, also at e = 0, where numpy's 0.0**0 would give 1. On a
     graded grid t_j ~ j^r the near cells are about 1 - 2^(-1/r) of each
     history, 0.16 at r = 4, plus the block's own rows. Temporaries take
-    O(HISTORY_BLOCK) memory at any N. A block reads the data of all its near
-    cells, so a non-finite entry also spreads to the block's earlier nodes.
+    O(HISTORY_BLOCK) memory at any N.
     """
     blocks = _row_blocks(t)
     out = _far_history(data, t, exponent, blocks)
@@ -505,11 +502,9 @@ def sonine_check(beta: float, t_grid) -> float:
     of the Gamma identities it confirms.
     """
     beta = _check_strict(beta)
-    t_arr = np.atleast_1d(_as_real(t_grid, "t_grid"))
+    t_arr = _as_real(t_grid, "t_grid", 0, math.inf, "()")
     if t_arr.size == 0:
         raise ValueError("the t grid is empty")
-    if not np.all((t_arr > 0.0) & (t_arr < math.inf)):
-        raise ValueError("t values must be finite and positive")
     norm = math.exp(-ln_gamma(1.0 - beta) - ln_gamma(beta))
     return abs(norm * _beta_integral(1.0 - beta, beta) - 1.0)
 

@@ -24,8 +24,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .euler_beta import (DEFAULT_TERMS, BetaEulerSequence, _as_real, _check_m, _normal_odd,
-                         _read_only, build_sequence, majorant_constants)
+from .euler_beta import (DEFAULT_TERMS, MAX_TERMS, BetaEulerSequence, _as_real, _check_count,
+                         _check_m, _normal_odd, _read_only, build_sequence, majorant_constants)
 from .specfun import EULER_MASCHERONI, _check_real
 
 __all__ = [
@@ -119,9 +119,7 @@ def radius_report(seq: BetaEulerSequence) -> RadiusReport:
     :func:`_normal_odd`); it is None when that prefix holds fewer than six,
     or when the estimate is not finite.
     """
-    if seq.n_terms < _MIN_TERMS:
-        raise ValueError(f"a series needs n_terms >= {_MIN_TERMS} for its radius, "
-                         f"got {seq.n_terms}")
+    _check_count("n_terms", seq.n_terms, _MIN_TERMS, MAX_TERMS)
     beta, m = seq.beta, seq.m
 
     r_i = _formula_i(beta, m)
@@ -194,20 +192,12 @@ class SeriesSolution:
         The tail applies the ratio q * t^(2*beta) / m^2 to the last normal
         odd term (see :func:`_normal_odd`); it is +inf where that ratio reaches
         1 or no odd term is normal. ``in_domain`` flags the t at or below the
-        operative radius where w is finite. Negative t is rejected.
+        operative radius where w is finite. A t outside [0, inf) is refused, by
+        the name of its least or greatest entry (see euler_beta._as_real).
         """
-        t_arr = _as_real(t, "t")
+        t_arr = _as_real(t, "t", 0, math.inf, "[)")
         if t_arr.ndim == 0:
-            x = float(t_arr)
-            finite, negative = math.isfinite(x), x < 0.0
-        else:
-            finite, negative = bool(np.all(np.isfinite(t_arr))), bool(np.any(t_arr < 0.0))
-        if not finite:
-            raise ValueError("t must be finite")
-        if negative:
-            raise ValueError("t must be >= 0")
-        if t_arr.ndim == 0:
-            return self._evaluate_scalar(x)
+            return self._evaluate_scalar(float(t_arr))
 
         beta, m = self.seq.beta, self.seq.m
         # log 0 = -inf makes every power 0 at t = 0; past the radius the sum
@@ -302,10 +292,8 @@ def compare_classical(m: float, t_grid, n_terms: int = DEFAULT_TERMS) -> float:
 def _classical_curves(m: float, t_grid, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """The beta = 1 series and 1/(1 + exp(-t/m)) on a grid within [0, pi * m)."""
     m = _check_m(m)
-    t_arr = _as_real(t_grid, "t_grid")
+    t_arr = _as_real(t_grid, "t_grid", 0, math.pi * m, "[)")
     if t_arr.size == 0:
         raise ValueError("the t grid is empty")
-    if np.any(t_arr < 0.0) or np.any(t_arr >= math.pi * m):
-        raise ValueError("t grid must lie within [0, pi * m)")
     w = SeriesSolution.build(1.0, m, n_terms).evaluate(t_arr).w
     return w, 1.0 / (1.0 + np.exp(-t_arr / m))

@@ -8,6 +8,8 @@ import dataclasses
 import doctest
 import importlib
 import inspect
+import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -191,10 +193,22 @@ def _float_conversions(tree):
                  or (len(node.args) > 1 and is_float(node.args[1])))]
 
 
+def _caller_input(fn):
+    """The names in ``fn`` that hold caller input: its parameters (self holds a
+    record's fields) and what a call of _as_real returns."""
+    names = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(c, ast.Call) and ast.unparse(c.func).endswith("_as_real")
+                for c in ast.walk(node.value)):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return names
+
+
 def test_caller_arrays_have_one_intake():
     # every caller array becomes float64 in euler_beta._as_real, which
-    # rejects complex input, and every record array is finite by
-    # euler_beta._take_array alone
+    # rejects complex input and checks each entry's interval; no other
+    # library function asks whether caller input is finite
     homes = []
     for name in MODULES:
         tree = _tree(importlib.import_module(name))
@@ -212,6 +226,20 @@ def test_caller_arrays_have_one_intake():
         tree = ast.parse(textwrap.dedent(inspect.getsource(record.__post_init__)))
         assert not any(isinstance(node, ast.Attribute) and node.attr == "isfinite"
                        for node in ast.walk(tree)), record.__name__
+    checked = set()
+    for name in LIBRARY:
+        for fn in ast.walk(_tree(importlib.import_module(name))):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "_as_real":
+                continue
+            checked.add(fn.name)
+            caller = _caller_input(fn)
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and ast.unparse(call.func).endswith("isfinite"):
+                    used = {n.id for a in call.args for n in ast.walk(a)
+                            if isinstance(n, ast.Name)}
+                    assert not used & caller, (name, fn.name, ast.unparse(call))
+    assert {"evaluate", "_classical_curves", "sonine_check", "__post_init__",
+            "_take_array"} <= checked
 
 
 def test_oracles_import_nothing_from_the_series_layer():
@@ -271,7 +299,11 @@ def test_each_real_has_one_rule():
     for name in MODULES:
         source = inspect.getsource(importlib.import_module(name))
         for old in ("requires 0 <", "requires finite", "requires beta", "needs beta strictly",
-                    "must be >= 1", "t0 and t1 must be", "tol must be finite"):
+                    "must be >= 1", "t0 and t1 must be", "tol must be finite",
+                    # the array rules that _as_real's interval replaced
+                    "t must be finite", "t must be >= 0", "t grid must lie within",
+                    "t values must be finite and positive", "residual entries must be >= 0",
+                    "must be finite, got {name}["):
             assert old not in source, (name, old)
 
 
@@ -390,6 +422,19 @@ def test_complex_input_is_rejected_by_name(site, z):
     with pytest.raises(ValueError) as exc:
         call(0.5 + z)
     assert str(exc.value) == (f"{name} must be real, got complex128" if name else PAYLOAD_G)
+
+
+@pytest.mark.parametrize("site", INTAKES)
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_a_non_finite_entry_is_refused_by_name(site, bad):
+    # every intake reads through _as_real's interval, finite at least, and
+    # names the entry: an array's by its index, a scalar t by its name
+    call, name = INTAKES[site]
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    entry, _, rest = str(exc.value).partition(" must lie in ")
+    assert rest.endswith(f", got {bad!r}")
+    assert entry == (name or "g") or re.fullmatch(rf"{name or 'g'}\[\d+\]", entry)
 
 
 @pytest.mark.parametrize("site", INTAKES)

@@ -1,7 +1,8 @@
 """The real-argument rule: every scalar argument of every public function and
 record enters through specfun._check_real, so any real type reads as the float
 it holds (the exact layer as its exact value) and anything else is one
-ValueError that names the parameter."""
+ValueError that names the parameter. An array's least and greatest entries
+enter through the same rule."""
 
 import json
 import math
@@ -10,15 +11,17 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from felog.euler_beta import (BetaEulerSequence, build_sequence, majorant_constants,
+from felog.euler_beta import (BetaEulerSequence, _as_real, build_sequence, majorant_constants,
                               sequence_from_json)
 from felog.fracops import (QuadratureGrid, graded_grid, levy_tail_laplace, solve_pc,
                            sonine_check, stable_levy_tail, uniform_grid)
 from felog.series_solution import (SeriesSolution, compare_classical, remark_bound,
                                    remark_bound_pole, remark_radius)
-from felog.specfun import (BoundFlags, bernoulli_poly_exact, beta_fn, bound_predicates,
-                           euler_poly, euler_poly_exact, gamma_fn, ln_gamma)
+from felog.specfun import (BoundFlags, _check_real, bernoulli_poly_exact, beta_fn,
+                           bound_predicates, euler_poly, euler_poly_exact, gamma_fn, ln_gamma)
 
 INF = math.inf
 
@@ -270,3 +273,42 @@ def test_float32_order_steps_in_double(beta):
     _, u = solve_pc(np.float32(beta), 1, t_end, 1e-3)
     _, ref = solve_pc(float(np.float32(beta)), 1.0, t_end, 1e-3)
     assert u.tobytes() == ref.tobytes()
+
+
+# every interval an array intake reads: finite (the default), sonine_check's
+# t_grid, evaluate's t and the residual, and compare_classical's t_grid at
+# m = 1.5; (0, 1] stands for the closed upper end
+INTERVALS = {"finite": REAL, "positive": POSITIVE, "t": (0, INF, "[)"), "order": BETA,
+             "classical": (0, math.pi * 1.5, "[)")}
+
+
+def _refusal(name, x, interval):
+    """_check_real's message for x, or None if it accepts x."""
+    try:
+        _check_real(name, x, *interval)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("interval", INTERVALS.values(), ids=INTERVALS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_an_array_lies_in_an_interval_when_each_entry_does(interval, data):
+    # the array intake reads the least and greatest entries through the
+    # scalar rule, so it must agree with that rule applied to every entry
+    lo, hi, _ = interval
+    special = st.sampled_from([0.0, -0.0, float(lo), float(hi), INF, -INF, math.nan,
+                               5e-324, -5e-324, 1e-310, 1.0])
+    entry = special | st.floats()
+    x = data.draw(entry | st.lists(entry, max_size=50))
+    entries = {"x": x} if isinstance(x, float) else {f"x[{k}]": v for k, v in enumerate(x)}
+    refusals = {name: _refusal(name, v, interval) for name, v in entries.items()}
+    try:
+        arr = _as_real(x, "x", *interval)
+    except ValueError as exc:
+        named = str(exc).partition(" must lie in ")[0]
+        assert refusals[named] == str(exc)
+    else:
+        assert not any(refusals.values())
+        assert arr.tobytes() == np.array(x, dtype=float).tobytes()

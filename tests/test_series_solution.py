@@ -48,12 +48,22 @@ class TestEvaluate:
         sol = SeriesSolution.build(0.5, 1.0, 64)
         with pytest.raises(ValueError):
             sol.evaluate(-0.1)
+        # an array's refusal names the entry
+        with pytest.raises(ValueError) as exc:
+            sol.evaluate([0.1, -0.2])
+        assert str(exc.value) == "t[1] must lie in [0, inf), got -0.2"
 
-    @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf, [0.5, math.nan]))
-    def test_non_finite_t_rejected(self, t):
+    @pytest.mark.parametrize("t, message", (
+        (math.nan, "t must lie in [0, inf), got nan"),
+        (math.inf, "t must lie in [0, inf), got inf"),
+        (-math.inf, "t must lie in [0, inf), got -inf"),
+        ([0.5, math.nan], "t[1] must lie in [0, inf), got nan"),
+    ))
+    def test_non_finite_t_rejected(self, t, message):
         sol = SeriesSolution.build(0.5, 1.0, 64)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError) as exc:
             sol.evaluate(t)
+        assert str(exc.value) == message
 
     def test_array_evaluation_matches_scalar(self):
         sol = SeriesSolution.build(0.7, 1.0, 64)
@@ -260,7 +270,7 @@ class TestRadiusReport:
     def test_short_series_rejected_at_construction(self, n):
         # every evaluation reads the radius, so a shorter series could never
         # be evaluated
-        message = rf"^a series needs n_terms >= 20 for its radius, got {n}$"
+        message = rf"^n_terms must be an integer from 20 to 10000, got {n}$"
         with pytest.raises(ValueError, match=message):
             SeriesSolution(build_sequence(0.7, 1.0, n))
         with pytest.raises(ValueError, match=message):
@@ -648,9 +658,13 @@ class TestCompareClassical:
     def test_zero_time_is_exact(self):
         assert compare_classical(1.0, [0.0]) == 0.0
 
-    def test_rejects_grid_outside_window(self):
-        with pytest.raises(ValueError):
-            compare_classical(1.0, [3.5])
+    @pytest.mark.parametrize("t", (3.5, -0.5, math.nan))
+    def test_rejects_grid_outside_window(self, t):
+        # a NaN passed both comparisons of the old window check, and evaluate
+        # then blamed its own t
+        with pytest.raises(ValueError) as exc:
+            compare_classical(1.0, [0.5, t])
+        assert str(exc.value) == f"t_grid[1] must lie in [0, {math.pi!r}), got {t!r}"
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="the t grid is empty"):
