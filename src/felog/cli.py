@@ -25,7 +25,8 @@ import sys
 
 import numpy as np
 
-from .euler_beta import DEFAULT_TERMS, MAX_TERMS, _check_count, _check_real, build_sequence
+from .euler_beta import (DEFAULT_TERMS, MAX_TERMS, _check_count, _check_real, _finite_or_null,
+                         build_sequence)
 from .fracops import MAX_STEPS, VERIFY_TOLERANCES, make_grid, verify
 from .series_solution import SeriesSolution, _classical_curves, radius_report
 
@@ -35,20 +36,12 @@ __all__ = ["VERIFY_TOLERANCES", "MAX_TERMS", "MAX_STEPS", "main"]
 #: in to be interesting, close enough that a default-length series stays well
 #: below every method tolerance.
 DEFAULT_VERIFY_WINDOW = 0.7
+DEFAULT_VERIFY_CELLS = 2000  # cells of the default l1 and integro grid
 
 
 def _cell(value):
     """csv writes None as an empty cell and numbers by str; a flag is true/false."""
     return ("true" if value else "false") if isinstance(value, bool) else value
-
-
-def _finite_or_null(value):
-    """``value`` with every non-finite float in it, at any depth, as None."""
-    if isinstance(value, dict):
-        return {key: _finite_or_null(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(v) for v in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _emit(args: argparse.Namespace, payload: dict, header, rows) -> None:
@@ -121,7 +114,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raise ValueError(f"the default grid end is not {kind} ({t1!r}); give --t1")
         # pc reads only the grid end, which two uniform cells reach
         cells, spacing = (2, "uniform") if args.method == "pc" else (args.steps, args.grid)
-        grid = make_grid(t1, 2000 if cells is None else cells, spacing or "graded", args.beta)
+        cells = DEFAULT_VERIFY_CELLS if cells is None else cells
+        grid = make_grid(t1, cells, spacing or "graded", args.beta)
     report = verify(sol, args.method, grid)
 
     tol = VERIFY_TOLERANCES[report.method] if tol is None else tol
@@ -136,7 +130,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_radius(args: argparse.Namespace) -> int:
-    payload = radius_report(build_sequence(args.beta, args.m, args.n_terms)).to_json_dict()
+    payload = radius_report(build_sequence(args.beta, args.m, args.n_terms))._quantities()
     _emit(args, payload, ["quantity", "value"], payload.items())
     return 0
 
@@ -187,9 +181,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", "run one verification oracle (pass/fail exit code)")
     p.add_argument("--method", choices=("termwise", "l1", "integro", "pc"), default="termwise")
-    p.add_argument("--t1", type=float, default=None,
-                   help="grid end, for pc the stepper's end (default: 0.7 * domain_edge)")
-    p.add_argument("--steps", type=int, help="grid cells for l1 and integro (default 2000)")
+    p.add_argument("--t1", type=float, help="grid end, for pc the stepper's end "
+                   f"(default: {DEFAULT_VERIFY_WINDOW} * domain_edge)")
+    p.add_argument("--steps", type=int,
+                   help=f"grid cells for l1 and integro (default {DEFAULT_VERIFY_CELLS})")
     p.add_argument("--grid", choices=("uniform", "graded"),
                    help="grid spacing for l1 and integro (default graded)")
     p.add_argument("--tol", type=float, default=None, help="override the method tolerance")

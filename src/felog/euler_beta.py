@@ -83,15 +83,11 @@ class BetaEulerSequence:
         return _read_only(log_g + np.arange(n) * math.log10(self.m) + lg / math.log(10.0))
 
     def to_json_dict(self) -> dict:
-        """Schema: { "beta", "m", "g", "raw": [{"sign", "log10_mag"}] }.
-
-        Exact zeros carry log10_mag = null.
-        """
-        raw = [
-            {"sign": int(s), "log10_mag": (None if not math.isfinite(l) else l)}
-            for s, l in zip(self.raw_sign.tolist(), self.raw_log10.tolist())
-        ]
-        return {"beta": self.beta, "m": self.m, "g": self.g.tolist(), "raw": raw}
+        """Schema: { "beta", "m", "g", "raw": [{"sign", "log10_mag"}] }; an exact
+        zero carries log10_mag = null."""
+        raw = [{"sign": s, "log10_mag": l}
+               for s, l in zip(self.raw_sign.tolist(), self.raw_log10.tolist())]
+        return _finite_or_null({"beta": self.beta, "m": self.m, "g": self.g.tolist(), "raw": raw})
 
 
 #: The orders beta and the rates m that the series is built for, read as floats.
@@ -102,6 +98,15 @@ _check_m = partial(_check_real, "m", lo=1, hi=math.inf, ends="[)")
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it, at any depth, as None (JSON null)."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _as_real(x, name: str, lo=-math.inf, hi=math.inf, ends="()") -> np.ndarray:

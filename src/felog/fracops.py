@@ -416,7 +416,9 @@ def verify(
     solve_pc on its own uniform grid up to the last grid node, at its steps
     with t >= REPORT_START; of the grid it reads only that node and beta.
     Grids must be built for the series' beta, stay within (0, 0.8 *
-    sol.domain_edge) and reach REPORT_START.
+    sol.domain_edge) and reach REPORT_START. A series value that is not
+    finite reaches no oracle: ValueError names the least t where the method
+    reads one ("the series is not finite at t = 2.25e+154 (w = nan)").
     """
     method = "predictor_corrector" if method == "pc" else method
     if method not in VERIFY_TOLERANCES:
@@ -454,21 +456,30 @@ def verify(
     t = t[keep]
 
     if method == "predictor_corrector":
-        residual = sol.evaluate(t).w - u_pc[keep]
+        residual = _series_values(sol, t)[0] - u_pc[keep]
+    elif method == "l1":
+        [w] = _series_values(sol, grid.nodes)
+        residual = (caputo_l1_all(w, grid) - (w[1:] - w[1:] ** 2) / seq.m)[keep]
     else:
-        w = sol.evaluate(grid.nodes).w
-        if method == "l1":
-            residual = caputo_l1_all(w, grid) - (w[1:] - w[1:] ** 2) / seq.m
-        else:
-            # The singular-kernel rewriting is checked in its integrated form
-            # w(t) - w(0) = I^beta[(w - w^2)/m]: as printed, with w' on the left,
-            # the two sides' Laplace symbols differ by a factor lambda and the
-            # pointwise defect is O(1) for every grid.
-            w_mid = sol.evaluate(0.5 * (grid.nodes[:-1] + grid.nodes[1:])).w
-            rhs = fractional_integral_midpoint((w_mid - w_mid**2) / seq.m, grid)
-            residual = (w[1:] - 0.5) - rhs
-        residual = residual[keep]
+        # The singular-kernel rewriting is checked in its integrated form
+        # w(t) - w(0) = I^beta[(w - w^2)/m]: as printed, with w' on the left,
+        # the two sides' Laplace symbols differ by a factor lambda and the
+        # pointwise defect is O(1) for every grid.
+        w, w_mid = _series_values(sol, grid.nodes, 0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
+        rhs = fractional_integral_midpoint((w_mid - w_mid**2) / seq.m, grid)
+        residual = ((w[1:] - 0.5) - rhs)[keep]
     return ResidualReport(method, t, np.abs(residual))
+
+
+def _series_values(sol, *points: np.ndarray) -> list:
+    """``sol.evaluate(t).w`` at each array t of ``points``, or a ValueError at
+    the least t where the series is not finite."""
+    ws = [sol.evaluate(t).w for t in points]
+    bad = [(float(t[k]), float(w[k])) for t, w in zip(points, ws)
+           for k in np.flatnonzero(~np.isfinite(w))]
+    if bad:
+        raise ValueError("the series is not finite at t = %r (w = %r)" % min(bad))
+    return ws
 
 
 def _beta_integral(a: float, b: float) -> float:

@@ -25,7 +25,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .euler_beta import (DEFAULT_TERMS, MAX_TERMS, BetaEulerSequence, _as_real, _check_count,
-                         _check_m, _normal_odd, _read_only, build_sequence, majorant_constants)
+                         _check_m, _finite_or_null, _normal_odd, _read_only, build_sequence,
+                         majorant_constants)
 from .specfun import EULER_MASCHERONI, _check_real
 
 __all__ = [
@@ -66,7 +67,7 @@ class RadiusReport:
     ``r_formula_ii`` is None when beta <= gamma_EM - 1/2, where formula (ii)
     is not stated. ``r_empirical`` is None when too few normal odd
     coefficients are available for the ratio test, or when its estimate is
-    not finite. ``r_guaranteed`` is inf past the double range.
+    not finite. ``r_guaranteed`` is inf past the double range (null in JSON).
     """
 
     r_formula_i: float
@@ -76,8 +77,11 @@ class RadiusReport:
     m: float
 
     def to_json_dict(self) -> dict:
-        # discrepancy fields compare each formula, taken at beta -> 1, with
-        # its claimed limiting constant (times m)
+        return _finite_or_null(self._quantities())
+
+    def _quantities(self) -> dict:
+        # discrepancy fields compare each formula, taken at beta -> 1, with its
+        # claimed limiting constant (times m); inf and nan stay, for CLI CSV
         return {
             "r_formula_i": self.r_formula_i,
             "r_formula_ii": self.r_formula_ii,

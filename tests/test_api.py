@@ -229,7 +229,9 @@ def test_caller_arrays_have_one_intake():
     checked = set()
     for name in LIBRARY:
         for fn in ast.walk(_tree(importlib.import_module(name))):
-            if not isinstance(fn, ast.FunctionDef) or fn.name == "_as_real":
+            # _finite_or_null reads felog's outputs on their way to JSON, not
+            # caller input, so its isfinite is the null rule, not an intake
+            if not isinstance(fn, ast.FunctionDef) or fn.name in ("_as_real", "_finite_or_null"):
                 continue
             checked.add(fn.name)
             caller = _caller_input(fn)
@@ -240,6 +242,21 @@ def test_caller_arrays_have_one_intake():
                     assert not used & caller, (name, fn.name, ast.unparse(call))
     assert {"evaluate", "_classical_curves", "sonine_check", "__post_init__",
             "_take_array"} <= checked
+
+
+def test_the_null_rule_has_one_home():
+    # a non-finite float leaves felog as JSON null by euler_beta._finite_or_null
+    # alone: the CLI's emitter and every to_json_dict call it
+    homes = [name for name in MODULES
+             for node in ast.walk(_tree(importlib.import_module(name)))
+             if isinstance(node, ast.FunctionDef) and node.name == "_finite_or_null"]
+    assert homes == ["felog.euler_beta"]
+    assert cli._finite_or_null is euler_beta._finite_or_null
+    assert series_solution._finite_or_null is euler_beta._finite_or_null
+    for record in (BetaEulerSequence, RadiusReport, ResidualReport):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(record.to_json_dict)))
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                       for node in ast.walk(tree)), record.__name__
 
 
 def test_oracles_import_nothing_from_the_series_layer():

@@ -27,7 +27,7 @@ from felog import cli as cli_module
 from felog import euler_beta, fracops, series_solution
 from felog.cli import _COMMANDS, MAX_STEPS, MAX_TERMS, _emit, main
 from felog.euler_beta import build_sequence, sequence_from_json
-from felog.fracops import graded_grid, verify
+from felog.fracops import graded_grid, make_grid, verify
 from felog.series_solution import SeriesSolution, compare_classical, radius_report
 
 
@@ -300,16 +300,33 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: the default grid end is not finite (inf); give --t1\n"
 
+    def test_help_states_the_default_grid(self, capsys):
+        # the help text is built from the two constants that cmd_verify uses
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"(default: {cli_module.DEFAULT_VERIFY_WINDOW} * domain_edge)" in text
+        assert f"grid cells for l1 and integro (default {cli_module.DEFAULT_VERIFY_CELLS})" in text
+
+    def test_default_grid_has_the_default_cells(self, cli, monkeypatch):
+        grids = []
+        monkeypatch.setattr(cli_module, "make_grid", lambda *a: grids.append(a) or make_grid(*a))
+        assert cli("verify", "--method", "l1")[0] == 0
+        sol = SeriesSolution.build(0.5)
+        assert grids == [(cli_module.DEFAULT_VERIFY_WINDOW * sol.domain_edge,
+                          cli_module.DEFAULT_VERIFY_CELLS, "graded", 0.5)]
+
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("method, data", (("l1", "w_values[3]"), ("integro", "f_mid[2]")))
-    def test_defect_that_could_not_be_computed_is_usage_error(self, cli, method, data):
+    @pytest.mark.parametrize("method, t", (("l1", "2.25e+154"), ("integro", "1.625e+154")))
+    def test_defect_that_could_not_be_computed_is_usage_error(self, cli, method, t):
         # t^(2 beta) overflows past the first nodes, so the series there is
-        # NaN: no verdict, where it used to exit 1 with a JSON of nulls. The
-        # oracle refuses the NaN before it can reach the residual.
+        # NaN: no verdict, where it used to exit 1 with a JSON of nulls.
+        # verify refuses the NaN at its least t (grid node 3 for l1, and for
+        # integro cell midpoint 2) before any oracle sees it.
         code, out, err = cli("verify", "--beta", "1", "--m", "1e200", "--t1", "1e160",
                              "--method", method)
         assert (code, out) == (2, "")
-        assert err == f"error: {data} must lie in (-inf, inf), got nan\n"
+        assert err == f"error: the series is not finite at t = {t} (w = nan)\n"
 
     @pytest.mark.parametrize("method", ("l1", "integro", "pc"))
     def test_negative_default_grid_end_asks_for_t1(self, cli, method):
@@ -600,7 +617,7 @@ class TestIOContract:
         assert isinstance(payload, dict)
 
     def test_numpy_is_the_only_runtime_dependency(self):
-        # pytest, hypothesis, mpmath and scipy are test oracles: a fresh
+        # pytest, hypothesis and mpmath, the test extra, serve tests only: a fresh
         # interpreter runs every subcommand, each verify method once, and
         # loads no top-level module past those loaded at start-up (.pth
         # hooks included) but the standard library, numpy and felog

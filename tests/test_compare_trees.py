@@ -1,0 +1,63 @@
+"""The tree-comparison harness, tools/compare_trees.py: a tree is identical
+to itself, and a one-ulp move is named by its case and field."""
+
+import importlib.util
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "compare_trees.py"
+
+_spec = importlib.util.spec_from_file_location("compare_trees", TOOL)
+compare_trees = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_trees)
+
+
+def test_a_tree_is_identical_to_itself():
+    proc = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--cases", "10"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["cli: identical (10 cases)",
+                                        "library: identical (10 cases)",
+                                        "demos: identical (5 cases)"]
+
+
+def _records(g5, text):
+    g = [0.5, 0.25, 0.0, -0.01, 0.0, g5]
+    return {"library": [["a", {"g": [x.hex() for x in g]}], ["b", {"g": [0.5.hex()]}]],
+            "cli": [["coeffs", {"stdout": text, "code": 0}]]}
+
+
+def test_a_one_ulp_move_is_named_by_case_and_field():
+    g5 = 1.0e-3
+    old = _records(g5, '{"log10_mag": -0.5, "g": [0.5, 1e-3]}\n')
+    new = _records(math.nextafter(g5, 1.0),
+                   '{"log10_mag": -0.5, "g": [0.5, 0.0010000000000000002]}\n')
+    lines, same = compare_trees.compare(old, new)
+    assert not same
+    move = f"{(math.nextafter(g5, 1.0) - g5) / math.nextafter(g5, 1.0):.3g}"
+    assert lines == [
+        f"library: 1 of 2 cases moved; largest relative move {move} in case 'a', field g[5]; "
+        "first moved: case 'a', field g[5]",
+        f"cli: 1 of 1 cases moved; largest relative move {move} in case 'coeffs', "
+        "field stdout (number 2); first moved: case 'coeffs', field stdout (number 2)",
+    ]
+    assert compare_trees.compare(old, old) == (["library: identical (2 cases)",
+                                                "cli: identical (1 cases)"], True)
+
+
+def test_a_changed_text_or_shape_is_an_infinite_move():
+    old = {"cli": [["x", {"stdout": "error: a\n", "code": 2}]]}
+    new = {"cli": [["x", {"stdout": "error: b\n", "code": 2}]]}
+    assert compare_trees.compare(old, new)[0] == [
+        "cli: 1 of 1 cases moved; largest relative move inf in case 'x', field stdout; "
+        "first moved: case 'x', field stdout"]
+    assert list(compare_trees._moves({"g": ["0x1.0p+0"]}, {"g": []}, "")) == [
+        ("g (length 1 -> 0)", math.inf)]
+    assert list(compare_trees._moves("0x0.0p+0", "-0x0.0p+0", "w")) == [("w", 0.0)]
+    # a case that one tree lacks, such as a new demo, moved as a whole
+    assert compare_trees.compare({"demos": []}, {"demos": [["06.py", {"stdout": ""}]]})[0] == [
+        "demos: 1 of 1 cases moved; largest relative move inf in case '06.py', field (all); "
+        "first moved: case '06.py', field (all)"]

@@ -390,6 +390,13 @@ class TestSerialization:
         assert zero.sum() == 15
         assert np.all(np.isneginf(back.raw_log10[zero])) and np.all(back.raw_sign[zero] == 0)
 
+    def test_json_dict_is_strict_json(self):
+        # 512 even coefficients are exact zeros, whose log10_mag -inf is null
+        payload = build_sequence(1.0, 1.0, 1024).to_json_dict()
+        json.dumps(payload, allow_nan=False)
+        assert [raw["log10_mag"] for raw in payload["raw"][0::2]][1:] == [None] * 511
+        assert all(type(raw["sign"]) is int for raw in payload["raw"])
+
     @pytest.mark.parametrize("bad", ({5: math.nan, 7: math.inf}, {23: -math.inf}))
     def test_non_finite_coefficients_rejected(self, bad):
         # json.loads reads the NaN and Infinity that json.dumps writes

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from felog import fracops
-from felog.cli import DEFAULT_VERIFY_WINDOW, VERIFY_TOLERANCES, main
+from felog.cli import DEFAULT_VERIFY_CELLS, DEFAULT_VERIFY_WINDOW, VERIFY_TOLERANCES, main
 from felog.euler_beta import build_sequence
 from felog.fracops import (
     _INNER,
@@ -540,6 +540,54 @@ class TestVerify:
         }[method]
         assert [c.tobytes() for c in calls] == [e.tobytes() for e in expected]
         assert rep.residual.tobytes() == verify(sol, method, grid).residual.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method, where", (("l1", "node 3"), ("integro", "midpoint 2")))
+    def test_series_that_is_not_finite_is_refused_at_its_least_t(self, method, where):
+        # past t ~ 1e154 at m = 1e200, t^(2 beta) overflows and w is NaN;
+        # the refusal names the least t that the method reads there
+        sol = SeriesSolution.build(1.0, 1e200)
+        grid = graded_grid(1e160, DEFAULT_VERIFY_CELLS, 1.0)
+        nodes, mids = grid.nodes, 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
+        read = np.concatenate((nodes, mids) if method == "integro" else (nodes,))
+        t = float(np.sort(read[~np.isfinite(sol.evaluate(read).w)])[0])
+        assert t == float({"node 3": nodes[3], "midpoint 2": mids[2]}[where])
+        with pytest.raises(ValueError) as exc:
+            verify(sol, method, grid)
+        assert str(exc.value) == f"the series is not finite at t = {t!r} (w = nan)"
+        assert repr(t) == {"l1": "2.25e+154", "integro": "1.625e+154"}[method]
+
+    @pytest.mark.parametrize("method, bad, named", (
+        ("l1", {"nodes": {7: math.inf, 3: math.nan}}, ("nodes", 3, "nan")),
+        ("integro", {"nodes": {7: math.nan}, "mids": {4: -math.inf}}, ("mids", 4, "-inf")),
+        ("integro", {"nodes": {3: math.inf}, "mids": {4: math.nan}}, ("nodes", 3, "inf")),
+        ("pc", {"kept": {9: math.nan, 5: math.inf}}, ("kept", 5, "inf")),
+    ), ids=("l1", "integro-midpoint-first", "integro-node-first", "pc"))
+    def test_no_oracle_sees_a_value_that_is_not_finite(self, monkeypatch, method, bad, named):
+        sol = SeriesSolution.build(0.5, 1.0, 64)
+        grid = graded_grid(0.7 * sol.domain_edge, 200, 0.5)
+        t_pc, _ = solve_pc(0.5, 1.0, grid.nodes[-1], 1e-3)
+        points = {"nodes": grid.nodes, "mids": 0.5 * (grid.nodes[:-1] + grid.nodes[1:]),
+                  "kept": t_pc[t_pc >= fracops.REPORT_START]}
+
+        def evaluate(t):
+            w = sol.evaluate(t).w.copy()
+            for name, entries in bad.items():
+                if t.tobytes() == points[name].tobytes():
+                    w[list(entries)] = list(entries.values())
+            return SimpleNamespace(w=w)
+
+        def oracle(*args):
+            raise AssertionError("an oracle saw the series")
+
+        for name in ("caputo_l1_all", "fractional_integral_midpoint"):
+            monkeypatch.setattr(fracops, name, oracle)
+        stub = SimpleNamespace(seq=sol.seq, domain_edge=sol.domain_edge, evaluate=evaluate)
+        name, k, w = named
+        with pytest.raises(ValueError) as exc:
+            verify(stub, method, grid)
+        t = float(points[name][k])
+        assert str(exc.value) == f"the series is not finite at t = {t!r} (w = {w})"
 
     def test_grid_past_domain_rejected(self):
         sol = SeriesSolution.build(0.5, 1.0, 64)

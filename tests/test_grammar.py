@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(path for top in ("src", "tests", "bench", "demos")
+SOURCES = sorted(path for top in ("src", "tests", "bench", "demos", "tools")
                  for path in (ROOT / top).rglob("*.py")) + [ROOT / "conftest.py"]
 
 

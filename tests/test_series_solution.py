@@ -3,6 +3,7 @@ classical degeneration."""
 
 import dataclasses
 import itertools
+import json
 import math
 import sys
 
@@ -441,6 +442,17 @@ class TestRadiusPastTheDoubleRange:
         # repr tells 0.0 from -0.0 and a numpy scalar from a float
         seq = build_sequence(10.0**log_beta, 10.0**log_m, n)
         assert repr(radius_report(seq)) == repr(try_except_radius_report(seq))
+
+    @pytest.mark.parametrize("m", (1e154, 1e308))
+    def test_json_dict_is_strict_json(self, m):
+        # r_guaranteed is inf at both, and the discrepancies inf and NaN at
+        # 1e308; the dict holds None for each, and the record keeps the float
+        rep = radius_report(build_sequence(1.0, m, 64))
+        payload = rep.to_json_dict()
+        json.dumps(payload, allow_nan=False)
+        assert rep.r_guaranteed == math.inf and payload["r_guaranteed"] is None
+        assert [k for k, v in payload.items() if v is None] == [
+            k for k, v in rep._quantities().items() if v is None or not math.isfinite(v)]
 
     @pytest.mark.filterwarnings("error")
     def test_overflowed_ratio_test_gives_none(self):

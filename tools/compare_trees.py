@@ -1,0 +1,275 @@
+"""Compare what two felog trees output, case by case and bit for bit.
+
+    python tools/compare_trees.py OLD NEW [--cases N]
+
+OLD and NEW are checkouts of this repository, for example the parent of a
+change made with ``git archive PARENT | tar -x -C DIR``. One fixed case list,
+this file's, runs under each tree in a child interpreter that imports felog
+from that tree's ``src/``. It has three families:
+
+- cli: ``felog.cli.main`` in process, recording stdout, stderr and the exit
+  code, for coeffs, eval, radius, compare and verify with each of its four
+  methods, in json and csv, at beta in {1, .7, .3} (compare takes no beta),
+  m in {1, 2} and n in {64, 256}: 176 cases;
+- library: 100 cases drawn from a fixed numpy seed, beta in [.05, 1] and m
+  in [1, 10], each recording g, an array and two scalar evaluations, the
+  radius report's JSON dict, and verify termwise and pc;
+- demos: the stdout of the five demos, less the times that demo 04 prints.
+
+Every float is recorded as ``float.hex``, so "identical" means the same bits.
+For each family the report says "identical", or how many cases moved, the
+largest relative move and where it is, and the first case that moved, each
+with the field that moved. ``--cases N`` runs N cases of each family, spread
+over its list. The exit code is 0 when every family is identical, else 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import runpy
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+BETAS, MS, NS, FORMATS = ("1", "0.7", "0.3"), ("1", "2"), ("64", "256"), ("json", "csv")
+COMMANDS = ("coeffs", "eval", "radius", "compare", "verify termwise", "verify l1",
+            "verify integro", "verify pc")
+LIBRARY_SEED, LIBRARY_CASES = 2017, 100
+_HEX = re.compile(r"-?0x[0-9a-f.]+p[-+]\d+|-?inf|nan")
+# a decimal number, inf or nan, but not the digits of a name such as log10_mag
+_NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|-?\binf\b|\bnan\b")
+
+
+def _pick(cases: list, limit) -> list:
+    """``limit`` cases spread evenly over ``cases``, or all of them."""
+    if limit is None or limit >= len(cases):
+        return cases
+    return [cases[len(cases) * i // limit] for i in range(limit)]
+
+
+def _plain(value):
+    """``value`` as JSON data: each float as its float.hex, arrays as lists."""
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, np.integer):
+        return int(value)
+    return value
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the exception it raises, as JSON data."""
+    try:
+        return _plain(call())
+    except Exception as exc:  # a refusal is an output too
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _cli_cases() -> list:
+    cases = []
+    for command in COMMANDS:
+        name, _, method = command.partition(" ")
+        for beta in BETAS if name != "compare" else (None,):
+            for m in MS:
+                for n in NS:
+                    for fmt in FORMATS:
+                        argv = [name] + (["--beta", beta] if beta else [])
+                        argv += ["--m", m, "-n", n, "--format", fmt]
+                        cases.append(argv + (["--method", method] if method else []))
+    return cases
+
+
+def _run_cli(argv: list) -> dict:
+    from felog.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own refusals
+            code = exc.code
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "code": code}
+
+
+def _library_cases() -> list:
+    import numpy as np
+
+    rng = np.random.default_rng(LIBRARY_SEED)
+    return [(float(rng.uniform(0.05, 1.0)), float(rng.uniform(1.0, 10.0)),
+             int(rng.choice((32, 64, 256, 1024)))) for _ in range(LIBRARY_CASES)]
+
+
+def _run_library(beta: float, m: float, n: int) -> dict:
+    import numpy as np
+
+    from felog import SeriesSolution, radius_report, uniform_grid, verify
+
+    sol = SeriesSolution.build(beta, m, n)
+    edge = sol.domain_edge
+    t = np.linspace(0.0, 0.9 * edge if 0.0 < edge < math.inf else 1.0, 17)
+
+    def scalar(x):
+        res = sol.evaluate(float(x))
+        return {"w": res.w, "tail_bound": res.tail_bound, "in_domain": res.in_domain}
+
+    def evaluate():
+        res = sol.evaluate(t)
+        return {"w": res.w, "tail_bound": res.tail_bound, "in_domain": res.in_domain}
+
+    # the stepper's end is held to 4, at most 4000 steps of h = 1e-3
+    pc_end = min(0.7 * edge, 4.0)
+    return {
+        "g": _plain(sol.seq.g),
+        "evaluate": _outcome(evaluate),
+        "scalar": [_outcome(lambda: scalar(t[8])), _outcome(lambda: scalar(t[16]))],
+        "radius": _outcome(lambda: radius_report(sol.seq).to_json_dict()),
+        "termwise": _outcome(lambda: verify(sol, "termwise").to_json_dict()),
+        "pc": _outcome(lambda: verify(sol, "pc", uniform_grid(pc_end, 2, beta)).to_json_dict()),
+    }
+
+
+def _run_demo(path: Path) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    text = out.getvalue()
+    if path.name.startswith("04_"):
+        text = re.sub(r", \d+\.\d+s\)", ")", text)  # the wall time of each method
+    return {"stdout": text}
+
+
+def record(tree: Path, limit) -> dict:
+    """Every family's cases under ``tree``: {family: [[label, output], ...]}."""
+    src = (tree / "src").resolve()
+    sys.path.insert(0, str(src))
+    import felog
+
+    if Path(felog.__file__).resolve().parent.parent != src:
+        raise SystemExit(f"felog was imported from {felog.__file__}, not from {src}")
+    warnings.simplefilter("always")  # the same warnings in every case, in any order
+    cli = [[" ".join(argv), _run_cli(argv)] for argv in _pick(_cli_cases(), limit)]
+    library = [[f"beta={b!r} m={m!r} n={n}", _outcome(lambda: _run_library(b, m, n))]
+               for b, m, n in _pick(_library_cases(), limit)]
+    demos = [[path.name, _outcome(lambda: _run_demo(path))]
+             for path in _pick(sorted((tree / "demos").glob("*.py")), limit)]
+    return {"cli": cli, "library": library, "demos": demos}
+
+
+def _numbers(text: str):
+    """The floats in a recorded leaf and the text around them."""
+    if _HEX.fullmatch(text):
+        return [float.fromhex(text)], ["", ""]
+    return [float(x) for x in _NUMBER.findall(text)], _NUMBER.split(text)
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0  # the same value in other bits: the sign of a zero
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _moves(old, new, path: str):
+    """(field, relative move) for each leaf where ``old`` and ``new`` differ;
+    a changed shape, type or text is an infinite move."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(old) + [k for k in new if k not in old]:
+            field = f"{path}.{key}" if path else key
+            if key not in old or key not in new:
+                yield field, math.inf
+            else:
+                yield from _moves(old[key], new[key], field)
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            yield f"{path} (length {len(old)} -> {len(new)})", math.inf
+        for k, (a, b) in enumerate(zip(old, new)):
+            yield from _moves(a, b, f"{path}[{k}]")
+    elif old != new or type(old) is not type(new):
+        if not (isinstance(old, str) and isinstance(new, str)):
+            yield path, math.inf
+            return
+        (a, around_a), (b, around_b) = _numbers(old), _numbers(new)
+        if around_a != around_b or len(a) != len(b):
+            yield path, math.inf
+            return
+        for k, (x, y) in enumerate(zip(a, b)):
+            if x.hex() != y.hex():
+                yield (f"{path} (number {k})" if len(a) > 1 else path), _relative(x, y)
+
+
+def compare(old: dict, new: dict) -> tuple[list, bool]:
+    """One report line per family, and whether every family is identical.
+    Cases pair by label; a case that only one tree has moved infinitely."""
+    lines, same = [], True
+    for family in old:
+        cases_old, cases_new = dict(old[family]), dict(new[family])
+        labels = list(cases_old) + [k for k in cases_new if k not in cases_old]
+        moved = [(label, moves) for label in labels
+                 if (moves := list(_moves(cases_old.get(label), cases_new.get(label), "")))]
+        if not moved:
+            lines.append(f"{family}: identical ({len(labels)} cases)")
+            continue
+        same = False
+        move, worst, field = max((move, label, field or "(all)")
+                                 for label, moves in moved for field, move in moves)
+        first, first_field = moved[0][0], moved[0][1][0][0] or "(all)"
+        lines.append(f"{family}: {len(moved)} of {len(labels)} cases moved; largest relative "
+                     f"move {move:.3g} in case '{worst}', field {field}; first moved: "
+                     f"case '{first}', field {first_field}")
+    return lines, same
+
+
+def _record_in_child(tree: Path, limit) -> subprocess.Popen:
+    argv = [sys.executable, str(Path(__file__).resolve()), "--record", str(tree)]
+    argv += [] if limit is None else ["--cases", str(limit)]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave each tree as it was
+    return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env, cwd=tree)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", nargs="?", type=Path, help="the tree to compare from")
+    parser.add_argument("new", nargs="?", type=Path, help="the tree to compare to")
+    parser.add_argument("--cases", type=int, default=None,
+                        help="cases per family, spread over its list (default: all)")
+    parser.add_argument("--record", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.cases is not None and args.cases < 1:
+        parser.error("--cases must be at least 1")
+    if args.record is not None:
+        print(json.dumps(record(args.record, args.cases)))
+        return 0
+    if args.old is None or args.new is None:
+        parser.error("give two trees, OLD and NEW")
+    children = [_record_in_child(tree.resolve(), args.cases) for tree in (args.old, args.new)]
+    records = []
+    for tree, child in zip((args.old, args.new), children):
+        out, err = child.communicate()
+        if child.returncode != 0:
+            sys.exit(f"recording under {tree} failed:\n{err}")
+        records.append(json.loads(out.splitlines()[-1]))
+    lines, same = compare(*records)
+    print("\n".join(lines))
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
