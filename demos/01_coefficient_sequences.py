@@ -20,8 +20,9 @@ for k in range(seq.n_terms):
     mag = f"{seq.raw_log10[k]:12.6f}" if seq.raw_sign[k] != 0 else "        zero"
     print(f"{k:>3} {seq.g[k]:>24.16e} {seq.raw_sign[k]:>5} {mag}")
 
-# Note the pattern: every even entry past k=0 is exactly zero (it falls out
-# of the recurrence, it is not imposed), and the odd raw numbers alternate
+# Note the pattern: every even entry past k=0 is zero. build_sequence skips
+# the steps that make them and stores +0.0, since each would compute
+# g_k - g_k = 0 while g_k is normal. The odd raw numbers alternate
 # +, -, +, - ...
 
 # --- the first raw numbers have closed forms --------------------------------

@@ -379,7 +379,12 @@ def caputo_l1_all(w_values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     if vals.shape != t.shape:
         raise ValueError("value array must match the grid nodes")
     beta = grid.beta
-    slopes = np.diff(vals) / np.diff(t)
+    with np.errstate(over="ignore"):  # a subnormal cell's slope can pass the largest double
+        slopes = np.diff(vals) / np.diff(t)
+    if not np.isfinite(slopes).all():
+        k = int(np.argmin(np.isfinite(slopes)))
+        raise ValueError(f"cell {k} of the grid is too narrow for an L1 slope "
+                         f"({t[k + 1] - t[k]:.5g} wide); use fewer cells or a uniform grid")
     return _graded_history(slopes, t, 1.0 - beta, 1.0 / gamma_fn(2.0 - beta))
 
 

@@ -2,8 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Criteria 4 and 8 assert printed majorant properties that are
-numerically false for small fractional orders (verified against 60-digit
-arithmetic; see README, "Known deviations of the printed bounds"): they are
+numerically false for small fractional orders (verified in 50-digit
+arithmetic by tests/test_euler_beta.py; see README, "Known deviations of the
+printed bounds"): they are
 implemented exactly as stated and fail honestly on those points.
 """
 

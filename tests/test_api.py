@@ -8,8 +8,6 @@ import dataclasses
 import doctest
 import importlib
 import inspect
-import math
-import re
 import subprocess
 import sys
 import textwrap
@@ -30,9 +28,7 @@ from felog.euler_beta import (
     build_sequence,
     sequence_from_json,
 )
-from felog.fracops import (QuadratureGrid, ResidualReport, caputo_l1_all,
-                           fractional_integral_midpoint, graded_grid, rl_derivative_termwise,
-                           sonine_check)
+from felog.fracops import QuadratureGrid, ResidualReport, graded_grid, rl_derivative_termwise
 from felog.series_solution import RadiusReport, SeriesSolution, compare_classical, radius_report
 from felog.specfun import BoundFlags, bound_predicates
 
@@ -395,74 +391,6 @@ def test_acceptance_criteria_are_never_skipped():
     # a failing criterion must show as a failure, never as a skip or an xfail
     text = (Path(__file__).resolve().parent / "test_acceptance.py").read_text(encoding="utf-8")
     assert "skip" not in text and "xfail" not in text
-
-
-def _grid():
-    return graded_grid(1.0, 8, 0.5)
-
-
-# each way a caller's array enters felog: a call that puts one entry v into
-# an input that is valid for v = 0.5, and the name that a refusal carries
-INTAKES = {
-    "BetaEulerSequence.g": (lambda v: BetaEulerSequence(0.5, 1.0, [*_sequence().g, v]), "g"),
-    "QuadratureGrid.nodes": (lambda v: QuadratureGrid([0.0, 0.25, v], 0.5), "nodes"),
-    "ResidualReport.grid": (lambda v: ResidualReport("l1", [0.1, v], [0.0, 0.0]), "grid"),
-    "ResidualReport.residual": (lambda v: ResidualReport("l1", [0.1, 0.2], [v, 0.0]),
-                                "residual"),
-    "sequence_from_json": (lambda v: sequence_from_json(
-        {"beta": 0.5, "m": 1.0, "g": [*_sequence().g.tolist(), v]}), None),
-    "evaluate, array": (lambda v: SeriesSolution(_sequence()).evaluate([0.1, v]), "t"),
-    "evaluate, scalar": (lambda v: SeriesSolution(_sequence()).evaluate(v), "t"),
-    "compare_classical": (lambda v: compare_classical(1.0, [0.1, v]), "t_grid"),
-    "caputo_l1_all": (lambda v: caputo_l1_all([0.5] * 8 + [v], _grid()), "w_values"),
-    "fractional_integral_midpoint": (lambda v: fractional_integral_midpoint(
-        [0.5] * 7 + [v], _grid()), "f_mid"),
-    "sonine_check": (lambda v: sonine_check(0.5, [v]), "t_grid"),
-}
-
-# a payload's fields are JSON, so sequence_from_json names its field instead
-PAYLOAD_G = "the payload's 'g' field must be a list of numbers"
-
-
-@pytest.mark.parametrize("site", INTAKES)
-def test_each_intake_case_is_valid_with_a_real_entry(site):
-    call, _ = INTAKES[site]
-    call(0.5)
-
-
-@pytest.mark.parametrize("site", INTAKES)
-@pytest.mark.parametrize("z", (1j, 0j))
-def test_complex_input_is_rejected_by_name(site, z):
-    # numpy kept the real part and dropped the rest with only a warning; a
-    # complex dtype is refused even where every imaginary part is zero
-    call, name = INTAKES[site]
-    with pytest.raises(ValueError) as exc:
-        call(0.5 + z)
-    assert str(exc.value) == (f"{name} must be real, got complex128" if name else PAYLOAD_G)
-
-
-@pytest.mark.parametrize("site", INTAKES)
-@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
-def test_a_non_finite_entry_is_refused_by_name(site, bad):
-    # every intake reads through _as_real's interval, finite at least, and
-    # names the entry: an array's by its index, a scalar t by its name
-    call, name = INTAKES[site]
-    with pytest.raises(ValueError) as exc:
-        call(bad)
-    entry, _, rest = str(exc.value).partition(" must lie in ")
-    assert rest.endswith(f", got {bad!r}")
-    assert entry == (name or "g") or re.fullmatch(rf"{name or 'g'}\[\d+\]", entry)
-
-
-@pytest.mark.parametrize("site", INTAKES)
-@pytest.mark.parametrize("big", (10**400, -(10**309)), ids=("1e400", "-1e309"))
-def test_an_integer_past_the_double_range_is_rejected_by_name(site, big):
-    # numpy raised OverflowError: int too large to convert to float
-    call, name = INTAKES[site]
-    with pytest.raises(ValueError) as exc:
-        call(big)
-    message = f"{name} must be finite, got an integer past the double range"
-    assert str(exc.value) == (message if name else PAYLOAD_G)
 
 
 def _real_arrays(dtype):

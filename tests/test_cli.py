@@ -354,6 +354,24 @@ class TestVerify:
         code, out, _ = cli(*args, "--grid", "uniform")
         assert code == 0 and json.loads(out)["sup_norm"] < 2e-5
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", ("0.0205", "0.0209"))
+    def test_l1_slope_past_the_double_range_is_usage_error(self, cli, beta):
+        # the default grid's first node is subnormal here, too narrow for cell
+        # 0's slope, which overflowed and left a NaN residual
+        code, out, err = cli("verify", "--method", "l1", "--beta", beta, "-n", "256")
+        assert (code, out) == (2, "")
+        edge = SeriesSolution.build(float(beta), 1.0, 256).domain_edge
+        grid = graded_grid(cli_module.DEFAULT_VERIFY_WINDOW * edge,
+                           cli_module.DEFAULT_VERIFY_CELLS, float(beta))
+        assert err == (f"error: cell 0 of the grid is too narrow for an L1 slope "
+                       f"({grid.nodes[1]:.5g} wide); use fewer cells or a uniform grid\n")
+
+    def test_only_l1_stops_in_its_slope_band(self, cli):
+        for method, beta in (("integro", "0.0207"), ("pc", "0.0207"), ("l1", "0.021")):
+            code, out, _ = cli("verify", "--method", method, "--beta", beta, "-n", "256")
+            assert code == 0 and json.loads(out)["sup_norm"] < 5e-5, method
+
     def test_given_grid_end_at_huge_m_still_runs(self, cli):
         code, out, _ = cli("verify", "--method", "pc", "--m", "1e200", "--t1", "1")
         assert code == 0 and json.loads(out)["t"][-1] == 1.0

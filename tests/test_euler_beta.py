@@ -7,16 +7,19 @@ import math
 import random
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import DIGITS, half_order_rationals, mp_coefficients
 
 from felog.cli import main
 from felog import euler_beta
 from felog.euler_beta import (
     MAX_TERMS,
     BetaEulerSequence,
+    _normal_odd,
     bound_sequences,
     build_sequence,
     closed_form_check,
@@ -185,18 +188,6 @@ class TestBuildSequence:
         ref = log_g + np.arange(n) * math.log10(2.0) + lg / math.log(10.0)
         assert seq.raw_log10.tobytes() == ref.tobytes()
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            build_sequence(0.0, 1.0, 8)
-        with pytest.raises(ValueError):
-            build_sequence(1.5, 1.0, 8)
-        with pytest.raises(ValueError):
-            build_sequence(0.5, 0.5, 8)
-        with pytest.raises(ValueError):
-            build_sequence(0.5, 1.0, 1)
-        with pytest.raises(ValueError, match=r"^m must lie in \[1, inf\), got inf$"):
-            build_sequence(0.5, math.inf, 8)
-
     @pytest.mark.parametrize("build", (build_sequence, SeriesSolution.build))
     def test_more_than_max_terms_rejected_before_any_work(self, build, monkeypatch):
         # the log-Gamma table, the first array n_terms sizes, fails the test
@@ -332,8 +323,8 @@ class TestBoundSequences:
     def test_majorant_chain_where_it_holds(self, beta):
         # The printed chain |E_{n+1}|/Gamma((n+1)b+1) <= p q^(n/2) is only
         # true for large enough beta; for beta <= 0.5 it is violated from
-        # some n on (checked against 60-digit arithmetic -- see the
-        # acceptance suite, which runs the stated grid and reports the
+        # some n on (checked in 50-digit arithmetic by TestExactReferences;
+        # the acceptance suite runs the stated grid and reports the
         # failure). Here we pin the range where it does hold.
         seq = build_sequence(beta, 1.0, 64)
         bs = bound_sequences(seq)
@@ -377,6 +368,49 @@ class TestBoundSequences:
             assert bs.b.tobytes() == (p * base_b ** (n / 2.0)).tobytes(), beta
 
 
+def _worst(g, ref):
+    """Largest |g_k / ref_k - 1| over the normal odd coefficients of g, in 50 digits."""
+    with mpmath.workdps(DIGITS):
+        return max(abs(mpmath.mpf(g[k]) / ref[k] - 1) for k in range(1, 2 * _normal_odd(g).size, 2))
+
+
+class TestExactReferences:
+    @pytest.mark.parametrize("m", (1.0, 1.5))
+    @pytest.mark.parametrize("beta", (1.0, 0.7, 0.5, 0.3))
+    def test_coefficients_match_a_50_digit_recurrence(self, beta, m):
+        # the log-Gamma differences set the error: 2.8e-13 at worst here
+        assert _worst(build_sequence(beta, m, 256).g, mp_coefficients(beta, m, 256)) <= 1e-12
+
+    @pytest.mark.parametrize("n", (64, 128))
+    def test_half_order_coefficients_match_the_exact_rationals(self, n):
+        # 1.3e-14 at n = 64 and 2.3e-14 at n = 128; the two references agree
+        # to their 50 digits
+        with mpmath.workdps(DIGITS):
+            exact = [mpmath.mpf(r.numerator) / r.denominator * mpmath.pi ** (-mpmath.mpf(k) / 2)
+                     for k, r in enumerate(half_order_rationals(n))]
+            assert max(abs(x - y) for x, y in zip(exact, mp_coefficients(0.5, 1.0, n))) < 1e-45
+        assert _worst(build_sequence(0.5, 1.0, n).g, exact) <= 1e-13
+
+    @pytest.mark.parametrize("beta, first, at_first, at_60", ((0.3, 16, 1.215, 670),
+                                                              (0.5, 60, 1.051, 1)))
+    def test_the_printed_majorant_fails_in_50_digits(self, beta, first, at_first, at_60):
+        # criterion 4's violations belong to the formula, not to rounding:
+        # |g_(n+1)| / (p q^(n/2)) first passes 1 at the same even n in 50
+        # digits, and it prints the first one, at beta = .3, as 1.22x
+        ref = mp_coefficients(beta, 1.0, 64)
+        with mpmath.workdps(DIGITS):
+            b = mpmath.mpf(beta)
+            p = 1 / (4 * mpmath.gamma(b + 1))
+            q = 2 * p * mpmath.gamma(2 * b + 1) / mpmath.gamma(3 * b + 1)
+            excess = {n: float(abs(ref[n + 1]) / (p * q ** (n // 2))) for n in range(0, 62, 2)}
+        assert min(n for n, x in excess.items() if x > 1.0) == first
+        assert (round(excess[first], 3), round(excess[60])) == (at_first, at_60)
+        g = build_sequence(beta, 1.0, 64).g
+        p, q = majorant_constants(beta)
+        assert abs(g[first + 1]) / (p * q ** (first // 2)) == pytest.approx(excess[first],
+                                                                            rel=1e-10)
+
+
 class TestSerialization:
     def test_json_round_trip_bit_exact(self):
         seq = build_sequence(0.7, 1.0, 32)
@@ -399,7 +433,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bad", ({5: math.nan, 7: math.inf}, {23: -math.inf}))
     def test_non_finite_coefficients_rejected(self, bad):
-        # json.loads reads the NaN and Infinity that json.dumps writes
+        # json.loads reads the NaN and Infinity that json.dumps writes; the
+        # intake table in test_intake.py hands sequence_from_json a dict, not text
         payload = build_sequence(0.5, 1.0, 24).to_json_dict()
         for k, v in bad.items():
             payload["g"][k] = v

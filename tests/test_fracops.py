@@ -3,6 +3,7 @@ quadrature, kernel-pair identity, stable tail, and the time-stepper."""
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -34,7 +35,7 @@ from felog.fracops import (
     verify,
 )
 from felog.series_solution import SeriesSolution
-from felog.specfun import ln_gamma
+from felog.specfun import gamma_fn, ln_gamma
 
 
 class TestGrids:
@@ -47,20 +48,6 @@ class TestGrids:
         # t_j = (j/n)^(2/beta) = (j/n)^4
         assert g.nodes[5] == pytest.approx(0.5**4, rel=1e-15)
         assert g.nodes[0] == 0.0 and g.nodes[-1] == 1.0
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("make", (uniform_grid, graded_grid))
-    @pytest.mark.parametrize("t1", (math.inf, math.nan, -1.0, 0.0))
-    def test_bad_end_rejected_before_nodes_are_built(self, make, t1):
-        with pytest.raises(ValueError, match=r"^t1 must lie in \(0, inf\), got "):
-            make(t1, 8, 0.5)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("make", (uniform_grid, graded_grid))
-    @pytest.mark.parametrize("beta", (0.0, -0.5, 1.5, math.nan))
-    def test_order_outside_unit_interval_rejected(self, make, beta):
-        with pytest.raises(ValueError, match="beta must lie in"):
-            make(1.0, 10, beta)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("make", (uniform_grid, graded_grid))
@@ -106,16 +93,6 @@ class TestGrids:
         with pytest.raises(ValueError):
             QuadratureGrid(np.array([0.0, 1.0]), 0.5)  # at least 3 nodes
 
-    @pytest.mark.parametrize("bad", (math.nan, math.inf))
-    def test_non_finite_nodes_rejected(self, bad):
-        # nan <= 0 is False, so the ordering check alone let these through
-        for k in (2, 3):
-            nodes = [0.0, 0.5, 1.0]
-            nodes.insert(k, bad)
-            with pytest.raises(ValueError) as exc:
-                QuadratureGrid(np.array(nodes), 0.5)
-            assert str(exc.value) == f"nodes[{k}] must lie in (-inf, inf), got {bad!r}"
-
     @pytest.mark.parametrize("nodes", ([[0.0], [0.5], [1.0]], [[0.0, 0.5, 1.0]], 0.0))
     def test_nodes_must_be_one_dimensional(self, nodes):
         # a column reached numpy's "object too deep" in verify, a row its
@@ -136,11 +113,6 @@ class TestGrids:
         assert not report.grid.flags.writeable and not report.residual.flags.writeable
         a[1] = 0.5
         assert grid.nodes[1] == 0.125
-
-    @pytest.mark.parametrize("beta", (5.0, 0.0, -0.5, math.nan))
-    def test_grid_order_outside_unit_interval_rejected(self, beta):
-        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\]"):
-            QuadratureGrid(np.linspace(0.0, 1.0, 9), beta)
 
 
 def _series(g, beta):
@@ -238,16 +210,26 @@ class TestCaputoL1:
         with pytest.raises(ValueError, match="must match the grid nodes"):
             caputo_l1_all(g.nodes[1:], g)
 
-    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
-    def test_rejects_a_non_finite_value_by_name(self, bad):
-        # a block reads the data of all its near cells, so a NaN at node 300
-        # of 400 made nodes 293-299 NaN, though they depend on w_0..w_299 alone
-        g = graded_grid(1.0, 400, 0.7)
-        w = g.nodes.copy()
-        w[300] = bad
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", (0.0205, 0.0209))
+    def test_a_slope_past_the_double_range_is_refused_by_cell(self, beta):
+        # just above graded_grid's underflow the first node is subnormal, so
+        # cell 0's slope overflowed, and the history sum made it a NaN
+        g = graded_grid(1.0, 2000, beta)
+        assert 0.0 < g.nodes[1] < sys.float_info.min
         with pytest.raises(ValueError) as exc:
-            caputo_l1_all(w, g)
-        assert str(exc.value) == f"w_values[300] must lie in (-inf, inf), got {bad!r}"
+            caputo_l1_all(g.nodes**beta, g)
+        assert str(exc.value) == (f"cell 0 of the grid is too narrow for an L1 slope "
+                                  f"({g.nodes[1]:.5g} wide); use fewer cells or a uniform grid")
+
+    def test_the_largest_finite_slopes_keep_their_bits(self):
+        # at beta = 0.021 cell 0's slope is 6e307: finite, so it passes as it was
+        g = graded_grid(1.0, 2000, 0.021)
+        w = g.nodes**0.021
+        slopes = np.diff(w) / np.diff(g.nodes)
+        assert slopes[0] > 1e307
+        ref = fracops._graded_history(slopes, g.nodes, 0.979, 1.0 / gamma_fn(1.979))
+        assert caputo_l1_all(w, g).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("spacing", ("uniform", "graded"))
     def test_classical_order_gives_the_slope(self, spacing):
@@ -271,16 +253,6 @@ class TestFractionalIntegral:
         g = uniform_grid(1.0, 10, 0.5)
         with pytest.raises(ValueError, match="one midpoint value per cell"):
             fractional_integral_midpoint(np.ones(11), g)
-
-    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
-    def test_rejects_a_non_finite_value_by_name(self, bad):
-        # an inf in cell 350 of 400 made 57 of the nodes before it non-finite
-        g = graded_grid(1.0, 400, 0.7)
-        f_mid = np.ones(400)
-        f_mid[350] = bad
-        with pytest.raises(ValueError) as exc:
-            fractional_integral_midpoint(f_mid, g)
-        assert str(exc.value) == f"f_mid[350] must lie in (-inf, inf), got {bad!r}"
 
 
 def graded_history_loop(data, t, exponent, scale):
@@ -636,23 +608,6 @@ class TestVerify:
             ResidualReport("l1", grid, residual)
         assert str(exc.value) == message
 
-    def test_report_rejects_a_negative_residual(self):
-        with pytest.raises(ValueError) as exc:
-            ResidualReport("l1", [0.1, 0.2], [1e-6, -1e-9])
-        assert str(exc.value) == "residual[1] must lie in [0, inf), got -1e-09"
-
-    @pytest.mark.parametrize("grid, residual, message", (
-        ([0.1, 0.2], [math.nan, 1.0], "residual[0] must lie in [0, inf), got nan"),
-        ([0.1, 0.2], [0.0, math.inf], "residual[1] must lie in [0, inf), got inf"),
-        ([0.1, math.inf], [0.0, 0.0], "grid[1] must lie in (-inf, inf), got inf"),
-    ))
-    def test_report_rejects_a_non_finite_entry(self, grid, residual, message):
-        # a NaN passed the sign check, and sup_norm and the JSON carried it
-        # as a defect that was never computed
-        with pytest.raises(ValueError) as exc:
-            ResidualReport("l1", grid, residual)
-        assert str(exc.value) == message
-
     def test_report_serialization(self, capsys):
         sol = SeriesSolution.build(0.5, 1.0, 64)
         rep = verify(sol, "termwise")
@@ -742,20 +697,9 @@ class TestSonine:
         grids = ([0.5], [0.5, 1.0, 3.0], [1e-300, 1e300])
         assert len({sonine_check(beta, t) for t in grids}) == 1
 
-    @pytest.mark.parametrize("beta", (0.0, 1.0))
-    def test_degenerate_orders_rejected(self, beta):
-        with pytest.raises(ValueError):
-            sonine_check(beta, [1.0])
-
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="the t grid is empty"):
             sonine_check(0.5, [])
-
-    @pytest.mark.parametrize("t", (math.nan, math.inf, 0.0, -1.0))
-    def test_points_must_be_finite_and_positive(self, t):
-        with pytest.raises(ValueError) as exc:
-            sonine_check(0.5, [1.0, t])
-        assert str(exc.value) == f"t_grid[1] must lie in (0, inf), got {t!r}"
 
 
 class TestStableLevyTail:
@@ -781,22 +725,6 @@ class TestStableLevyTail:
         moments = (edges[1:] ** (1.0 - beta) - edges[:-1] ** (1.0 - beta)) / (1.0 - beta)
         integral = float(np.dot(np.exp(-lam * mids), moments))
         assert levy_tail_laplace(beta, lam) == integral / math.exp(ln_gamma(1.0 - beta))
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            stable_levy_tail(1.0, 1.0)
-        with pytest.raises(ValueError):
-            stable_levy_tail(0.5, 0.0)
-
-    @pytest.mark.parametrize("z", (-1.0, 0.0, math.nan, math.inf))
-    def test_tail_argument_must_be_finite_and_positive(self, z):
-        with pytest.raises(ValueError, match=r"^z must lie in \(0, inf\), got "):
-            stable_levy_tail(0.5, z)
-
-    @pytest.mark.parametrize("lam", (-1.0, 0.0, math.nan, math.inf))
-    def test_laplace_argument_must_be_finite_and_positive(self, lam):
-        with pytest.raises(ValueError, match=r"^lam must lie in \(0, inf\), got "):
-            levy_tail_laplace(0.5, lam)
 
 
 def solve_pc_direct(beta, m, t_end, h, corrector_tol=1e-12, max_corrector_iters=20):
@@ -875,31 +803,6 @@ class TestSolvePC:
             errs.append(float(np.max(np.abs(w - u[1:]))))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 1.0 + beta
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            solve_pc(0.0, 1.0, 1.0, 1e-3)
-        with pytest.raises(ValueError):
-            solve_pc(0.5, 0.5, 1.0, 1e-3)
-        with pytest.raises(ValueError, match=r"^h must lie in \(0, inf\), got -0.001$"):
-            solve_pc(0.5, 1.0, 1.0, -1e-3)
-        with pytest.raises(ValueError, match=r"^t_end must lie in \(0, inf\), got 0.0$"):
-            solve_pc(0.5, 1.0, 0.0, 1e-3)
-
-    @pytest.mark.parametrize(
-        "args",
-        (
-            (math.nan, 1.0, 1.0, 1e-3),
-            (0.5, math.inf, 1.0, 1e-3),
-            (0.5, math.nan, 1.0, 1e-3),
-            (0.5, 1.0, math.inf, 1e-3),
-            (0.5, 1.0, 1.0, math.nan),
-            (0.5, 1.0, 1.0, math.inf),
-        ),
-    )
-    def test_non_finite_inputs_rejected(self, args):
-        with pytest.raises(ValueError, match=r" must lie in .*, got (nan|inf)$"):
-            solve_pc(*args)
 
     @pytest.mark.parametrize("m", (1.0, 2.0))
     @pytest.mark.parametrize("h", (0.5, 1.0, 2.0))

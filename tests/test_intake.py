@@ -1,8 +1,10 @@
-"""The real-argument rule: every scalar argument of every public function and
-record enters through specfun._check_real, so any real type reads as the float
-it holds (the exact layer as its exact value) and anything else is one
-ValueError that names the parameter. An array's least and greatest entries
-enter through the same rule."""
+"""The argument tables. The real-argument rule: every scalar argument of every
+public function and record enters through specfun._check_real, so any real type
+reads as the float it holds (the exact layer as its exact value) and anything
+else, a value outside its interval included, is one ValueError that names the
+parameter. An array's least and greatest entries enter through the same rule,
+and INTAKES holds every way a caller's array enters felog. A per-module test
+adds a refusal only where it checks more than these tables do."""
 
 import json
 import math
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 
 from felog.euler_beta import (BetaEulerSequence, _as_real, build_sequence, majorant_constants,
                               sequence_from_json)
-from felog.fracops import (QuadratureGrid, graded_grid, levy_tail_laplace, solve_pc,
+from felog.fracops import (QuadratureGrid, ResidualReport, caputo_l1_all,
+                           fractional_integral_midpoint, graded_grid, levy_tail_laplace, solve_pc,
                            sonine_check, stable_levy_tail, uniform_grid)
 from felog.series_solution import (SeriesSolution, compare_classical, remark_bound,
                                    remark_bound_pole, remark_radius)
@@ -70,6 +73,7 @@ STRICT = (0, 1, "()")
 POSITIVE = (0, INF, "()")
 REAL = (-INF, INF, "()")
 RATE = (1, INF, "[)")
+TIME = (0, INF, "[)")
 PAIRS = {
     "ln_gamma-x": Pair(ln_gamma, "x", *POSITIVE, Fraction(7, 10), 3),
     "gamma_fn-x": Pair(gamma_fn, "x", *POSITIVE, Fraction(7, 10), 3),
@@ -206,6 +210,11 @@ def _refused(pair):
         out.append(("lower end", pair.lo))
     if pair.ends[1] == ")":
         out.append(("upper end", pair.hi))
+    # beyond each finite end, open or closed: one step past it, and the infinity
+    if pair.lo > -INF:
+        out += [("below lower end", pair.lo - 1), ("-inf", -INF)]
+    if pair.hi < INF:
+        out += [("above upper end", pair.hi + 1), ("inf", INF)]
     return out
 
 
@@ -278,7 +287,7 @@ def test_float32_order_steps_in_double(beta):
 # every interval an array intake reads: finite (the default), sonine_check's
 # t_grid, evaluate's t and the residual, and compare_classical's t_grid at
 # m = 1.5; (0, 1] stands for the closed upper end
-INTERVALS = {"finite": REAL, "positive": POSITIVE, "t": (0, INF, "[)"), "order": BETA,
+INTERVALS = {"finite": REAL, "positive": POSITIVE, "t": TIME, "order": BETA,
              "classical": (0, math.pi * 1.5, "[)")}
 
 
@@ -312,3 +321,108 @@ def test_an_array_lies_in_an_interval_when_each_entry_does(interval, data):
     else:
         assert not any(refusals.values())
         assert arr.tobytes() == np.array(x, dtype=float).tobytes()
+
+
+def _sequence():
+    """A valid record of 20 coefficients, g_0 to g_19."""
+    return build_sequence(0.5, 1.0, 20)
+
+
+def _grid():
+    return graded_grid(1.0, 8, 0.5)
+
+
+class Intake(NamedTuple):
+    """One way a caller's array enters felog: ``call`` puts one entry v at
+    index ``at`` (None: v is the argument) of an input that is valid for
+    v = 0.5, and each entry must lie in ``interval``. A refusal names the
+    entry by ``name``, or by g for a payload's field (``name`` None)."""
+
+    call: Callable
+    name: Optional[str]
+    at: Optional[int]
+    interval: tuple = REAL
+
+
+INTAKES = {
+    "BetaEulerSequence.g": Intake(lambda v: BetaEulerSequence(0.5, 1.0, [*_sequence().g, v]),
+                                  "g", 20),
+    "QuadratureGrid.nodes": Intake(lambda v: QuadratureGrid([0.0, 0.25, v], 0.5), "nodes", 2),
+    "ResidualReport.grid": Intake(lambda v: ResidualReport("l1", [0.1, v], [0.0, 0.0]),
+                                  "grid", 1),
+    "ResidualReport.residual": Intake(lambda v: ResidualReport("l1", [0.1, 0.2], [v, 0.0]),
+                                      "residual", 0, TIME),
+    "sequence_from_json": Intake(lambda v: sequence_from_json(
+        {"beta": 0.5, "m": 1.0, "g": [*_sequence().g.tolist(), v]}), None, 20),
+    "evaluate, array": Intake(lambda v: SeriesSolution(_sequence()).evaluate([0.1, v]), "t", 1,
+                              TIME),
+    "evaluate, scalar": Intake(lambda v: SeriesSolution(_sequence()).evaluate(v), "t", None,
+                               TIME),
+    "compare_classical": Intake(lambda v: compare_classical(1.0, [0.1, v]), "t_grid", 1,
+                                (0, math.pi, "[)")),
+    "caputo_l1_all": Intake(lambda v: caputo_l1_all([0.5] * 8 + [v], _grid()), "w_values", 8),
+    "fractional_integral_midpoint": Intake(lambda v: fractional_integral_midpoint(
+        [0.5] * 7 + [v], _grid()), "f_mid", 7),
+    "sonine_check": Intake(lambda v: sonine_check(0.5, [1.0, v]), "t_grid", 1, POSITIVE),
+}
+
+# a payload's fields are JSON, so sequence_from_json names its field instead
+PAYLOAD_G = "the payload's 'g' field must be a list of numbers"
+
+
+@pytest.mark.parametrize("site", INTAKES)
+def test_each_intake_case_is_valid_with_a_real_entry(site):
+    INTAKES[site].call(0.5)
+
+
+@pytest.mark.parametrize("site", INTAKES)
+@pytest.mark.parametrize("z", (1j, 0j))
+def test_complex_input_is_rejected_by_name(site, z):
+    # numpy kept the real part and dropped the rest with only a warning; a
+    # complex dtype is refused even where every imaginary part is zero
+    call, name, _, _ = INTAKES[site]
+    with pytest.raises(ValueError) as exc:
+        call(0.5 + z)
+    assert str(exc.value) == (f"{name} must be real, got complex128" if name else PAYLOAD_G)
+
+
+def _outside(intake):
+    """(id, entry) for each entry the intake refuses: each non-finite one,
+    each open finite end, and one step beyond each finite end."""
+    lo, hi, ends = intake.interval
+    out = [("nan", math.nan), ("inf", INF), ("-inf", -INF)]
+    if lo > -INF and ends[0] == "(":
+        out.append(("lower end", float(lo)))
+    if hi < INF and ends[1] == ")":
+        out.append(("upper end", float(hi)))
+    if lo > -INF:
+        out.append(("below lower end", lo - 1.0))
+    if hi < INF:
+        out.append(("above upper end", hi + 1.0))
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("site, entry", [pytest.param(site, entry, id=f"{site}-{kind}")
+                                         for site, intake in INTAKES.items()
+                                         for kind, entry in _outside(intake)])
+def test_an_entry_outside_its_interval_is_refused_by_name(site, entry):
+    # every intake reads through _as_real's interval, finite at least, and
+    # names the entry: an array's by its index, a scalar t by its name
+    call, name, at, (lo, hi, ends) = INTAKES[site]
+    with pytest.raises(ValueError) as exc:
+        call(entry)
+    named = name or "g"
+    named += "" if at is None else f"[{at}]"
+    assert str(exc.value) == f"{named} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {entry!r}"
+
+
+@pytest.mark.parametrize("site", INTAKES)
+@pytest.mark.parametrize("big", (10**400, -(10**309)), ids=("1e400", "-1e309"))
+def test_an_integer_past_the_double_range_is_rejected_by_name(site, big):
+    # numpy raised OverflowError: int too large to convert to float
+    call, name, _, _ = INTAKES[site]
+    with pytest.raises(ValueError) as exc:
+        call(big)
+    message = f"{name} must be finite, got an integer past the double range"
+    assert str(exc.value) == (message if name else PAYLOAD_G)

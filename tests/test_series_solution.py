@@ -45,27 +45,6 @@ class TestEvaluate:
         sol = SeriesSolution.build(1.0, 1.0, 64)
         assert sol(2.0) == pytest.approx(math.e**2 / (1.0 + math.e**2), abs=1e-8)
 
-    def test_negative_t_rejected(self):
-        sol = SeriesSolution.build(0.5, 1.0, 64)
-        with pytest.raises(ValueError):
-            sol.evaluate(-0.1)
-        # an array's refusal names the entry
-        with pytest.raises(ValueError) as exc:
-            sol.evaluate([0.1, -0.2])
-        assert str(exc.value) == "t[1] must lie in [0, inf), got -0.2"
-
-    @pytest.mark.parametrize("t, message", (
-        (math.nan, "t must lie in [0, inf), got nan"),
-        (math.inf, "t must lie in [0, inf), got inf"),
-        (-math.inf, "t must lie in [0, inf), got -inf"),
-        ([0.5, math.nan], "t[1] must lie in [0, inf), got nan"),
-    ))
-    def test_non_finite_t_rejected(self, t, message):
-        sol = SeriesSolution.build(0.5, 1.0, 64)
-        with pytest.raises(ValueError) as exc:
-            sol.evaluate(t)
-        assert str(exc.value) == message
-
     def test_array_evaluation_matches_scalar(self):
         sol = SeriesSolution.build(0.7, 1.0, 64)
         t = np.array([0.0, 0.3, 1.1, 2.0])
@@ -630,17 +609,6 @@ class TestRemarkBound:
         for beta in (0.55, 0.7, 0.85, 1.0):
             assert remark_bound_pole(beta) < remark_radius(beta)
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            remark_bound(0.4, 0.1)  # needs beta > 1/2
-        with pytest.raises(ValueError):
-            remark_bound(1.0, remark_radius(1.0))  # at the radius
-        with pytest.raises(ValueError):
-            remark_bound(1.0, -0.1)
-        for beta in (0.5, 1.01):
-            with pytest.raises(ValueError, match=r"^beta must lie in \(0.5, 1\], got "):
-                remark_bound_pole(beta)
-
     @pytest.mark.parametrize("beta", (0.6, 0.75, 0.9, 1.0))
     def test_series_below_bound_on_overlap(self, beta):
         # overlap of validity: below the bound's own pole and inside the
@@ -669,14 +637,6 @@ class TestCompareClassical:
 
     def test_zero_time_is_exact(self):
         assert compare_classical(1.0, [0.0]) == 0.0
-
-    @pytest.mark.parametrize("t", (3.5, -0.5, math.nan))
-    def test_rejects_grid_outside_window(self, t):
-        # a NaN passed both comparisons of the old window check, and evaluate
-        # then blamed its own t
-        with pytest.raises(ValueError) as exc:
-            compare_classical(1.0, [0.5, t])
-        assert str(exc.value) == f"t_grid[1] must lie in [0, {math.pi!r}), got {t!r}"
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="the t grid is empty"):

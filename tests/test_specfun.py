@@ -77,11 +77,6 @@ class TestLnGamma:
             ref = mp.loggamma(mp.mpf(float(x)))
             assert float(abs((mp.mpf(ln_gamma(float(x))) - ref) / ref)) <= 1e-15, x
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, -math.inf, math.nan])
-    def test_domain_error(self, bad):
-        with pytest.raises(ValueError):
-            ln_gamma(bad)
-
 
 # orders: log-uniform down to 1e-4, uniform on [.01, 1], and exactly 1
 _ORDERS = st.one_of(st.floats(-4.0, 0.0).map(lambda e: 10.0**e), st.floats(0.01, 1.0),
@@ -121,17 +116,6 @@ class TestBetaFn:
             x, y = rng.uniform(0.1, 40.0, 2)
             expected = math.exp(ln_gamma(x) + ln_gamma(y) - ln_gamma(x + y))
             assert beta_fn(x, y) == pytest.approx(expected, rel=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            beta_fn(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            beta_fn(1.0, 0.0)
-
-    @pytest.mark.parametrize("args", [(1.0, math.inf), (math.inf, 1.0), (1.0, math.nan)])
-    def test_non_finite_argument_rejected(self, args):
-        with pytest.raises(ValueError):
-            beta_fn(*args)
 
     def test_stirling_asymptotic_at_50(self):
         # B(x,x) (2x)^(2x-1/2) / (sqrt(2 pi) x^(2x-1)) -> 1, within 1% at x=50
@@ -387,19 +371,6 @@ class TestBoundPredicates:
     def test_out_of_every_domain(self):
         with pytest.raises(ValueError):
             bound_predicates(x=-3.0)
-
-    @pytest.mark.parametrize("point", [{"x": math.inf}, {"x": 2.0, "y": math.inf}])
-    def test_infinite_point_rejected(self, point):
-        # log-Gamma of inf used to be NaN, which made a flag read False
-        with pytest.raises(ValueError):
-            bound_predicates(**point)
-
-    @pytest.mark.parametrize("point", [{"x": math.nan}, {"x": 2.0, "y": math.nan},
-                                       {"x": 0.5, "y": -math.inf}])
-    def test_non_finite_point_rejected(self, point):
-        # a NaN y used to read as "no y given", so beta_bound came back None
-        with pytest.raises(ValueError, match=r"must lie in \(-inf, inf\), got "):
-            bound_predicates(**point)
 
 
 def test_euler_mascheroni_close_to_printed():

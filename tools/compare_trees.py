@@ -13,7 +13,9 @@ from that tree's ``src/``. It has three families:
   m in {1, 2} and n in {64, 256}: 176 cases;
 - library: 100 cases drawn from a fixed numpy seed, beta in [.05, 1] and m
   in [1, 10], each recording g, an array and two scalar evaluations, the
-  radius report's JSON dict, and verify termwise and pc;
+  radius report's JSON dict, and verify termwise and pc, and l1 and integro
+  on a graded grid of 400 cells to 0.7 domain_edge, so the graded history
+  sums are checked outside the CLI's default grid too;
 - demos: the stdout of the five demos, less the times that demo 04 prints.
 
 Every float is recorded as ``float.hex``, so "identical" means the same bits.
@@ -118,7 +120,7 @@ def _library_cases() -> list:
 def _run_library(beta: float, m: float, n: int) -> dict:
     import numpy as np
 
-    from felog import SeriesSolution, radius_report, uniform_grid, verify
+    from felog import SeriesSolution, graded_grid, radius_report, uniform_grid, verify
 
     sol = SeriesSolution.build(beta, m, n)
     edge = sol.domain_edge
@@ -132,6 +134,9 @@ def _run_library(beta: float, m: float, n: int) -> dict:
         res = sol.evaluate(t)
         return {"w": res.w, "tail_bound": res.tail_bound, "in_domain": res.in_domain}
 
+    def graded(method):
+        return verify(sol, method, graded_grid(0.7 * edge, 400, beta)).to_json_dict()
+
     # the stepper's end is held to 4, at most 4000 steps of h = 1e-3
     pc_end = min(0.7 * edge, 4.0)
     return {
@@ -141,6 +146,8 @@ def _run_library(beta: float, m: float, n: int) -> dict:
         "radius": _outcome(lambda: radius_report(sol.seq).to_json_dict()),
         "termwise": _outcome(lambda: verify(sol, "termwise").to_json_dict()),
         "pc": _outcome(lambda: verify(sol, "pc", uniform_grid(pc_end, 2, beta)).to_json_dict()),
+        "l1": _outcome(lambda: graded("l1")),
+        "integro": _outcome(lambda: graded("integro")),
     }
 
 
