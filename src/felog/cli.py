@@ -64,7 +64,7 @@ def _emit(args: argparse.Namespace, payload: dict, header, rows) -> None:
 
 def _t_grid(args: argparse.Namespace) -> np.ndarray:
     _check_count("steps", args.steps, 1, MAX_STEPS)
-    t0 = _check_real("t0", args.t0, -math.inf, math.inf, "()")
+    t0 = _check_real("t0", args.t0, 0, math.inf, "[)")
     t1 = _check_real("t1", args.t1, -math.inf, math.inf, "()")
     if not t0 < t1:
         raise ValueError("t0 must be less than t1")

@@ -402,7 +402,7 @@ def fractional_integral_midpoint(
     f_mid = _as_real(f_mid, "f_mid")
     if f_mid.shape != (t.size - 1,):
         raise ValueError("need one midpoint value per cell")
-    return _graded_history(f_mid, t, beta, 1.0 / gamma_fn(beta) / beta)
+    return _graded_history(f_mid, t, beta, 1.0 / gamma_fn(beta + 1.0))
 
 
 def verify(
