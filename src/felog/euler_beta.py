@@ -13,6 +13,7 @@ products have a zero even factor, so each even g_k is stored as +0.0.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import sys
@@ -22,8 +23,7 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .specfun import (EULER_MASCHERONI, MAX_TERMS, _check_count, _check_real, _ln_gamma_table,
-                      gamma_fn, ln_gamma)
+from .specfun import EULER_MASCHERONI, MAX_TERMS, _check_count, _check_real, gamma_fn, ln_gamma
 
 __all__ = [
     "BetaEulerSequence",
@@ -77,7 +77,11 @@ class BetaEulerSequence:
     def raw_log10(self) -> np.ndarray:
         """log10 |E_k|; -inf where g_k is exactly zero."""
         n = self.g.size
-        lg = np.array(_ln_gamma_table(self.beta, n))
+        # ln_gamma(beta*k + 1.0) for k < n, bit for bit, without a call per k:
+        # x rises with k, so one cut at 171 splits log(gamma) from lgamma
+        xs = [self.beta * k + 1.0 for k in range(n)]
+        cut = bisect.bisect_left(xs, 171.0)
+        lg = np.array([*map(math.log, map(math.gamma, xs[:cut])), *map(math.lgamma, xs[cut:])])
         with np.errstate(divide="ignore"):  # log10(0) = -inf marks a zero g_k
             log_g = np.log10(np.abs(self.g))
         return _read_only(log_g + np.arange(n) * math.log10(self.m) + lg / math.log(10.0))
@@ -163,9 +167,9 @@ def build_sequence(beta: float, m: float, n_terms: int = DEFAULT_TERMS) -> BetaE
 
     g_{k+1} = [Gamma(beta*k+1)/Gamma(beta*(k+1)+1)] * (g_k - sum_{i+j=k} g_i g_j) / m
 
-    Gamma ratios are taken as exp of log-Gamma differences throughout; no
-    ratio recurrences, so the rounding budget stays a fixed multiple of eps
-    per coefficient.
+    The Gamma ratios come from :func:`_gamma_ratios`, each within a few ulps;
+    no ratio recurrences, so the rounding budget stays a fixed multiple of
+    eps per coefficient.
 
     Only the steps that make odd coefficients run. In an even step every
     product has an even-index factor, +0.0 but for g_0 = 1/2, so it would give
@@ -175,8 +179,7 @@ def build_sequence(beta: float, m: float, n_terms: int = DEFAULT_TERMS) -> BetaE
     beta, m = _check_beta(beta), _check_m(m)
     n_terms = _check_count("n_terms", n_terms, 2, MAX_TERMS)
 
-    lg = _ln_gamma_table(beta, n_terms)
-    gamma_ratios = map(math.exp, map(float.__sub__, lg[0::2], lg[1::2]))  # lg[k] - lg[k+1], even k
+    gamma_ratios = _gamma_ratios(beta, beta * np.arange(0, n_terms - 1, 2) + 1.0).tolist()
     # g_rev is g reversed, so even step k dots contiguous g[:k + 1] and g_rev[n_terms - 1 - k:]
     g, g_rev = np.zeros(n_terms), np.zeros(n_terms)
     g[0] = g_rev[-1] = g_k = 0.5
@@ -187,6 +190,74 @@ def build_sequence(beta: float, m: float, n_terms: int = DEFAULT_TERMS) -> BetaE
     return BetaEulerSequence(beta=beta, m=m, g=g)
 
 
+#: DLMF 5.11.8 (Tricomi & Erdelyi, Pacific J. Math. 1, 1951) for large x:
+#: ln Gamma(x + beta) - ln Gamma(x) ~ beta ln x + sum_n d_n(beta) x^(-n), with
+#: d_n(beta) = (-1)^(n+1) [B_(n+1)(beta) - B_(n+1)(0)] / (n (n+1)). Row n - 1
+#: holds the coefficients of beta, beta^2, ..., beta^(n+1) in d_n, for
+#: n = 1..12; each entry is the float nearest its exact rational.
+_RATIO_SERIES = (
+    (-0.5, 0.5),
+    (-0.08333333333333333, 0.25, -0.16666666666666666),
+    (0.0, 0.08333333333333333, -0.16666666666666666, 0.08333333333333333),
+    (0.008333333333333333, 0.0, -0.08333333333333333, 0.125, -0.05),
+    (0.0, -0.016666666666666666, 0.0, 0.08333333333333333, -0.1, 0.03333333333333333),
+    (-0.003968253968253968, 0.0, 0.027777777777777776, 0.0, -0.08333333333333333,
+     0.08333333333333333, -0.023809523809523808),
+    (0.0, 0.011904761904761904, 0.0, -0.041666666666666664, 0.0, 0.08333333333333333,
+     -0.07142857142857142, 0.017857142857142856),
+    (0.004166666666666667, 0.0, -0.027777777777777776, 0.0, 0.058333333333333334, 0.0,
+     -0.08333333333333333, 0.0625, -0.013888888888888888),
+    (0.0, -0.016666666666666666, 0.0, 0.05555555555555555, 0.0, -0.07777777777777778, 0.0,
+     0.08333333333333333, -0.05555555555555555, 0.011111111111111112),
+    (-0.007575757575757576, 0.0, 0.05, 0.0, -0.1, 0.0, 0.1, 0.0, -0.08333333333333333, 0.05,
+     -0.00909090909090909),
+    (0.0, 0.03787878787878788, 0.0, -0.125, 0.0, 0.16666666666666666, 0.0, -0.125, 0.0,
+     0.08333333333333333, -0.045454545454545456, 0.007575757575757576),
+    (0.021092796092796094, 0.0, -0.1388888888888889, 0.0, 0.275, 0.0, -0.2619047619047619, 0.0,
+     0.1527777777777778, 0.0, -0.08333333333333333, 0.041666666666666664,
+     -0.00641025641025641),
+)
+
+#: From this x on the ratio is taken from the expansion at x itself, in
+#: doubles; below it, at x + 15, in long double. The first omitted term is
+#: below 3e-18 of the ratio from x = 16 on.
+_RATIO_CUT = 24
+_RATIO_SHIFTS = np.arange(15, dtype=np.longdouble)
+#: _RATIO_SERIES as a matrix, each row padded with zeros to beta^13.
+_RATIO_MATRIX = np.array([row + (0.0,) * (13 - len(row)) for row in _RATIO_SERIES])
+
+
+def _gamma_ratios(beta: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(x) / Gamma(x + beta) at each entry of x, an ascending array of
+    x >= 1, from x^(-beta) exp(-sum_n d_n(beta) x^(-n)), the 12-term DLMF
+    5.11.8 expansion, so that no large logarithm cancels.
+
+    Below _RATIO_CUT the expansion is taken at z = x + 15 and times the shift
+    factors (x + j + beta) / (x + j), j < 15, in long double. Those ratios
+    scale every later coefficient, by up to n/2 times their error, so they
+    are held near correct rounding where long double is wider than a double
+    (x86-64); elsewhere they are good to a few ulps.
+    """
+    d = (_RATIO_MATRIX @ np.power(beta, np.arange(1, 14))).tolist()  # d_n(beta), n = 1..12
+
+    def series(z):  # sum_n d_n(beta) z^(-n), by Horner in z's precision
+        inv, acc = 1.0 / z, np.zeros_like(z)
+        for d_n in reversed(d):
+            acc += d_n
+            acc *= inv
+        return acc
+
+    cut = int(np.searchsorted(x, _RATIO_CUT))
+    out = np.empty(x.size)
+    if cut:
+        low = x[:cut, None] + _RATIO_SHIFTS  # x + j, j < 15, in long double
+        z = low[:, -1] + 1.0
+        out[:cut] = np.exp(-beta * np.log(z) - series(z)) * np.prod((low + beta) / low, axis=1)
+    if cut < x.size:
+        out[cut:] = np.power(x[cut:], -beta) * np.exp(-series(x[cut:]))
+    return out
+
+
 def _normal_odd(g: np.ndarray) -> np.ndarray:
     """|g_1|, |g_3|, ... up to the first odd coefficient that is zero or
     below the smallest normal double: underflowed ones no longer follow the
@@ -194,6 +265,23 @@ def _normal_odd(g: np.ndarray) -> np.ndarray:
     odd = np.abs(g[1::2])
     small = np.flatnonzero(odd < sys.float_info.min)
     return odd[: small[0]] if small.size else odd
+
+
+def _horner_scale(c: np.ndarray) -> int:
+    """The power-of-two scale s of a Horner sum over c_0, c_1, ... (c_i the
+    coefficient of tau^i): c_i 2^(s i) in tau 2^(-s) is the same sum, and a
+    step on it rounds as a step on the unscaled values does, but off the
+    subnormal grid. s is 0 unless a nonzero c_i is subnormal; then it is the
+    least s that makes each nonzero c_i 2^(s i) normal, or 0 if c_0 is
+    subnormal or some c_i 2^(s i) would overflow."""
+    nonzero = np.flatnonzero(c)
+    # |c_i| = f 2^e with 1/2 <= f < 1: normal from e = min_exp, finite to max_exp
+    _, e = np.frexp(c[nonzero])
+    sub = e < sys.float_info.min_exp
+    if not sub.any() or nonzero[0] == 0 and sub[0]:
+        return 0
+    s = int(np.max((sys.float_info.min_exp - e[sub] - 1) // nonzero[sub] + 1))  # ceil
+    return s if np.all(e + s * nonzero <= sys.float_info.max_exp) else 0
 
 
 def _json_number(x) -> float:

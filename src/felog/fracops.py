@@ -35,9 +35,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .euler_beta import (BetaEulerSequence, _as_real, _check_beta, _check_m, _read_only,
-                         _take_array, _take_real)
-from .specfun import _check_count, _check_real, _ln_gamma_table, gamma_fn, ln_gamma
+from .euler_beta import (BetaEulerSequence, _as_real, _check_beta, _check_m, _gamma_ratios,
+                         _read_only, _take_array, _take_real)
+from .specfun import _check_count, _check_real, gamma_fn, ln_gamma
 
 __all__ = [
     "QuadratureGrid",
@@ -186,14 +186,13 @@ def caputo_termwise(seq: BetaEulerSequence) -> np.ndarray:
     """Term-wise memory derivative of sum_k g_k t^(beta*k) at t^(beta*k),
     from ``seq.g`` and ``seq.beta`` alone.
 
-    Entry k is g_{k+1} * Gamma(beta*(k+1)+1) / Gamma(beta*k+1); the constant
-    term contributes nothing, so a constant series maps to all zeros.
+    Entry k is g_{k+1} * Gamma(beta*(k+1)+1) / Gamma(beta*k+1), taken as g_{k+1}
+    over the recurrence's own Gamma ratio, so that the defect of a built
+    sequence is rounding alone; the constant term contributes nothing, so a
+    constant series maps to all zeros.
     """
     g, beta = seq.g, seq.beta
-    lg = np.array(_ln_gamma_table(beta, g.size))
-    # math.exp, not np.exp: numpy's vectorized exp is off by an ulp in about
-    # 5% of these ratios on AVX-512 hosts
-    return _read_only(g[1:] * np.fromiter(map(math.exp, np.diff(lg)), float))
+    return _read_only(g[1:] / _gamma_ratios(beta, beta * np.arange(g.size - 1) + 1.0))
 
 
 def rl_derivative_termwise(seq: BetaEulerSequence) -> RLDerivative:
@@ -221,15 +220,25 @@ def _graded_history(data: np.ndarray, t: np.ndarray, exponent: float, scale: flo
     """
     blocks = _row_blocks(t)
     out = _far_history(data, t, exponent, blocks)
+    # one set of block buffers per call, each block a prefix of them, so that
+    # no block allocates (and the heap is not trimmed and regrown between them)
+    size = int(np.max((blocks[:, 1] - blocks[:, 2]) * (blocks[:, 1] - blocks[:, 0])))
+    kernel_buf, moment_buf, mask_buf = np.empty(size), np.empty(size), np.empty(size, bool)
     for a, b, lo in blocks:
         # kernel[j, i] = (t_(a+i) - t_(lo+j))^e: one column per row of the
         # block, so the moment differences below run over contiguous slabs
-        kernel = t[a:b] - t[lo:b, None]
+        shape = (b - lo, b - a)
+        kernel = kernel_buf[: shape[0] * shape[1]].reshape(shape)
+        positive = mask_buf[: kernel.size].reshape(shape)
+        np.subtract(t[a:b], t[lo:b, None], out=kernel)
         np.maximum(kernel, 0.0, out=kernel)
-        np.power(kernel, exponent, out=kernel, where=kernel > 0.0)
+        np.greater(kernel, 0.0, out=positive)
+        np.power(kernel, exponent, out=kernel, where=positive)
         # the moments stay elementwise: summing by parts against data
         # differences cancels badly where the near-origin slopes are large
-        out[a - 1 : b - 1] += data[lo : b - 1] @ (kernel[:-1] - kernel[1:])
+        moments = moment_buf[: kernel.size - shape[1]].reshape(shape[0] - 1, shape[1])
+        np.subtract(kernel[:-1], kernel[1:], out=moments)
+        out[a - 1 : b - 1] += data[lo : b - 1] @ moments
     out *= scale
     return _read_only(out)
 

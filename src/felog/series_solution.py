@@ -3,6 +3,9 @@
 The series is summed in the variable tau = t^(2*beta): even coefficients are
 exactly zero, so Horner runs over the odd ones only, from the highest nonzero
 one: from 0.0 it would stay +0.0 through the underflowed zeros above it.
+Where a nonzero coefficient is subnormal, each coefficient of tau^i is taken
+times 2^(s i) and tau times 2^(-s), the least s that leaves none subnormal,
+so that no step rounds on the subnormal grid or runs at its speed.
 Fractional powers are exp(beta*k*log t) for every t: log 0 = -inf makes each
 power exactly 0 at t = 0, and a power past the double range is inf. A scalar
 t runs the same operations one at a time in Python floats, with numpy's exp
@@ -25,8 +28,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .euler_beta import (DEFAULT_TERMS, MAX_TERMS, BetaEulerSequence, _as_real, _check_count,
-                         _check_m, _finite_or_null, _normal_odd, _read_only, build_sequence,
-                         majorant_constants)
+                         _check_m, _finite_or_null, _horner_scale, _normal_odd, _read_only,
+                         build_sequence, majorant_constants)
 from .specfun import EULER_MASCHERONI, _check_real
 
 __all__ = [
@@ -177,8 +180,13 @@ class SeriesSolution:
         self.radius = r = radius_report(seq)
         self.domain_edge = r.r_empirical if r.r_empirical is not None else r.r_guaranteed
         # odd coefficients, highest order first, less the zeros above the last
-        # nonzero one; g_1 > 0 stays, so 0 * tau = NaN still marks an overflow
-        self._horner = seq.g[2 * np.flatnonzero(seq.g[1::2])[-1] + 1 :: -2].tolist()
+        # nonzero one; g_1 > 0 stays, so 0 * tau = NaN still marks an overflow.
+        # Each is scaled by 2^(s i) and tau by 2^(-s), so that no step runs on
+        # subnormal values (see euler_beta._horner_scale)
+        odd = seq.g[1 : 2 * np.flatnonzero(seq.g[1::2])[-1] + 2 : 2]
+        scale = _horner_scale(odd)
+        self._horner = np.ldexp(odd, scale * np.arange(odd.size))[::-1].tolist()
+        self._tau_scale = math.ldexp(1.0, -scale)
         # the tail rests on the last normal odd coefficient; with none, a NaN
         # ratio makes it +inf at every t
         normal = _normal_odd(seq.g)
@@ -210,9 +218,10 @@ class SeriesSolution:
             log_t = np.log(t_arr)
             tb = np.exp(beta * log_t)  # t^beta
             tau = tb * tb              # t^(2*beta)
+            tau_scaled = tau * self._tau_scale
             acc = np.zeros_like(t_arr)
-            for coeff in self._horner:  # Horner in tau, in place
-                acc *= tau
+            for coeff in self._horner:  # Horner in the scaled tau, in place
+                acc *= tau_scaled
                 acc += coeff
             w = 0.5 + tb * acc
             last_term = self._last * np.exp(beta * self._k_last * log_t)
@@ -229,9 +238,10 @@ class SeriesSolution:
             log_t = float(np.log(t))
             tb = float(np.exp(beta * log_t))
             tau = tb * tb
+            tau_scaled = tau * self._tau_scale
             acc = 0.0
             for coeff in self._horner:
-                acc = acc * tau + coeff
+                acc = acc * tau_scaled + coeff
             w = 0.5 + tb * acc
             ratio = self._q * tau / (m * m)
             tail = math.inf

@@ -13,7 +13,6 @@ series coefficients are explicit in the Bernoulli numbers, and only
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -77,13 +76,6 @@ def ln_gamma(x: float) -> float:
     if 1e-300 < x < 171.0:
         return math.log(math.gamma(x))
     return math.lgamma(x)
-
-
-def _ln_gamma_table(beta: float, n: int) -> List[float]:
-    """ln_gamma(beta*k + 1.0) for k < n, bit for bit, without a call per k."""
-    xs = [beta * k + 1.0 for k in range(n)]
-    cut = bisect.bisect_left(xs, 171.0)  # x rises with k: log(gamma) below, lgamma from here
-    return [*map(math.log, map(math.gamma, xs[:cut])), *map(math.lgamma, xs[cut:])]
 
 
 def gamma_fn(x: float) -> float:

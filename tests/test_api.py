@@ -268,13 +268,14 @@ def test_each_rule_has_one_home():
     assert cli.VERIFY_TOLERANCES is fracops.VERIFY_TOLERANCES
     assert "VERIFY_TOLERANCES" not in fracops.__all__
     assert cli.MAX_TERMS is euler_beta.MAX_TERMS
-    # the normal-range cut lives in euler_beta, the only module that reads
-    # sys.float_info.min
-    homes = [name for name in MODULES
-             if any(isinstance(node, ast.FunctionDef) and node.name == "_normal_odd"
-                    for node in ast.walk(_tree(importlib.import_module(name))))]
-    assert homes == ["felog.euler_beta"]
-    assert series_solution._normal_odd is euler_beta._normal_odd
+    # the normal-range cut and Horner's scale live in euler_beta, the only
+    # module that reads sys.float_info
+    for rule in ("_normal_odd", "_horner_scale"):
+        homes = [name for name in MODULES
+                 if any(isinstance(node, ast.FunctionDef) and node.name == rule
+                        for node in ast.walk(_tree(importlib.import_module(name))))]
+        assert homes == ["felog.euler_beta"], rule
+        assert getattr(series_solution, rule) is getattr(euler_beta, rule)
     assert not hasattr(series_solution, "sys")
 
 
@@ -370,15 +371,15 @@ def test_compare_takes_no_beta():
     assert "args.beta" not in inspect.getsource(cli.cmd_compare)
 
 
-def test_the_log_gamma_table_has_one_home():
-    # ln Gamma(beta*k + 1) over k < n is built in specfun alone: no module
-    # maps ln_gamma over a range, and the table's users hold the one function
+def test_the_gamma_ratios_have_one_home():
+    # Gamma(beta*k + 1) / Gamma(beta*k + beta + 1) is formed in euler_beta
+    # alone, and the termwise check holds that one function; no module maps
+    # ln_gamma over a range
     homes = [name for name in MODULES
-             if any(isinstance(node, ast.FunctionDef) and node.name == "_ln_gamma_table"
+             if any(isinstance(node, ast.FunctionDef) and node.name == "_gamma_ratios"
                     for node in ast.walk(_tree(importlib.import_module(name))))]
-    assert homes == ["felog.specfun"]
-    assert euler_beta._ln_gamma_table is specfun._ln_gamma_table
-    assert fracops._ln_gamma_table is specfun._ln_gamma_table
+    assert homes == ["felog.euler_beta"]
+    assert fracops._gamma_ratios is euler_beta._gamma_ratios
     for name in MODULES:
         for node in ast.walk(_tree(importlib.import_module(name))):
             if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.Call)):

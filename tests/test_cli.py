@@ -655,11 +655,11 @@ class TestIOContract:
         (("verify", "--method", "integro", "--grid", "uniform", "--steps", str(10**12)),
          "the cell count must be an integer from 2 to 1000000", (fracops, "linspace")),
         (("coeffs", "-n", str(MAX_TERMS + 1)), "n_terms must be an integer from 2 to 10000",
-         (euler_beta, "_ln_gamma_table")),
+         (euler_beta, "_gamma_ratios")),
         (("radius", "-n", str(10**12)), "n_terms must be an integer from 2 to 10000",
-         (euler_beta, "_ln_gamma_table")),
+         (euler_beta, "_gamma_ratios")),
         (("eval", "-n", str(MAX_TERMS + 1)), "n_terms must be an integer from 2 to 10000",
-         (euler_beta, "_ln_gamma_table")),
+         (euler_beta, "_gamma_ratios")),
     ))
     def test_sizes_above_the_limit_are_usage_errors(self, cli, monkeypatch, argv, message, stub):
         # the allocator that the count sizes fails the test, so nothing that
@@ -669,7 +669,7 @@ class TestIOContract:
         def fail(*args, **kwargs):
             pytest.fail(f"{name} ran")
 
-        if name == "_ln_gamma_table":
+        if name == "_gamma_ratios":
             monkeypatch.setattr(module, name, fail)
         else:  # numpy as the one module sees it
             monkeypatch.setattr(module, "np", SimpleNamespace(**{**vars(np), name: fail}))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from felog import fracops
+from felog import euler_beta, fracops
 from felog.cli import DEFAULT_VERIFY_CELLS, DEFAULT_VERIFY_WINDOW, VERIFY_TOLERANCES, main
 from felog.euler_beta import build_sequence
 from felog.fracops import (
@@ -133,20 +133,26 @@ class TestTermwise:
             assert out[1] == 0.0
 
     @pytest.mark.parametrize("beta", (0.05, 0.3, 0.7, 1.0))
-    def test_each_gamma_ratio_is_exp_of_a_log_gamma_difference(self, beta):
+    def test_each_gamma_ratio_matches_a_40_digit_value(self, beta):
+        # the ratios are within 3.1e-16 of their 40-digit values, and the
+        # division by one rounds once more
+        mp = pytest.importorskip("mpmath")
         g = np.random.default_rng(7).standard_normal(96)
         out = caputo_termwise(_series(g, beta))
-        for k in range(g.size - 1):
-            ratio = math.exp(ln_gamma(beta * (k + 1) + 1.0) - ln_gamma(beta * k + 1.0))
-            assert out[k] == g[k + 1] * ratio
+        with mp.workdps(40):
+            b = mp.mpf(beta)
+            for k in range(g.size - 1):
+                ratio = mp.gamma(b * (k + 1) + 1) / mp.gamma(b * k + 1)
+                assert abs(mp.mpf(out[k]) / (mp.mpf(g[k + 1]) * ratio) - 1) <= 5e-16, k
 
     @pytest.mark.parametrize("beta, n", [(1.0, 300), (0.5, 700), (0.05, 96), (1e-3, 40)])
-    def test_matches_the_per_element_loop(self, beta, n):
-        # bit for bit, on both sides of the log-Gamma table's cut at x = 171
+    def test_divides_by_the_ratios_the_recurrence_reads(self, beta, n):
+        # bit for bit, on both sides of the expansion's cut at x = 24: the
+        # recurrence multiplies by these ratios, so a built sequence's defect
+        # is rounding alone
         g = np.random.default_rng(11).standard_normal(n)
-        lg = np.array([ln_gamma(beta * k + 1.0) for k in range(n)])
-        ref = g[1:] * np.array([math.exp(d) for d in np.diff(lg)])
-        assert caputo_termwise(_series(g, beta)).tobytes() == ref.tobytes()
+        ratios = euler_beta._gamma_ratios(beta, beta * np.arange(n - 1) + 1.0)
+        assert caputo_termwise(_series(g, beta)).tobytes() == (g[1:] / ratios).tobytes()
 
     @pytest.mark.parametrize("beta", (0.3, 0.5, 0.7, 0.9, 1.0))
     @pytest.mark.parametrize("m", (1.0, 2.0))

@@ -8,8 +8,6 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from felog import specfun
 from felog.euler_beta import MAX_TERMS
@@ -76,28 +74,6 @@ class TestLnGamma:
         for x in np.geomspace(171.0, 5000.0, 200):
             ref = mp.loggamma(mp.mpf(float(x)))
             assert float(abs((mp.mpf(ln_gamma(float(x))) - ref) / ref)) <= 1e-15, x
-
-
-# orders: log-uniform down to 1e-4, uniform on [.01, 1], and exactly 1
-_ORDERS = st.one_of(st.floats(-4.0, 0.0).map(lambda e: 10.0**e), st.floats(0.01, 1.0),
-                    st.just(1.0))
-
-
-class TestLnGammaTable:
-    @settings(max_examples=150, deadline=None)
-    @given(beta=_ORDERS, n=st.integers(1, MAX_TERMS))
-    # x = beta*k + 1 reaches 171, where lgamma takes over, at k = 170 / beta:
-    # just short of the cut, on it, one past it, and far past it
-    @example(beta=1.0, n=170)
-    @example(beta=1.0, n=171)
-    @example(beta=1.0, n=172)
-    @example(beta=0.5, n=342)
-    @example(beta=0.7, n=MAX_TERMS)
-    @example(beta=1e-4, n=MAX_TERMS)
-    def test_matches_the_per_element_loop(self, beta, n):
-        loop = [ln_gamma(beta * k + 1.0) for k in range(n)]
-        table = specfun._ln_gamma_table(beta, n)
-        assert np.array(table).tobytes() == np.array(loop).tobytes(), (beta, n)
 
 
 class TestBetaFn:
