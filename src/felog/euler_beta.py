@@ -13,7 +13,6 @@ products have a zero even factor, so each even g_k is stored as +0.0.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import sys
@@ -23,7 +22,8 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .specfun import EULER_MASCHERONI, MAX_TERMS, _check_count, _check_real, gamma_fn, ln_gamma
+from .specfun import (EULER_MASCHERONI, MAX_TERMS, _check_count, _check_real, bernoulli_numbers,
+                      gamma_fn, ln_gamma)
 
 __all__ = [
     "BetaEulerSequence",
@@ -77,11 +77,7 @@ class BetaEulerSequence:
     def raw_log10(self) -> np.ndarray:
         """log10 |E_k|; -inf where g_k is exactly zero."""
         n = self.g.size
-        # ln_gamma(beta*k + 1.0) for k < n, bit for bit, without a call per k:
-        # x rises with k, so one cut at 171 splits log(gamma) from lgamma
-        xs = [self.beta * k + 1.0 for k in range(n)]
-        cut = bisect.bisect_left(xs, 171.0)
-        lg = np.array([*map(math.log, map(math.gamma, xs[:cut])), *map(math.lgamma, xs[cut:])])
+        lg = np.array([ln_gamma(self.beta * k + 1.0) for k in range(n)])
         with np.errstate(divide="ignore"):  # log10(0) = -inf marks a zero g_k
             log_g = np.log10(np.abs(self.g))
         return _read_only(log_g + np.arange(n) * math.log10(self.m) + lg / math.log(10.0))
@@ -190,41 +186,27 @@ def build_sequence(beta: float, m: float, n_terms: int = DEFAULT_TERMS) -> BetaE
     return BetaEulerSequence(beta=beta, m=m, g=g)
 
 
-#: DLMF 5.11.8 (Tricomi & Erdelyi, Pacific J. Math. 1, 1951) for large x:
-#: ln Gamma(x + beta) - ln Gamma(x) ~ beta ln x + sum_n d_n(beta) x^(-n), with
-#: d_n(beta) = (-1)^(n+1) [B_(n+1)(beta) - B_(n+1)(0)] / (n (n+1)). Row n - 1
-#: holds the coefficients of beta, beta^2, ..., beta^(n+1) in d_n, for
-#: n = 1..12; each entry is the float nearest its exact rational.
-_RATIO_SERIES = (
-    (-0.5, 0.5),
-    (-0.08333333333333333, 0.25, -0.16666666666666666),
-    (0.0, 0.08333333333333333, -0.16666666666666666, 0.08333333333333333),
-    (0.008333333333333333, 0.0, -0.08333333333333333, 0.125, -0.05),
-    (0.0, -0.016666666666666666, 0.0, 0.08333333333333333, -0.1, 0.03333333333333333),
-    (-0.003968253968253968, 0.0, 0.027777777777777776, 0.0, -0.08333333333333333,
-     0.08333333333333333, -0.023809523809523808),
-    (0.0, 0.011904761904761904, 0.0, -0.041666666666666664, 0.0, 0.08333333333333333,
-     -0.07142857142857142, 0.017857142857142856),
-    (0.004166666666666667, 0.0, -0.027777777777777776, 0.0, 0.058333333333333334, 0.0,
-     -0.08333333333333333, 0.0625, -0.013888888888888888),
-    (0.0, -0.016666666666666666, 0.0, 0.05555555555555555, 0.0, -0.07777777777777778, 0.0,
-     0.08333333333333333, -0.05555555555555555, 0.011111111111111112),
-    (-0.007575757575757576, 0.0, 0.05, 0.0, -0.1, 0.0, 0.1, 0.0, -0.08333333333333333, 0.05,
-     -0.00909090909090909),
-    (0.0, 0.03787878787878788, 0.0, -0.125, 0.0, 0.16666666666666666, 0.0, -0.125, 0.0,
-     0.08333333333333333, -0.045454545454545456, 0.007575757575757576),
-    (0.021092796092796094, 0.0, -0.1388888888888889, 0.0, 0.275, 0.0, -0.2619047619047619, 0.0,
-     0.1527777777777778, 0.0, -0.08333333333333333, 0.041666666666666664,
-     -0.00641025641025641),
-)
-
 #: From this x on the ratio is taken from the expansion at x itself, in
 #: doubles; below it, at x + 15, in long double. The first omitted term is
 #: below 3e-18 of the ratio from x = 16 on.
 _RATIO_CUT = 24
 _RATIO_SHIFTS = np.arange(15, dtype=np.longdouble)
-#: _RATIO_SERIES as a matrix, each row padded with zeros to beta^13.
-_RATIO_MATRIX = np.array([row + (0.0,) * (13 - len(row)) for row in _RATIO_SERIES])
+_ratio_table = None  # _ratio_matrix's table, once built
+
+
+def _ratio_matrix() -> np.ndarray:
+    """DLMF 5.11.8 (Tricomi & Erdelyi, Pacific J. Math. 1, 1951) for large x:
+    ln Gamma(x + beta) - ln Gamma(x) ~ beta ln x + sum_n d_n(beta) x^(-n), with
+    d_n(beta) = (-1)^(n+1) [B_(n+1)(beta) - B_(n+1)(0)] / (n (n+1)). Row n - 1
+    of this read-only table holds the coefficients of beta..beta^13 in d_n,
+    each the float nearest its exact rational; built on first use."""
+    global _ratio_table
+    if _ratio_table is None:
+        b = bernoulli_numbers(13)
+        _ratio_table = _read_only(np.array(
+            [[float((-1) ** (n + 1) * math.comb(n + 1, j) * b[n + 1 - j] / (n * (n + 1)))
+              if j <= n + 1 else 0.0 for j in range(1, 14)] for n in range(1, 13)]))
+    return _ratio_table
 
 
 def _gamma_ratios(beta: float, x: np.ndarray) -> np.ndarray:
@@ -238,7 +220,7 @@ def _gamma_ratios(beta: float, x: np.ndarray) -> np.ndarray:
     are held near correct rounding where long double is wider than a double
     (x86-64); elsewhere they are good to a few ulps.
     """
-    d = (_RATIO_MATRIX @ np.power(beta, np.arange(1, 14))).tolist()  # d_n(beta), n = 1..12
+    d = (_ratio_matrix() @ np.power(beta, np.arange(1, 14))).tolist()  # d_n(beta), n = 1..12
 
     def series(z):  # sum_n d_n(beta) z^(-n), by Horner in z's precision
         inv, acc = 1.0 / z, np.zeros_like(z)

@@ -373,19 +373,32 @@ def test_compare_takes_no_beta():
 
 def test_the_gamma_ratios_have_one_home():
     # Gamma(beta*k + 1) / Gamma(beta*k + beta + 1) is formed in euler_beta
-    # alone, and the termwise check holds that one function; no module maps
-    # ln_gamma over a range
+    # alone, and the termwise check holds that one function; ln_gamma's rule
+    # (log(math.gamma) or math.lgamma) is in specfun alone
     homes = [name for name in MODULES
              if any(isinstance(node, ast.FunctionDef) and node.name == "_gamma_ratios"
                     for node in ast.walk(_tree(importlib.import_module(name))))]
     assert homes == ["felog.euler_beta"]
     assert fracops._gamma_ratios is euler_beta._gamma_ratios
-    for name in MODULES:
-        for node in ast.walk(_tree(importlib.import_module(name))):
-            if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.Call)):
-                calls = ast.walk(node.elt) if hasattr(node, "elt") else node.args[:1]
-                assert not any(isinstance(c, ast.Name) and c.id == "ln_gamma"
-                               for c in calls), (name, ast.unparse(node))
+    readers = {name for name in MODULES
+               for node in ast.walk(_tree(importlib.import_module(name)))
+               if isinstance(node, ast.Attribute) and ast.unparse(node) in ("math.gamma",
+                                                                           "math.lgamma")
+               or isinstance(node, ast.ImportFrom) and node.module == "math"
+               and {a.name for a in node.names} & {"gamma", "lgamma"}}
+    assert readers == {"felog.specfun"}
+
+
+def test_no_test_sets_the_global_mpmath_precision():
+    # an assigned mp.dps (or mp.prec) holds for every later mpmath call in the
+    # run, so results would hang on test order; tests use mpmath.workdps
+    for path in sorted(Path(__file__).resolve().parent.rglob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        targets = [t for node in nodes if isinstance(node, ast.Assign) for t in node.targets]
+        targets += [node.target for node in nodes
+                    if isinstance(node, (ast.AugAssign, ast.AnnAssign))]
+        assert not [ast.unparse(t) for t in targets
+                    if isinstance(t, ast.Attribute) and t.attr in ("dps", "prec")], path.name
 
 
 def test_acceptance_criteria_are_never_skipped():

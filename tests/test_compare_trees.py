@@ -39,10 +39,11 @@ def test_a_one_ulp_move_is_named_by_case_and_field():
     assert not same
     move = f"{(math.nextafter(g5, 1.0) - g5) / math.nextafter(g5, 1.0):.3g}"
     assert lines == [
-        f"library: 1 of 2 cases moved; largest relative move {move} in case 'a', field g[5]; "
-        "first moved: case 'a', field g[5]",
-        f"cli: 1 of 1 cases moved; largest relative move {move} in case 'coeffs', "
-        "field stdout (number 2); first moved: case 'coeffs', field stdout (number 2)",
+        "library: 1 of 2 cases moved",
+        f"  g: moved in 1 of 2 cases, largest relative move {move} in case 'a' at g[5]",
+        "cli: 1 of 1 cases moved",
+        f"  coeffs stdout: moved in 1 of 1 cases, largest relative move {move} in case "
+        "'coeffs' at stdout (number 2)",
     ]
     assert compare_trees.compare(old, old) == (["library: identical (2 cases)",
                                                 "cli: identical (1 cases)"], True)
@@ -52,12 +53,40 @@ def test_a_changed_text_or_shape_is_an_infinite_move():
     old = {"cli": [["x", {"stdout": "error: a\n", "code": 2}]]}
     new = {"cli": [["x", {"stdout": "error: b\n", "code": 2}]]}
     assert compare_trees.compare(old, new)[0] == [
-        "cli: 1 of 1 cases moved; largest relative move inf in case 'x', field stdout; "
-        "first moved: case 'x', field stdout"]
+        "cli: 1 of 1 cases moved",
+        "  x stdout: moved in 1 of 1 cases, largest relative move inf in case 'x' at stdout"]
     assert list(compare_trees._moves({"g": ["0x1.0p+0"]}, {"g": []}, "")) == [
         ("g (length 1 -> 0)", math.inf)]
     assert list(compare_trees._moves("0x0.0p+0", "-0x0.0p+0", "w")) == [("w", 0.0)]
     # a case that one tree lacks, such as a new demo, moved as a whole
     assert compare_trees.compare({"demos": []}, {"demos": [["06.py", {"stdout": ""}]]})[0] == [
-        "demos: 1 of 1 cases moved; largest relative move inf in case '06.py', field (all); "
-        "first moved: case '06.py', field (all)"]
+        "demos: 1 of 1 cases moved",
+        "  (all): moved in 1 of 1 cases, largest relative move inf in case '06.py' at (all)"]
+
+
+def test_each_moved_field_has_its_own_line():
+    # a move of 1 in a rounding-level field does not hide g's small ones;
+    # g's cases add up, and its line names the case of its largest move
+    def library(g, residual):
+        return [[label, {"g": [0.5.hex(), x.hex()], "termwise": {"residual": [r.hex()]}}]
+                for label, x, r in zip("ab", g, residual)]
+
+    def cli(sup):
+        return [[f"verify --beta 1 --method {method}", {"stdout": f'{{"sup": {x!r}}}\n'}]
+                for method, x in zip(("l1", "pc"), sup)]
+
+    old = {"library": library((0.25, 0.125), (1e-17, 2e-17)), "cli": cli((1e-5, 2e-6))}
+    new = {"library": library((0.25 * (1 + 2**-40), 0.125 * (1 + 2**-45)), (3e-17, 2e-17)),
+           "cli": cli((1e-5, 3e-6))}
+    lines, same = compare_trees.compare(old, new)
+    assert not same
+    move_a, move_r = f"{1 - 1 / (1 + 2**-40):.3g}", f"{2e-17 / 3e-17:.3g}"
+    assert lines == [
+        "library: 2 of 2 cases moved",
+        f"  g: moved in 2 of 2 cases, largest relative move {move_a} in case 'a' at g[1]",
+        f"  termwise.residual: moved in 1 of 2 cases, largest relative move {move_r} in case "
+        "'a' at termwise.residual[0]",
+        "cli: 1 of 2 cases moved",
+        "  verify pc stdout: moved in 1 of 2 cases, largest relative move 0.333 in case "
+        "'verify --beta 1 --method pc' at stdout",
+    ]

@@ -9,12 +9,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import DIGITS, classical_rationals, half_order_rationals, mp_coefficients
 
@@ -31,7 +30,7 @@ from felog.euler_beta import (
     sequence_from_json,
 )
 from felog.series_solution import SeriesSolution
-from felog.specfun import EULER_MASCHERONI, bernoulli_numbers, euler_poly_exact, ln_gamma
+from felog.specfun import EULER_MASCHERONI, euler_poly_exact, ln_gamma
 
 BETA_GRID = (0.3, 0.5, 0.7, 0.9, 1.0)
 
@@ -203,34 +202,13 @@ class TestBuildSequence:
 
     @pytest.mark.parametrize("beta, n", [(1.0, 300), (0.5, 1024), (0.3, 1000), (1e-3, 64)])
     def test_raw_log_magnitude_matches_the_per_element_loop(self, beta, n):
-        # bit for bit, on both sides of the log-Gamma table's cut at x = 171
+        # bit for bit, on both sides of ln_gamma's cut at x = 171
         seq = build_sequence(beta, 2.0, n)
         lg = np.array([ln_gamma(beta * k + 1.0) for k in range(n)])
         with np.errstate(divide="ignore"):
             log_g = np.log10(np.abs(seq.g))
         ref = log_g + np.arange(n) * math.log10(2.0) + lg / math.log(10.0)
         assert seq.raw_log10.tobytes() == ref.tobytes()
-
-    @settings(max_examples=150, deadline=None)
-    @given(beta=st.one_of(st.floats(-4.0, 0.0).map(lambda e: 10.0**e), st.floats(0.01, 1.0),
-                          st.just(1.0)),
-           n=st.integers(2, MAX_TERMS))
-    # x = beta*k + 1 reaches 171, where lgamma takes over, at k = 170 / beta:
-    # just short of the cut, on it, one past it, and far past it
-    @example(beta=1.0, n=170)
-    @example(beta=1.0, n=171)
-    @example(beta=1.0, n=172)
-    @example(beta=0.5, n=342)
-    @example(beta=0.7, n=MAX_TERMS)
-    @example(beta=1e-4, n=MAX_TERMS)
-    def test_raw_log_gamma_part_matches_the_per_element_loop(self, beta, n):
-        # g_k = 1 past g_1 and m = 1 leave raw_log10 its log-Gamma part alone
-        g = np.ones(n)
-        g[0], g[1] = 0.5, majorant_constants(beta)[0]
-        seq = BetaEulerSequence(beta, 1.0, g)
-        lg = np.array([ln_gamma(beta * k + 1.0) for k in range(n)])
-        ref = np.log10(g) + np.arange(n) * 0.0 + lg / math.log(10.0)
-        assert seq.raw_log10.tobytes() == ref.tobytes(), (beta, n)
 
     @pytest.mark.parametrize("build", (build_sequence, SeriesSolution.build))
     def test_more_than_max_terms_rejected_before_any_work(self, build, monkeypatch):
@@ -476,22 +454,8 @@ class TestExactReferences:
 class TestGammaRatios:
     """euler_beta._gamma_ratios, the one source of the recurrence's ratios."""
 
-    def test_series_literals_are_the_exact_rationals_rounded(self):
-        # row n - 1: the coefficients of beta^1..beta^(n+1) in
-        # (-1)^(n+1) [B_(n+1)(beta) - B_(n+1)(0)] / (n (n+1)), from specfun's
-        # exact Bernoulli numbers
-        b = bernoulli_numbers(13)
-        rows = tuple(tuple(float((-1) ** (n + 1) * comb(n + 1, j) * b[n + 1 - j] / (n * (n + 1)))
-                           for j in range(1, n + 2)) for n in range(1, 13))
-        assert len(euler_beta._RATIO_SERIES) == 12
-        for row, want in zip(euler_beta._RATIO_SERIES, rows):
-            assert np.array(row).tobytes() == np.array(want).tobytes()
-        # the matrix holds the same entries, padded with zeros
-        for matrix_row, row in zip(euler_beta._RATIO_MATRIX, rows):
-            assert matrix_row.tobytes() == np.array(row + (0.0,) * (13 - len(row))).tobytes()
-
     def test_import_runs_no_bernoulli_code(self):
-        # the literals are written out: importing felog builds no table
+        # the expansion's table is built on first use: importing felog builds none
         script = (
             "import sys\n"
             "seen = []\n"
@@ -509,6 +473,29 @@ class TestGammaRatios:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_the_expansion_table_is_built_once_and_read_only(self):
+        # the first ratio builds it from b_0..b_13; later orders, and the
+        # termwise check, read that one array
+        script = (
+            "import sys\n"
+            "from felog import build_sequence, caputo_termwise, euler_beta\n"
+            "seen = []\n"
+            "def watch(frame, event, arg):\n"
+            "    if event == 'call' and frame.f_code.co_name == 'bernoulli_numbers':\n"
+            "        seen.append(frame.f_locals['n_max'])\n"
+            "sys.setprofile(watch)\n"
+            "for beta in (0.3, 0.7, 1.0):\n"
+            "    caputo_termwise(build_sequence(beta, 1.0, 64))\n"
+            "sys.setprofile(None)\n"
+            "table = euler_beta._ratio_matrix()\n"
+            "print(seen, table is euler_beta._ratio_matrix(), table.flags.writeable)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.strip() == "[13] True False"
 
     @pytest.mark.parametrize("beta", (1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0))
     def test_ratios_match_40_digit_values(self, beta):

@@ -185,16 +185,6 @@ class TestRiemannLiouville:
         rl = rl_derivative_termwise(build_sequence(1.0, 1.0, 8))
         assert rl.singular_coefficient == 0.0
 
-    def test_gamma_ratio_against_high_precision_oracle(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        beta = 0.3
-        seq = build_sequence(beta, 1.0, 8)
-        k = 2
-        ratio = caputo_termwise(seq)[k] / seq.g[k + 1]
-        ref = mp.gamma(beta * (k + 1) + 1) / mp.gamma(beta * k + 1)
-        assert ratio == pytest.approx(float(ref), rel=1e-13)
-
 
 class TestCaputoL1:
     def test_constant_data(self):
@@ -411,19 +401,19 @@ class TestGradedHistoryBlocks:
         # 2/beta grading at beta = .1 puts the first nodes near 1e-32, where a
         # differenced kernel loses the whole rise of the data
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 50
         t = graded_grid(1.5, 40, 0.1).nodes
         w = 1.0 / (1.0 + np.exp(-(t**0.1)))
         data = np.diff(w) / np.diff(t) if exponent == 0.9 else 0.5 * (w[:-1] + w[1:])
         got = fracops._graded_history(data, t, exponent, 1.0)
-        nodes = [mp.mpf(float(x)) for x in t]
-        for n in range(1, t.size):
-            exact = mp.fsum(
-                mp.mpf(float(data[j]))
-                * ((nodes[n] - nodes[j]) ** exponent - (nodes[n] - nodes[j + 1]) ** exponent)
-                for j in range(n)
-            )
-            assert abs(got[n - 1] - exact) <= 1e-15 * abs(exact)
+        with mp.workdps(50):
+            nodes = [mp.mpf(float(x)) for x in t]
+            for n in range(1, t.size):
+                exact = mp.fsum(
+                    mp.mpf(float(data[j]))
+                    * ((nodes[n] - nodes[j]) ** exponent - (nodes[n] - nodes[j + 1]) ** exponent)
+                    for j in range(n)
+                )
+                assert abs(got[n - 1] - exact) <= 1e-15 * abs(exact)
 
     @settings(max_examples=150, deadline=None)
     @given(_history_inputs())

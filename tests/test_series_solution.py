@@ -224,23 +224,23 @@ class TestRadiusReport:
         # independent re-evaluation of the printed expressions in 50-digit
         # arithmetic with mpmath's own Euler-Mascheroni constant
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 50
-        for beta in (0.3, 0.5, 0.7, 0.9, 1.0):
-            for m in (1.0, 2.0):
-                rep = radius_report(build_sequence(beta, m, 32))
-                b, g = mp.mpf(beta), mp.euler
-                f1 = (
-                    m * 2**b / mp.e**b
-                    * ((3 * b + 1) / (2 * b + 1)) ** (2 * b + mp.mpf(1) / 2)
-                    * (3 * b + 1) ** (b + mp.mpf(1) / 2 - g)
-                )
-                f2 = (
-                    m * 2 / (mp.e ** (2 * b) * mp.sqrt(b + 1))
-                    * ((3 * b + 1) / (2 * b + 1)) ** (2 * b + mp.mpf(1) / 2)
-                    * (3 * b + 1) ** (-b + g - mp.mpf(1) / 2)
-                )
-                assert rep.r_formula_i == pytest.approx(float(f1), rel=1e-12)
-                assert rep.r_formula_ii == pytest.approx(float(f2), rel=1e-12)
+        with mp.workdps(50):
+            for beta in (0.3, 0.5, 0.7, 0.9, 1.0):
+                for m in (1.0, 2.0):
+                    rep = radius_report(build_sequence(beta, m, 32))
+                    b, g = mp.mpf(beta), mp.euler
+                    f1 = (
+                        m * 2**b / mp.e**b
+                        * ((3 * b + 1) / (2 * b + 1)) ** (2 * b + mp.mpf(1) / 2)
+                        * (3 * b + 1) ** (b + mp.mpf(1) / 2 - g)
+                    )
+                    f2 = (
+                        m * 2 / (mp.e ** (2 * b) * mp.sqrt(b + 1))
+                        * ((3 * b + 1) / (2 * b + 1)) ** (2 * b + mp.mpf(1) / 2)
+                        * (3 * b + 1) ** (-b + g - mp.mpf(1) / 2)
+                    )
+                    assert rep.r_formula_i == pytest.approx(float(f1), rel=1e-12)
+                    assert rep.r_formula_ii == pytest.approx(float(f2), rel=1e-12)
 
     def test_formula_values_disagree_with_claimed_constants(self):
         # the printed expressions at beta = 1 do not reach their own claimed

@@ -49,7 +49,6 @@ class TestLnGamma:
         # arbitrary precision: library implementations are themselves only
         # ulp-accurate, and one ulp of lnGamma(170) already exceeds 1e-13.
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
         rng = np.random.default_rng(7)
         xs = np.concatenate([
             np.geomspace(1e-3, 1.0, 150),
@@ -58,22 +57,23 @@ class TestLnGamma:
             [1e-3, 0.5, 1.0, 8.0, 170.0],
         ])
         worst = 0.0
-        for x in xs:
-            err = abs(mp.mpf(ln_gamma(float(x))) - mp.loggamma(mp.mpf(float(x))))
-            worst = max(worst, float(err))
+        with mp.workdps(30):
+            for x in xs:
+                err = abs(mp.mpf(ln_gamma(float(x))) - mp.loggamma(mp.mpf(float(x))))
+                worst = max(worst, float(err))
         assert worst <= 1e-13
 
     def test_edges_of_the_gamma_range(self):
         # log(gamma) serves 1e-300 < x < 171 and lgamma the rest; both sides
         # of each switch, the subnormal floor, and lgamma's range up to 5000
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        for x in (5e-324, 1e-310, 1e-300, 2e-300, 170.9999, 171.0, 171.0001):
-            err = abs(mp.mpf(ln_gamma(x)) - mp.loggamma(mp.mpf(x)))
-            assert float(err) <= 1e-13, x
-        for x in np.geomspace(171.0, 5000.0, 200):
-            ref = mp.loggamma(mp.mpf(float(x)))
-            assert float(abs((mp.mpf(ln_gamma(float(x))) - ref) / ref)) <= 1e-15, x
+        with mp.workdps(40):
+            for x in (5e-324, 1e-310, 1e-300, 2e-300, 170.9999, 171.0, 171.0001):
+                err = abs(mp.mpf(ln_gamma(x)) - mp.loggamma(mp.mpf(x)))
+                assert float(err) <= 1e-13, x
+            for x in np.geomspace(171.0, 5000.0, 200):
+                ref = mp.loggamma(mp.mpf(float(x)))
+                assert float(abs((mp.mpf(ln_gamma(float(x))) - ref) / ref)) <= 1e-15, x
 
 
 class TestBetaFn:
@@ -103,6 +103,64 @@ class TestBetaFn:
             - (2 * x - 1.0) * math.log(x)
         )
         assert abs(math.exp(log_ratio) - 1.0) <= 0.01
+
+
+DBL_MAX = sys.float_info.max
+
+# each call whose true value passes the double range, or that the log form
+# cannot give to beta_fn's 1e-12: +inf where the value is past the largest
+# double, and a ValueError where a bad number would come back (what the
+# unguarded log form gave, or raised, is in the comment)
+EDGES = [
+    (ln_gamma, (DBL_MAX,), math.inf),  # OverflowError
+    (gamma_fn, (5e-324,), math.inf),  # OverflowError
+    (gamma_fn, (1e300,), math.inf),  # OverflowError
+    (gamma_fn, (171.63,), math.inf),  # OverflowError, one step past 171.62
+    (beta_fn, (5e-324, 1.0), math.inf),  # OverflowError; B = 1 / 5e-324
+    (beta_fn, (1.0, 1e12), ValueError),  # 1.8e-3 off
+    (beta_fn, (1.0, 1e15), ValueError),  # 12.7x too large
+    (beta_fn, (1.0, 1e16), ValueError),  # 1.0, where B = 1e-16
+    (beta_fn, (1.0, DBL_MAX), ValueError),  # OverflowError
+    (beta_fn, (DBL_MAX, DBL_MAX), ValueError),  # x + y is inf
+    (bound_predicates, (DBL_MAX,), ValueError),  # OverflowError
+    (bound_predicates, (2.0, DBL_MAX), ValueError),  # a silent beta_bound = False
+]
+
+
+class TestDoubleRangeEdges:
+    @pytest.mark.parametrize("call, args, outcome", EDGES,
+                             ids=[f"{c.__name__}{a}" for c, a, _ in EDGES])
+    def test_each_edge_gives_inf_or_a_refusal(self, call, args, outcome):
+        if outcome is ValueError:
+            with pytest.raises(ValueError, match=r"x = |passes the double range"):
+                call(*args)
+        else:
+            assert call(*args) == outcome
+
+    def test_the_last_finite_values(self):
+        assert math.isfinite(ln_gamma(2.5e305)) and math.isfinite(gamma_fn(171.62))
+        assert beta_fn(1.0, 248.0) == pytest.approx(1.0 / 248.0, rel=1e-12)
+        with pytest.raises(ValueError, match=r"^B\(x, y\) at x = 1.0, y = 250.0 is not within "
+                                             r"1e-12 relative: its log-Gamma values, of size "):
+            beta_fn(1.0, 250.0)
+
+    def test_beta_is_refused_or_within_its_tolerance_on_a_log_grid(self):
+        # 0.97 eps S is the worst error seen, so a refusal at 2 eps S > 1e-12
+        # leaves every value it gives within 1e-12 of 40 digits
+        mp = pytest.importorskip("mpmath")
+        grid = np.geomspace(1e-3, 1e6, 61).tolist()
+        given = 0
+        with mp.workdps(40):
+            for x in grid:
+                for y in grid:
+                    try:
+                        value = beta_fn(x, y)
+                    except ValueError:
+                        continue
+                    given += 1
+                    ref = mp.beta(mp.mpf(x), mp.mpf(y))
+                    assert abs(mp.mpf(value) / ref - 1) <= 1e-12, (x, y)
+        assert 0.3 < given / len(grid) ** 2 < 0.4  # where x + y stays below a few hundred
 
 
 class TestBernoulli:

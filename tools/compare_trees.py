@@ -19,10 +19,14 @@ from that tree's ``src/``. It has three families:
 - demos: the stdout of the five demos, less the times that demo 04 prints.
 
 Every float is recorded as ``float.hex``, so "identical" means the same bits.
-For each family the report says "identical", or how many cases moved, the
-largest relative move and where it is, and the first case that moved, each
-with the field that moved. ``--cases N`` runs N cases of each family, spread
-over its list. The exit code is 0 when every family is identical, else 1.
+For each family the report says "identical", or how many cases moved and then
+one line for each field that moved: in how many cases, its largest relative
+move, and the case and the place where that move is. A field is a recorded
+path less its list indices and number positions (``g`` for every ``g[k]``), and
+for cli it leads with the command (``verify l1 stdout``), so a field at
+rounding level cannot hide the moves of another. ``--cases N`` runs N cases of
+each family, spread over its list. The exit code is 0 when every family is
+identical, else 1.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ LIBRARY_SEED, LIBRARY_CASES = 2017, 100
 _HEX = re.compile(r"-?0x[0-9a-f.]+p[-+]\d+|-?inf|nan")
 # a decimal number, inf or nan, but not the digits of a name such as log10_mag
 _NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|-?\binf\b|\bnan\b")
+# what _moves adds to a path to say where in a list or a text a move is
+_POSITION = re.compile(r"\[\d+\]| \(number \d+\)")
 
 
 def _pick(cases: list, limit) -> list:
@@ -221,25 +227,41 @@ def _moves(old, new, path: str):
                 yield (f"{path} (number {k})" if len(a) > 1 else path), _relative(x, y)
 
 
+def _field(family: str, label: str, path: str) -> str:
+    """The field of a move at ``path`` in case ``label``: the path less its
+    list indices and number positions, after the command for cli."""
+    field = _POSITION.sub("", path) or "(all)"
+    if family != "cli":
+        return field
+    argv = label.split()
+    method = argv[argv.index("--method") + 1:][:1] if "--method" in argv else []
+    return " ".join([argv[0], *method, field])
+
+
 def compare(old: dict, new: dict) -> tuple[list, bool]:
-    """One report line per family, and whether every family is identical.
-    Cases pair by label; a case that only one tree has moved infinitely."""
+    """Per family, one report line and one more per moved field, and whether
+    every family is identical. Cases pair by label; a case that only one tree
+    has moved infinitely."""
     lines, same = [], True
     for family in old:
         cases_old, cases_new = dict(old[family]), dict(new[family])
         labels = list(cases_old) + [k for k in cases_new if k not in cases_old]
-        moved = [(label, moves) for label in labels
-                 if (moves := list(_moves(cases_old.get(label), cases_new.get(label), "")))]
+        fields = {}  # field: {case: (its largest move in that case, where)}
+        for label in labels:
+            for path, move in _moves(cases_old.get(label), cases_new.get(label), ""):
+                cases = fields.setdefault(_field(family, label, path), {})
+                if label not in cases or move > cases[label][0]:
+                    cases[label] = (move, path or "(all)")
+        moved = {label for cases in fields.values() for label in cases}
         if not moved:
             lines.append(f"{family}: identical ({len(labels)} cases)")
             continue
         same = False
-        move, worst, field = max((move, label, field or "(all)")
-                                 for label, moves in moved for field, move in moves)
-        first, first_field = moved[0][0], moved[0][1][0][0] or "(all)"
-        lines.append(f"{family}: {len(moved)} of {len(labels)} cases moved; largest relative "
-                     f"move {move:.3g} in case '{worst}', field {field}; first moved: "
-                     f"case '{first}', field {first_field}")
+        lines.append(f"{family}: {len(moved)} of {len(labels)} cases moved")
+        for field, cases in fields.items():
+            label, (move, path) = max(cases.items(), key=lambda case: case[1][0])
+            lines.append(f"  {field}: moved in {len(cases)} of {len(labels)} cases, largest "
+                         f"relative move {move:.3g} in case '{label}' at {path}")
     return lines, same
 
 
