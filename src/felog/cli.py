@@ -170,14 +170,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-n", "--n-terms", dest="n_terms", type=int, default=DEFAULT_TERMS)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
+        if name in ("eval", "compare"):  # the commands that read _t_grid
+            p.add_argument("--t0", type=float, default=0.0)
+            p.add_argument("--t1", type=float, default=2.0)
+            p.add_argument("--steps", type=int, default=200, help="number of grid intervals")
         return p
 
     command("coeffs", "emit the coefficient sequence")
 
-    p = command("eval", "evaluate the series on a t grid")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=2.0)
-    p.add_argument("--steps", type=int, default=200, help="number of grid intervals")
+    command("eval", "evaluate the series on a t grid")
 
     p = command("verify", "run one verification oracle (pass/fail exit code)")
     p.add_argument("--method", choices=("termwise", "l1", "integro", "pc"), default="termwise")
@@ -191,11 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("radius", "report the four radius estimates")
 
-    p = command("compare", "beta=1 series against the closed form")
-    p.set_defaults(beta=1.0)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=2.0)
-    p.add_argument("--steps", type=int, default=200)
+    command("compare", "beta=1 series against the closed form").set_defaults(beta=1.0)
 
     return parser
 

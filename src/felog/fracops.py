@@ -37,7 +37,7 @@ import numpy as np
 
 from .euler_beta import (BetaEulerSequence, _as_real, _check_beta, _check_m, _gamma_ratios,
                          _read_only, _take_array, _take_real)
-from .specfun import _check_count, _check_real, gamma_fn, ln_gamma
+from .specfun import _check_count, _check_real, _exp, gamma_fn, ln_gamma
 
 __all__ = [
     "QuadratureGrid",
@@ -535,14 +535,18 @@ def sonine_check(beta: float, t_grid) -> float:
 
 
 def stable_levy_tail(beta: float, z: float) -> float:
-    """Tail z^(-beta)/Gamma(1-beta) of the stable jump measure."""
+    """Tail z^(-beta)/Gamma(1-beta) of the stable jump measure; in logs where
+    z^(-beta) alone passes the double range, and +inf where the tail does."""
     beta, z = _check_strict(beta), _check_real("z", z, 0, math.inf, "()")
-    return z ** (-beta) / gamma_fn(1.0 - beta)
+    try:
+        return z ** (-beta) / gamma_fn(1.0 - beta)
+    except OverflowError:
+        return _exp(-beta * math.log(z) - ln_gamma(1.0 - beta))
 
 
 def levy_tail_laplace(beta: float, lam: float) -> float:
-    """Laplace transform of the tail, truncated at z = 40; should approach
-    lam^(beta-1).
+    """Laplace transform of the tail, truncated at z = 40 / max(lam, 1), where
+    exp(-lam z) is e^-40 for lam >= 1; should approach lam^(beta-1).
 
     Product quadrature on 100,000 equal cells: the z^-beta factor is
     integrated exactly per cell against the midpoint value of exp(-lam z),
@@ -550,7 +554,7 @@ def levy_tail_laplace(beta: float, lam: float) -> float:
     """
     beta, lam = _check_strict(beta), _check_real("lam", lam, 0, math.inf, "()")
     a = 1.0 - beta
-    edges = np.linspace(0.0, 40.0, 100_001)
+    edges = np.linspace(0.0, 40.0 / max(lam, 1.0), 100_001)
     moments = (edges[1:] ** a - edges[:-1] ** a) / a
     integral = float(np.dot(np.exp(-lam * (0.5 * (edges[:-1] + edges[1:]))), moments))
     return integral / gamma_fn(a)

@@ -18,7 +18,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 __all__ = [
     "EULER_MASCHERONI",
@@ -98,26 +98,28 @@ def gamma_fn(x: float) -> float:
 
 #: beta_fn's relative tolerance.
 _BETA_TOL = 1e-12
+_EPS = math.ulp(1.0)
+
+
+def _ln_beta(x: float, y: float) -> Tuple[float, float]:
+    """ln Gamma(x) + ln Gamma(y) - ln Gamma(x+y) for positive x, y, and the size S of the
+    three, |ln Gamma(x)| + |ln Gamma(y)| + |ln Gamma(x+y)|, inf past the double range. The
+    sum cancels: its roundings reach about 2 eps S (0.97 eps S at most for x, y in [1e-3, 1e6])."""
+    lx, ly = ln_gamma(x), ln_gamma(y)
+    lxy = ln_gamma(x + y) if math.isfinite(lx + ly) else math.inf  # x + y may overflow
+    return lx + ly - lxy, abs(lx) + abs(ly) + abs(lxy)
 
 
 def beta_fn(x: float, y: float) -> float:
-    """Beta integral B(x, y) for finite positive arguments, via log-Gamma:
-    good to 1e-12 relative (_BETA_TOL), and +inf where B passes the double range.
-
-    The log form cancels: with S = |ln Gamma(x)| + |ln Gamma(y)| + |ln Gamma(x+y)|
-    its roundings can reach about 2 eps S (0.97 eps S is the most seen on a log
-    grid of x, y in [1e-3, 1e6]). Where 2 eps S passes the tolerance, from
-    S = 2252 (B(1, y) from y = 249, B(x, x) from x = 133), it raises ValueError
-    naming x and y.
-    """
+    """B(x, y) for finite positive arguments, the exp of _ln_beta: good to 1e-12 relative
+    (_BETA_TOL), +inf where B passes the double range, and a ValueError naming x and y where
+    2 eps S passes the tolerance, from S = 2252 (B(1, y) from y = 249, B(x, x) from x = 133)."""
     x, y = _check_real("x", x, 0, math.inf, "()"), _check_real("y", y, 0, math.inf, "()")
-    lx, ly = ln_gamma(x), ln_gamma(y)
-    lxy = ln_gamma(x + y) if math.isfinite(lx + ly) else math.inf  # x + y may overflow
-    size = abs(lx) + abs(ly) + abs(lxy)
-    if 2.0 * math.ulp(1.0) * size > _BETA_TOL:
+    ln_b, size = _ln_beta(x, y)
+    if 2.0 * _EPS * size > _BETA_TOL:
         raise ValueError(f"B(x, y) at x = {x!r}, y = {y!r} is not within {_BETA_TOL:g} "
                          f"relative: its log-Gamma values, of size {size:.3g}, cancel")
-    return _exp(lx + ly - lxy)
+    return _exp(ln_b)
 
 
 def bernoulli_numbers(n_max: int) -> List[Fraction]:
@@ -202,43 +204,38 @@ class BoundFlags:
     gamma_envelope: Optional[bool]   # x^(x-g)/e^(x-1) < Gamma(x) < x^(x-1/2)/e^(x-1), x > 1
 
 
-def bound_predicates(x: float, y: Optional[float] = None) -> BoundFlags:
-    """Evaluate the three Gamma/Beta inequalities at a point.
+#: How far ln_gamma may be off past eps |ln Gamma(x)|: log(math.gamma(x)) is up to 3.6 eps
+#: off 40-digit mpmath (3.4 eps within 0.1 of x = 1), all its error where ln Gamma is near 0.
+_LN_GAMMA_ERR = 4.0 * _EPS
 
-    ``x, y`` feed the Beta bound (both > 1 required) and the strict Gamma
-    envelope (x > 1); the unit-interval bound is checked at ``x`` when
-    0 <= x <= 1. Comparisons are strict or non-strict exactly as each
-    inequality is stated, with endpoint ties counting as satisfied for the
-    non-strict ones. Raises if an argument is not finite, a log-Gamma value
-    it compares is past the double range (an inf would give a silent False),
-    or the point lies in no bound's domain.
-    """
+
+def bound_predicates(x: float, y: Optional[float] = None) -> BoundFlags:
+    """Evaluate the three Gamma/Beta inequalities at a point: the Beta bound at
+    x, y > 1, the strict Gamma envelope at x > 1 and the unit-interval bound
+    (ties satisfy it) at 0 <= x <= 1. The first two compare log-Gamma values
+    (the Beta bound by _ln_beta, so that neither side overflows): a flag comes
+    only where each gap passes its rounding bound, 2 eps S plus _LN_GAMMA_ERR
+    per log-Gamma value, and else a ValueError names x and y, as for x < 0."""
     x = _check_real("x", x, -math.inf, math.inf, "()")
     y = None if y is None else _check_real("y", y, -math.inf, math.inf, "()")
-    beta_bound = gamma_unit = gamma_envelope = None
-
-    def finite_ln_gamma(name: str, v: float) -> float:
-        out = ln_gamma(v)
-        if out == math.inf:
-            raise ValueError(f"ln Gamma({name}) passes the double range at {name} = {v!r}")
-        return out
-
-    if y is not None and x > 1.0 and y > 1.0:
-        # in logs, so that neither side overflows; x + y is finite once
-        # ln Gamma(x) and ln Gamma(y) are
-        beta_bound = (finite_ln_gamma("x", x) + finite_ln_gamma("y", y)
-                      - finite_ln_gamma("x + y", x + y) <= -(math.log(x) + math.log(y)))
-
-    if 0.0 <= x <= 1.0:
-        g1 = gamma_fn(x + 1.0) if x > 0.0 else 1.0
-        gamma_unit = (2.0 ** (x - 1.0) <= g1) and (g1 <= 1.0)
-
-    if x > 1.0:
-        lg = finite_ln_gamma("x", x)
-        lo = (x - EULER_MASCHERONI) * math.log(x) - (x - 1.0)
-        hi = (x - 0.5) * math.log(x) - (x - 1.0)
-        gamma_envelope = lo < lg < hi
-
-    if beta_bound is None and gamma_unit is None and gamma_envelope is None:
+    if x < 0.0:
         raise ValueError("arguments lie outside the domain of every bound")
-    return BoundFlags(beta_bound=beta_bound, gamma_unit=gamma_unit, gamma_envelope=gamma_envelope)
+    unit = 2.0 ** (x - 1.0) <= gamma_fn(x + 1.0) <= 1.0 if x <= 1.0 else None
+    sides = {}  # flag: (its pairs a < b, the size S of their values, their log-Gamma values)
+    if y is not None and x > 1.0 and y > 1.0:
+        ln_b, size = _ln_beta(x, y)
+        ln_xy = math.log(x) + math.log(y)
+        sides["beta_bound"] = ([(ln_b, -ln_xy)], size + ln_xy, 3)
+    if x > 1.0:
+        lg, ln_x = ln_gamma(x), math.log(x)
+        lo, hi = ((x - c) * ln_x - (x - 1.0) for c in (EULER_MASCHERONI, 0.5))
+        sides["gamma_envelope"] = ([(lo, lg), (lg, hi)],
+                                   abs(lg) + (x - EULER_MASCHERONI) * ln_x + (x - 1.0), 1)
+    flags = {}
+    for flag, (pairs, size, n_ln_gamma) in sides.items():
+        bound = 2.0 * _EPS * size + n_ln_gamma * _LN_GAMMA_ERR
+        if not all(abs(b - a) > bound for a, b in pairs):
+            raise ValueError(f"{flag} at x = {x!r}, y = {y!r} is left to rounding: its sides "
+                             f"are not {bound:.3g} apart, their rounding bound")
+        flags[flag] = all(a < b for a, b in pairs)
+    return BoundFlags(flags.get("beta_bound"), unit, flags.get("gamma_envelope"))

@@ -1,6 +1,7 @@
 """The tree-comparison harness, tools/compare_trees.py: a tree is identical
 to itself, and a one-ulp move is named by its case and field."""
 
+import copy
 import importlib.util
 import math
 import subprocess
@@ -32,9 +33,8 @@ def _records(g5, text):
 
 def test_a_one_ulp_move_is_named_by_case_and_field():
     g5 = 1.0e-3
-    old = _records(g5, '{"log10_mag": -0.5, "g": [0.5, 1e-3]}\n')
-    new = _records(math.nextafter(g5, 1.0),
-                   '{"log10_mag": -0.5, "g": [0.5, 0.0010000000000000002]}\n')
+    old = _records(g5, "k,g_k\n0,0.5\n1,0.001\n")
+    new = _records(math.nextafter(g5, 1.0), "k,g_k\n0,0.5\n1,0.0010000000000000002\n")
     lines, same = compare_trees.compare(old, new)
     assert not same
     move = f"{(math.nextafter(g5, 1.0) - g5) / math.nextafter(g5, 1.0):.3g}"
@@ -43,7 +43,7 @@ def test_a_one_ulp_move_is_named_by_case_and_field():
         f"  g: moved in 1 of 2 cases, largest relative move {move} in case 'a' at g[5]",
         "cli: 1 of 1 cases moved",
         f"  coeffs stdout: moved in 1 of 1 cases, largest relative move {move} in case "
-        "'coeffs' at stdout (number 2)",
+        "'coeffs' at stdout (number 3)",
     ]
     assert compare_trees.compare(old, old) == (["library: identical (2 cases)",
                                                 "cli: identical (1 cases)"], True)
@@ -72,7 +72,7 @@ def test_each_moved_field_has_its_own_line():
                 for label, x, r in zip("ab", g, residual)]
 
     def cli(sup):
-        return [[f"verify --beta 1 --method {method}", {"stdout": f'{{"sup": {x!r}}}\n'}]
+        return [[f"verify --beta 1 --method {method}", {"stdout": {"sup_norm": x.hex()}}]
                 for method, x in zip(("l1", "pc"), sup)]
 
     old = {"library": library((0.25, 0.125), (1e-17, 2e-17)), "cli": cli((1e-5, 2e-6))}
@@ -87,6 +87,24 @@ def test_each_moved_field_has_its_own_line():
         f"  termwise.residual: moved in 1 of 2 cases, largest relative move {move_r} in case "
         "'a' at termwise.residual[0]",
         "cli: 1 of 2 cases moved",
-        "  verify pc stdout: moved in 1 of 2 cases, largest relative move 0.333 in case "
-        "'verify --beta 1 --method pc' at stdout",
+        "  verify pc stdout.sup_norm: moved in 1 of 2 cases, largest relative move 0.333 in "
+        "case 'verify --beta 1 --method pc' at stdout.sup_norm",
     ]
+
+
+def test_a_json_stdout_has_a_field_for_each_key():
+    # a one-ulp move in g is reported under g alone, apart from log10_mag;
+    # a CSV stdout stays one text
+    argv = ["coeffs", "--beta", "0.7", "-n", "8", "--format"]
+    assert isinstance(compare_trees._run_cli(argv + ["csv"])["stdout"], str)
+    label = " ".join(argv + ["json"])
+    old = compare_trees._run_cli(argv + ["json"])
+    new = copy.deepcopy(old)
+    assert sorted(old["stdout"]) == ["beta", "g", "m", "raw"]
+    g3 = float.fromhex(old["stdout"]["g"][3])  # -0.043, so one ulp up is smaller
+    new["stdout"]["g"][3] = math.nextafter(g3, math.inf).hex()
+    move = f"{(math.nextafter(g3, math.inf) - g3) / -g3:.3g}"
+    assert compare_trees.compare({"cli": [[label, old]]}, {"cli": [[label, new]]})[0] == [
+        "cli: 1 of 1 cases moved",
+        f"  coeffs stdout.g: moved in 1 of 1 cases, largest relative move {move} in case "
+        f"'{label}' at stdout.g[3]"]

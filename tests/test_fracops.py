@@ -711,6 +711,14 @@ class TestStableLevyTail:
             ratio = stable_levy_tail(beta, 2.0) / stable_levy_tail(beta, 1.0)
             assert ratio == pytest.approx(2.0**-beta, rel=1e-13)
 
+    @pytest.mark.parametrize("beta, z, value", (
+        (1 - 1e-16, 5e-324, 2.2471164185777093e307),  # z^-beta alone overflows; 60 digits
+        (0.999999, 5e-324, math.inf),  # 2.0e317
+    ))
+    def test_past_the_double_range(self, beta, z, value):
+        # exp of a log near 744 carries its rounding times 744: 1.1e-13 here
+        assert stable_levy_tail(beta, z) == pytest.approx(value, rel=1e-12)
+
     def test_laplace_consistency(self):
         # truncated transform of the tail vs lam^(beta-1) = 1 at lam = 1
         assert abs(levy_tail_laplace(0.5, 1.0) - 1.0) <= 1e-3
@@ -718,11 +726,22 @@ class TestStableLevyTail:
     @pytest.mark.parametrize("beta", (0.2, 0.5, 0.9))
     @pytest.mark.parametrize("lam", (0.1, 1.0, 3.0))
     def test_laplace_bits_match_the_inline_rule(self, beta, lam):
-        edges = np.linspace(0.0, 40.0, 100_001)
+        edges = np.linspace(0.0, 40.0 / max(lam, 1.0), 100_001)
         mids = 0.5 * (edges[:-1] + edges[1:])
         moments = (edges[1:] ** (1.0 - beta) - edges[:-1] ** (1.0 - beta)) / (1.0 - beta)
         integral = float(np.dot(np.exp(-lam * mids), moments))
         assert levy_tail_laplace(beta, lam) == integral / math.exp(ln_gamma(1.0 - beta))
+
+    @pytest.mark.parametrize("beta", (0.1, 0.3, 0.7, 0.95))
+    def test_laplace_keeps_its_error_at_one_up_to_the_largest_double(self, beta):
+        # the range shrinks as 1/lam, so every lam > 1 sees the cells of lam = 1
+        # scaled: one relative error (1.3e-4 at beta = .95), and no overflow
+        def error(lam):
+            return abs(levy_tail_laplace(beta, lam) / math.exp((beta - 1.0) * math.log(lam)) - 1)
+
+        bound = 1.001 * error(1.0)
+        for lam in [10.0**k for k in range(1, 309, 7)] + [sys.float_info.max]:
+            assert error(lam) <= bound, lam
 
 
 def solve_pc_direct(beta, m, t_end, h, corrector_tol=1e-12, max_corrector_iters=20):

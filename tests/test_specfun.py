@@ -107,10 +107,11 @@ class TestBetaFn:
 
 DBL_MAX = sys.float_info.max
 
-# each call whose true value passes the double range, or that the log form
-# cannot give to beta_fn's 1e-12: +inf where the value is past the largest
-# double, and a ValueError where a bad number would come back (what the
-# unguarded log form gave, or raised, is in the comment)
+# each call whose true value passes the double range, that the log form
+# cannot give to beta_fn's 1e-12, or whose flag rounding would decide: +inf
+# where the value is past the largest double, and a ValueError where a bad
+# number would come back (what the unguarded form gave, or raised, is in the
+# comment)
 EDGES = [
     (ln_gamma, (DBL_MAX,), math.inf),  # OverflowError
     (gamma_fn, (5e-324,), math.inf),  # OverflowError
@@ -124,6 +125,9 @@ EDGES = [
     (beta_fn, (DBL_MAX, DBL_MAX), ValueError),  # x + y is inf
     (bound_predicates, (DBL_MAX,), ValueError),  # OverflowError
     (bound_predicates, (2.0, DBL_MAX), ValueError),  # a silent beta_bound = False
+    (bound_predicates, (1e14,), ValueError),  # gamma_envelope False; hi - ln Gamma is 0.081
+    (bound_predicates, (1.000000001, 1e10), ValueError),  # beta_bound False; the gap is 2e-8
+    (bound_predicates, (1 + 3e-8,), ValueError),  # gamma_envelope False; the gap is 3e-17
 ]
 
 
@@ -132,7 +136,7 @@ class TestDoubleRangeEdges:
                              ids=[f"{c.__name__}{a}" for c, a, _ in EDGES])
     def test_each_edge_gives_inf_or_a_refusal(self, call, args, outcome):
         if outcome is ValueError:
-            with pytest.raises(ValueError, match=r"x = |passes the double range"):
+            with pytest.raises(ValueError, match=r" at x = "):
                 call(*args)
         else:
             assert call(*args) == outcome
@@ -405,6 +409,58 @@ class TestBoundPredicates:
     def test_out_of_every_domain(self):
         with pytest.raises(ValueError):
             bound_predicates(x=-3.0)
+
+    def test_ln_gamma_error_is_within_the_rounding_bound(self):
+        # the bound takes ln_gamma to be within eps |ln Gamma| + _LN_GAMMA_ERR;
+        # near x = 1 and 2, where ln Gamma is near 0, the second term is all of it
+        mp = pytest.importorskip("mpmath")
+        eps = math.ulp(1.0)
+        xs = np.concatenate([np.linspace(0.9, 1.1, 1001), np.linspace(1.9, 2.1, 1001),
+                             np.geomspace(1e-3, 170.0, 1001)]).tolist()
+        with mp.workdps(40):
+            for x in xs:
+                ref = mp.loggamma(mp.mpf(x))
+                err = abs(mp.mpf(ln_gamma(x)) - ref)
+                assert err <= eps * abs(ref) + specfun._LN_GAMMA_ERR, x
+
+    def test_flags_agree_with_40_digits_or_are_refused(self):
+        # criterion 9's grid, the points where rounding gave False, and x near 1,
+        # where the envelope's gap falls as 0.034 (x - 1)^2
+        mp = pytest.importorskip("mpmath")
+        crit9 = [1.01, 1.5, 2.0, 5.0, 10.0, 50.0]
+        near_one = [1.0 + c * 10.0**-k for k in range(1, 16) for c in (1, 3)]
+        points = [(x, y) for x in crit9 for y in crit9] + [(x, None) for x in near_one]
+        points += [(x, 10.0**k) for x in (1 + 1e-9, 1 + 1e-6, 1.001) for k in range(2, 16)]
+        points += [(x, y) for x in near_one[::3] for y in near_one[::3]]
+        points += [(x, None) for x in np.linspace(0.0, 1.0, 41).tolist() + [1e12, 1e14]]
+        refused = []
+        with mp.workdps(40):
+            for x, y in points:
+                try:
+                    flags = bound_predicates(x, y)
+                except ValueError as exc:
+                    assert f"at x = {x!r}, y = {y!r} is left to rounding" in str(exc)
+                    refused.append((x, y))
+                    continue
+                X = mp.mpf(x)
+                if flags.beta_bound is not None:
+                    Y = mp.mpf(y)
+                    assert flags.beta_bound == (mp.beta(X, Y) <= 1 / (X * Y)), (x, y)
+                if flags.gamma_unit is not None:
+                    assert flags.gamma_unit == (2 ** (X - 1) <= mp.gamma(X + 1) <= 1), x
+                if flags.gamma_envelope is not None:
+                    lo = (X - mp.mpf(EULER_MASCHERONI)) * mp.log(X) - (X - 1)
+                    hi = (X - mp.mpf(0.5)) * mp.log(X) - (X - 1)
+                    assert flags.gamma_envelope == (lo < mp.loggamma(X) < hi), x
+        assert (1e14, None) in refused and (1 + 3e-8, None) in refused
+        assert (1.000000001, 1e10) in refused
+        assert not set(refused) & {(x, y) for x in crit9 for y in crit9}
+
+    def test_a_refusal_names_the_flag_and_the_point(self):
+        with pytest.raises(ValueError, match=r"^gamma_envelope at x = 1\.00000003, y = None is "
+                                             r"left to rounding: its sides are not 8\.88e-16 "
+                                             r"apart, their rounding bound$"):
+            bound_predicates(1 + 3e-8)
 
 
 def test_euler_mascheroni_close_to_printed():

@@ -7,10 +7,11 @@ change made with ``git archive PARENT | tar -x -C DIR``. One fixed case list,
 this file's, runs under each tree in a child interpreter that imports felog
 from that tree's ``src/``. It has three families:
 
-- cli: ``felog.cli.main`` in process, recording stdout, stderr and the exit
-  code, for coeffs, eval, radius, compare and verify with each of its four
-  methods, in json and csv, at beta in {1, .7, .3} (compare takes no beta),
-  m in {1, 2} and n in {64, 256}: 176 cases;
+- cli: ``felog.cli.main`` in process, recording stdout (a JSON stdout as its
+  parsed object, a CSV one as text), stderr and the exit code, for coeffs,
+  eval, radius, compare and verify with each of its four methods, in json and
+  csv, at beta in {1, .7, .3} (compare takes no beta), m in {1, 2} and n in
+  {64, 256}: 176 cases;
 - library: 100 cases drawn from a fixed numpy seed, beta in [.05, 1] and m
   in [1, 10], each recording g, an array and two scalar evaluations, the
   radius report's JSON dict, and verify termwise and pc, and l1 and integro
@@ -22,11 +23,11 @@ Every float is recorded as ``float.hex``, so "identical" means the same bits.
 For each family the report says "identical", or how many cases moved and then
 one line for each field that moved: in how many cases, its largest relative
 move, and the case and the place where that move is. A field is a recorded
-path less its list indices and number positions (``g`` for every ``g[k]``), and
-for cli it leads with the command (``verify l1 stdout``), so a field at
-rounding level cannot hide the moves of another. ``--cases N`` runs N cases of
-each family, spread over its list. The exit code is 0 when every family is
-identical, else 1.
+path less its list indices and number positions (``g`` for every ``g[k]``),
+and for cli it leads with the command (``verify l1 stdout.sup_norm``), so a
+field at rounding level cannot hide the moves of another. ``--cases N`` runs N
+cases of each family, spread over its list. The exit code is 0 when every
+family is identical, else 1.
 """
 
 from __future__ import annotations
@@ -112,7 +113,10 @@ def _run_cli(argv: list) -> dict:
             code = main(argv)
         except SystemExit as exc:  # argparse's own refusals
             code = exc.code
-    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "code": code}
+    stdout = out.getvalue()
+    if "json" in argv and stdout:  # one object: each of its keys is a field of its own
+        stdout = _plain(json.loads(stdout))
+    return {"stdout": stdout, "stderr": err.getvalue(), "code": code}
 
 
 def _library_cases() -> list:
