@@ -6,6 +6,15 @@ one: from 0.0 it would stay +0.0 through the underflowed zeros above it.
 Where a nonzero coefficient is subnormal, each coefficient of tau^i is taken
 times 2^(s i) and tau times 2^(-s), the least s that leaves none subnormal,
 so that no step rounds on the subnormal grid or runs at its speed.
+Each point starts Horner at the highest coefficient it can feel. At
+construction one threshold is set per block of eight scaled coefficients,
+lowest order first: a point whose scaled tau does not pass theta_b skips block
+b and all above it, because there the skipped terms, in absolute value and
+times t^beta, provably add at most 2^-56 to w, a quarter of half an ulp of w
+in [1/2, 1]. The lowest block runs at every point, and the thresholds stay
+below tau at ``domain_edge``, so every t at or past the edge runs every
+term. This is a shortcut through the same stored polynomial, not a shorter
+series, and ``tail_bound`` is unchanged.
 Fractional powers are exp(beta*k*log t) for every t: log 0 = -inf makes each
 power exactly 0 at t = 0, and a power past the double range is inf. A scalar
 t runs the same operations one at a time in Python floats, with numpy's exp
@@ -21,6 +30,7 @@ claimed constant and empirical estimate together and asserts nothing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
@@ -51,6 +61,17 @@ C2_CLAIMED = 3.116623
 
 #: Fewest coefficients the radius report, and so a series solution, accepts.
 _MIN_TERMS = 20
+
+#: Horner's start: at each point the terms it skips add at most 2^-56 to w.
+#: Each threshold is solved for half of that, which leaves far more than the
+#: rounding of its own few operations needs.
+_SKIP_BUDGET = 2.0**-57
+#: The factor tau_edge is taken times before it caps the thresholds, so that a
+#: t at or past the edge passes them even if log or exp rounds it down.
+_EDGE_MARGIN = 1.0 - 2.0**-32
+#: Horner steps go in blocks of this many coefficients, lowest order first: a
+#: point runs a whole block or none of it.
+_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +186,42 @@ def _median(values: list) -> float:
     return math.nan if any(map(math.isnan, s)) else (0.0 + s[1] + s[2]) / 2.0
 
 
+def _skip_thresholds(c: np.ndarray, scale: int, beta: float, edge: float) -> np.ndarray:
+    """One threshold per block of ``_BLOCK`` scaled odd coefficients c_i (of
+    tau 2^(-scale)), non-decreasing and below the scaled tau at ``edge``.
+
+    A point whose scaled tau is at most theta_b skips block b and every block
+    above it. Let rho be the scaled tau at the edge times ``_EDGE_MARGIN``.
+    For tau = u rho with u <= 1, sum_(j>=i) |c_j| tau^j is at most u^i S_i,
+    where S_i = sum_(j>=i) |c_j| rho^j, and t^beta is (u rho 2^scale)^(1/2).
+    theta_b is u rho at the largest u <= 1 at which that bound, at
+    i = b _BLOCK, is within ``_SKIP_BUDGET``: log u = min(0, N_i / (i + 1/2)),
+    where N_i rises with i as S_i falls. Where N_i < 0 a larger i + 1/2
+    raises the quotient too, so theta never falls with b, as bisection needs,
+    and each rounded step keeps that order. theta_0 is -1: the lowest
+    block runs at every point, since skipping it spares only points next to
+    t = 0 and would start the longest run one point into the array, off its
+    memory alignment. Each is -1, so no point skips anything, where the edge
+    gives no finite positive tau.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # tau at the edge as evaluate forms it
+        tb = float(np.exp(beta * float(np.log(edge))))
+        rho = tb * tb * math.ldexp(1.0, -scale) * _EDGE_MARGIN
+        if not 0.0 < rho < math.inf:
+            return np.full(-(-c.size // _BLOCK), -1.0)
+        log_rho = math.log(rho)
+        # |c_j| rho^j; where one overflows, the bounds below it allow no skip
+        terms = np.exp(np.log(np.abs(c)) + np.arange(c.size) * log_rho)
+        log_s = np.log(np.add.accumulate(terms[::-1])[::-1][::_BLOCK])
+        # u^(i + 1/2) (rho 2^scale)^(1/2) S_i <= budget
+        log_u = ((math.log(_SKIP_BUDGET) - 0.5 * (scale * math.log(2.0) + log_rho) - log_s)
+                 / np.arange(0.5, c.size, _BLOCK))
+        theta = rho * np.exp(np.minimum(log_u, 0.0))
+    theta[0] = -1.0
+    return theta
+
+
 class SeriesSolution:
     """Evaluate the series and report its domain of validity.
 
@@ -185,8 +242,11 @@ class SeriesSolution:
         # subnormal values (see euler_beta._horner_scale)
         odd = seq.g[1 : 2 * np.flatnonzero(seq.g[1::2])[-1] + 2 : 2]
         scale = _horner_scale(odd)
-        self._horner = np.ldexp(odd, scale * np.arange(odd.size))[::-1].tolist()
+        coeffs = np.ldexp(odd, scale * np.arange(odd.size))
+        self._horner = coeffs[::-1].tolist()
         self._tau_scale = math.ldexp(1.0, -scale)
+        # a point runs block b of Horner where its scaled tau passes theta_b
+        self._theta = _skip_thresholds(coeffs, scale, seq.beta, self.domain_edge).tolist()
         # the tail rests on the last normal odd coefficient; with none, a NaN
         # ratio makes it +inf at every t
         normal = _normal_odd(seq.g)
@@ -201,11 +261,15 @@ class SeriesSolution:
     def evaluate(self, t) -> EvalResult:
         """Partial sum with a geometric tail estimate.
 
-        The tail applies the ratio q * t^(2*beta) / m^2 to the last normal
-        odd term (see :func:`_normal_odd`); it is +inf where that ratio reaches
-        1 or no odd term is normal. ``in_domain`` flags the t at or below the
-        operative radius where w is finite. A t outside [0, inf) is refused, by
-        the name of its least or greatest entry (see euler_beta._as_real).
+        Each point starts Horner at the highest coefficient whose block its
+        scaled tau passes (see :func:`_skip_thresholds`): the stored terms it
+        skips add at most 2^-56 to w. A t at or past ``domain_edge`` runs
+        every term. The tail applies the ratio q * t^(2*beta) / m^2 to the
+        last normal odd term (see :func:`_normal_odd`); it is +inf where that
+        ratio reaches 1 or no odd term is normal. ``in_domain`` flags the t at
+        or below the operative radius where w is finite. A t outside [0, inf)
+        is refused, by the name of its least or greatest entry (see
+        euler_beta._as_real).
         """
         t_arr = _as_real(t, "t", 0, math.inf, "[)")
         if t_arr.ndim == 0:
@@ -218,17 +282,42 @@ class SeriesSolution:
             log_t = np.log(t_arr)
             tb = np.exp(beta * log_t)  # t^beta
             tau = tb * tb              # t^(2*beta)
-            tau_scaled = tau * self._tau_scale
-            acc = np.zeros_like(t_arr)
-            for coeff in self._horner:  # Horner in the scaled tau, in place
-                acc *= tau_scaled
-                acc += coeff
-            w = 0.5 + tb * acc
+            # tau 2^(-s); at s = 0 the product would change no bit
+            tau_scaled = tau * self._tau_scale if self._tau_scale != 1.0 else tau
+            w = 0.5 + tb * self._horner_sum(tau_scaled.ravel()).reshape(t_arr.shape)
             last_term = self._last * np.exp(beta * self._k_last * log_t)
             ratio = self._q * tau / (m * m)
             tail = np.where(ratio < 1.0, last_term * ratio / (1.0 - ratio), np.inf)
         in_domain = (t_arr <= self.domain_edge) & np.isfinite(w)
         return EvalResult(_read_only(w), _read_only(tail), _read_only(in_domain))
+
+    def _horner_sum(self, x: np.ndarray) -> np.ndarray:
+        """Horner in the scaled tau x, each point from its own start: in x
+        order, the points that run block b are those past theta_b, a suffix."""
+        order = None
+        if np.count_nonzero(x[1:] < x[:-1]):
+            order = np.argsort(x, kind="stable")
+            x = x[order]
+        acc = np.zeros(x.size)
+        if x.size:
+            n = len(self._horner)
+            blocks = bisect_left(self._theta, x[-1])  # the blocks the last point runs
+            starts = x.searchsorted(self._theta[:blocks], side="right").tolist()
+            for b in range(blocks - 1, -1, -1):
+                part, tau_part = acc[starts[b]:], x[starts[b]:]
+                for coeff in self._horner[max(0, n - _BLOCK * (b + 1)) : n - _BLOCK * b]:
+                    part *= tau_part
+                    part += coeff
+        if order is None:
+            return acc
+        out = np.empty_like(acc)
+        out[order] = acc
+        return out
+
+    def _start(self, tau_scaled: float) -> int:
+        """Where in ``_horner`` a point at this scaled tau starts: the
+        coefficients before it are the ones it skips."""
+        return max(0, len(self._horner) - _BLOCK * bisect_left(self._theta, tau_scaled))
 
     def _evaluate_scalar(self, t: float) -> EvalResult:
         """The array path's arithmetic, one operation at a time in floats,
@@ -240,7 +329,7 @@ class SeriesSolution:
             tau = tb * tb
             tau_scaled = tau * self._tau_scale
             acc = 0.0
-            for coeff in self._horner:
+            for coeff in self._horner[self._start(tau_scaled):]:
                 acc = acc * tau_scaled + coeff
             w = 0.5 + tb * acc
             ratio = self._q * tau / (m * m)

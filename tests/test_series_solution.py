@@ -1,6 +1,7 @@
 """Series evaluation, radius reporting, the closed-form majorant, and the
 classical degeneration."""
 
+import bisect
 import dataclasses
 import itertools
 import json
@@ -572,8 +573,10 @@ def _scale(sol):
 class TestHornerTrim:
     """Horner starts at the highest nonzero odd coefficient; the zeros above it
     changed no bit of w, tail_bound or in_domain. Where a nonzero coefficient
-    is subnormal, Horner runs on scaled values (euler_beta._horner_scale), and
-    w is no farther from the exact sum than the unscaled Horner's."""
+    is subnormal, Horner runs on scaled values (euler_beta._horner_scale).
+    Inside the edge a point may also skip terms it cannot feel (see
+    TestHornerStart), so there w is held to the exact sum: no farther from it
+    than the untrimmed Horner's."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", (64, 1024, 3000))
@@ -592,17 +595,20 @@ class TestHornerTrim:
         grid = sol.evaluate(t)
         assert grid.tail_bound.tobytes() == tail.tobytes()
         assert grid.in_domain.tobytes() == in_domain.tobytes()
+        checked = t <= edge
         if _scale(sol) == 0:
-            assert grid.w.tobytes() == w.tobytes()
-        else:
-            # within the radius, off the exact sum of the stored coefficients
-            # by no more than the unscaled Horner, give or take one ulp
-            for ti, new, old in zip(t.tolist(), grid.w.tolist(), w.tolist()):
-                if ti <= edge:
-                    tb = float(np.exp(beta * np.log(np.float64(ti)))) if ti else 0.0
-                    exact = exact_partial_sum(sol.seq.g, tb, tb * tb)
-                    assert (abs(Fraction(new) - exact)
-                            <= abs(Fraction(old) - exact) + Fraction(math.ulp(float(exact)))), ti
+            # every term runs at t = 0, from the edge on, and at every t where
+            # the edge is not finite: there w keeps the untrimmed bits
+            full = (t == 0.0) | (t >= edge) | (edge == math.inf)
+            assert grid.w[full].tobytes() == w[full].tobytes()
+            checked &= ~full
+        # elsewhere within the radius, off the exact sum of the stored
+        # coefficients by no more than the untrimmed Horner, give or take one ulp
+        for ti, new, old in zip(t[checked].tolist(), grid.w[checked].tolist(), w[checked].tolist()):
+            tb = float(np.exp(beta * np.log(np.float64(ti)))) if ti else 0.0
+            exact = exact_partial_sum(sol.seq.g, tb, tb * tb)
+            assert (abs(Fraction(new) - exact)
+                    <= abs(Fraction(old) - exact) + Fraction(math.ulp(float(exact)))), ti
         for i, ti in enumerate(t.tolist()):
             one = sol.evaluate(ti)
             assert _same_bits(one.w, grid.w[i]) and _same_bits(one.tail_bound, tail[i]), ti
@@ -652,6 +658,128 @@ class TestHornerTrim:
         sol = SeriesSolution.build(0.5, sys.float_info.max, 20)
         assert 0.0 < sol.seq.g[1] < sys.float_info.min
         assert sol._horner == [sol.seq.g[1]]
+
+
+def every_term(sol, t):
+    """w from evaluate's scaled Horner over every stored odd coefficient,
+    one t at a time in floats, as before each point had its own start."""
+    beta = sol.seq.beta
+    out = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for ti in np.asarray(t, dtype=float).ravel().tolist():
+            tb = float(np.exp(beta * float(np.log(ti))))
+            tau_scaled = tb * tb * sol._tau_scale
+            acc = 0.0
+            for coeff in sol._horner:
+                acc = acc * tau_scaled + coeff
+            out.append(0.5 + tb * acc)
+    return np.array(out).reshape(np.shape(t))
+
+
+def _skipped_sum(sol, t):
+    """t^beta times the absolute values of the stored terms that evaluate
+    skips at t, exactly: each float read as its exact value."""
+    tb = float(np.exp(sol.seq.beta * np.log(np.float64(t)))) if t else 0.0
+    tau_scaled = tb * tb * sol._tau_scale
+    skipped = sol._horner[: sol._start(tau_scaled)]
+    g = np.zeros(2 * len(sol._horner))
+    if skipped:
+        g[2 * (len(sol._horner) - len(skipped)) + 1 :: 2] = np.abs(skipped[::-1])
+    return exact_partial_sum(g, tb, tau_scaled) - Fraction(1, 2)
+
+
+class TestHornerStart:
+    """Each point starts Horner at the highest block of scaled coefficients
+    its tau passes; the terms it skips add at most 2^-56 to w, and every t at
+    or past the edge runs every term."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(beta=st.floats(1e-3, 1.0), m=st.floats(1.0, 3.0), n=st.integers(20, 3000),
+           shares=st.lists(st.floats(1e-3, 1.5), min_size=2, max_size=2))
+    def test_skipped_terms_are_within_the_budget(self, beta, m, n, shares):
+        sol = SeriesSolution.build(beta, m, n)
+        assert sol._theta == sorted(sol._theta)  # bisection needs that order
+        edge = sol.domain_edge
+        scale = edge if 0.0 < edge < math.inf else 1.0
+        t = np.array([0.0, *(share * scale for share in shares), scale, 1.5 * scale])
+        grid = sol.evaluate(t)
+        w, _, _ = untrimmed_evaluate(sol, t)
+        # at t = 0 and from the edge on every term runs, so w keeps the bits
+        # of the untrimmed loop, or of the scaled one where Horner is scaled
+        full = w if _scale(sol) == 0 else every_term(sol, t)
+        for ti, new, old, ref in zip(t.tolist(), grid.w.tolist(), w.tolist(), full.tolist()):
+            if ti == 0.0 or ti >= edge:
+                assert _same_bits(new, ref), ti
+                continue
+            assert _skipped_sum(sol, ti) <= Fraction(2) ** -56, ti
+            tb = float(np.exp(beta * np.log(np.float64(ti))))
+            exact = exact_partial_sum(sol.seq.g, tb, tb * tb)
+            assert (abs(Fraction(new) - exact)
+                    <= abs(Fraction(old) - exact) + Fraction(math.ulp(float(exact)))), ti
+
+    @pytest.mark.parametrize("n", (64, 256, 1024))
+    @pytest.mark.parametrize("m", (1.0, 3.0))
+    @pytest.mark.parametrize("beta", (0.1, 0.2, 0.5, 0.7, 1.0))
+    def test_within_an_ulp_of_every_term(self, beta, m, n):
+        # the grid of test_scalar_path_is_bit_identical_to_the_array_path;
+        # past the edge, and at t = 0, not a bit moves
+        sol = SeriesSolution.build(beta, m, n)
+        edge = sol.domain_edge
+        t = np.concatenate((
+            [0.0, 5e-324, 1e-300],
+            np.linspace(0.0, 0.99 * edge, 41),
+            edge * np.array([1.0, 1.01, 1.5, 3.0, 10.0, 1e3, 1e6]),
+            [1e300, sys.float_info.max],
+        ))
+        w, full = sol.evaluate(t).w, every_term(sol, t)
+        past = (t == 0.0) | (t >= edge)
+        assert all(_same_bits(a, b) for a, b in zip(w[past], full[past]))
+        assert np.all(np.abs(w[~past] - full[~past]) <= np.spacing(full[~past]))
+
+    @pytest.mark.parametrize("arrange", ("shuffled", "reversed", "two_d", "repeated"))
+    @pytest.mark.parametrize("n", (64, 1024))
+    def test_the_order_of_the_points_moves_no_bit(self, arrange, n):
+        sol = SeriesSolution.build(0.7, 3.0, n)
+        t = np.linspace(0.0, 1.2 * sol.domain_edge, 600)
+        if arrange == "repeated":
+            t = np.repeat(t[::6], 6)
+        rng = np.random.default_rng(7)
+        perm = {"shuffled": rng.permutation(t.size), "reversed": np.arange(t.size)[::-1],
+                "two_d": rng.permutation(t.size).reshape(20, 30),
+                "repeated": rng.permutation(t.size)}[arrange]
+        res, out = sol.evaluate(t), sol.evaluate(t[perm])
+        for field in ("w", "tail_bound", "in_domain"):
+            assert getattr(out, field).tobytes() == getattr(res, field)[perm].tobytes(), field
+        assert out.w.shape == perm.shape
+
+    @pytest.mark.parametrize("m", (1.0, 3.0))
+    @pytest.mark.parametrize("beta", (1e-3, 0.1, 0.5, 1.0))
+    def test_thresholds_rise_and_stay_below_the_edge(self, beta, m):
+        sol = SeriesSolution.build(beta, m, 1024)
+        theta = np.array(sol._theta)
+        assert theta.size == -(-len(sol._horner) // series_solution._BLOCK)
+        assert np.all(np.diff(theta) >= 0.0)
+        edge = sol.domain_edge
+        if 0.0 < edge < math.inf:
+            tb = float(np.exp(beta * np.log(edge)))
+            assert theta[-1] < tb * tb * sol._tau_scale
+            assert sol._start(tb * tb * sol._tau_scale) == 0
+
+    def test_the_edge_caps_the_thresholds(self):
+        # terms far below the budget at the edge: every block above the lowest
+        # could be skipped there, but a t at the edge, tau = 4, must still run
+        # them all, and every t runs the lowest
+        theta = series_solution._skip_thresholds(np.full(24, 1e-60), 0, 1.0, 2.0)
+        assert theta[0] == -1.0
+        assert np.all((3.999 < theta[1:]) & (theta[1:] < 4.0))
+        assert bisect.bisect_left(theta, 4.0) == theta.size
+        assert bisect.bisect_left(theta, 0.0) == 1
+
+    def test_no_finite_edge_runs_every_term(self):
+        sol = SeriesSolution.build(0.1, 1e50)
+        assert sol.domain_edge == math.inf
+        assert sol._theta == [-1.0] * len(sol._theta)
+        assert sol._start(0.0) == 0
 
 
 class TestRemarkBound:
