@@ -77,7 +77,9 @@ class BetaEulerSequence:
     def raw_log10(self) -> np.ndarray:
         """log10 |E_k|; -inf where g_k is exactly zero."""
         n = self.g.size
-        lg = np.array([ln_gamma(self.beta * k + 1.0) for k in range(n)])
+        nonzero = np.flatnonzero(self.g)
+        lg = np.zeros(n)  # a zero g_k gives -inf with any finite lg[k]
+        lg[nonzero] = [ln_gamma(self.beta * k + 1.0) for k in nonzero.tolist()]
         with np.errstate(divide="ignore"):  # log10(0) = -inf marks a zero g_k
             log_g = np.log10(np.abs(self.g))
         return _read_only(log_g + np.arange(n) * math.log10(self.m) + lg / math.log(10.0))
@@ -171,6 +173,11 @@ def build_sequence(beta: float, m: float, n_terms: int = DEFAULT_TERMS) -> BetaE
     product has an even-index factor, +0.0 but for g_0 = 1/2, so it would give
     g_k - g_k = +0.0 while g_k is normal, and past that a residue that, left
     in, would wreck the sum at small beta. Even coefficients are stored as +0.0.
+
+    The loop stops where _zero_tail proves that every later odd coefficient
+    is +0.0, as np.zeros left it: the odd coefficients decay geometrically
+    and, in a long enough series, underflow for good. It tests only after a
+    step that gives 0.0, and after a failed test waits _ZERO_TAIL_WAIT steps.
     """
     beta, m = _check_beta(beta), _check_m(m)
     n_terms = _check_count("n_terms", n_terms, 2, MAX_TERMS)
@@ -179,11 +186,41 @@ def build_sequence(beta: float, m: float, n_terms: int = DEFAULT_TERMS) -> BetaE
     # g_rev is g reversed, so even step k dots contiguous g[:k + 1] and g_rev[n_terms - 1 - k:]
     g, g_rev = np.zeros(n_terms), np.zeros(n_terms)
     g[0] = g_rev[-1] = g_k = 0.5
+    next_test = 0
     for k1, j, ratio in zip(range(1, n_terms, 2), range(n_terms - 1, 0, -2), gamma_ratios):
         conv = float(g[:k1].dot(g_rev[j:]))
-        g[k1] = g_rev[j - 1] = ratio * (g_k - conv) / m
+        g[k1] = g_rev[j - 1] = g_odd = ratio * (g_k - conv) / m
         g_k = 0.0  # g_k of every later step: an even coefficient
+        if g_odd == 0.0 and k1 >= next_test:
+            if _zero_tail(g[1 : k1 + 1 : 2]):
+                break
+            next_test = k1 + 2 * _ZERO_TAIL_WAIT
     return BetaEulerSequence(beta=beta, m=m, g=g)
+
+
+#: Odd steps that build_sequence runs after a failed _zero_tail test before
+#: it tests again, so that no input pays for the test at more than one step in 8.
+_ZERO_TAIL_WAIT = 8
+
+
+def _zero_tail(odd: np.ndarray) -> bool:
+    """Whether every odd coefficient after c_0, ..., c_(s-1) = ``odd`` (c_i
+    is g_(2i+1)) comes out of build_sequence's loop as +0.0.
+
+    The step that makes c_t dots products c_i c_j with i + j = t - 1, and
+    products with an even factor, each +0.0 past the first step. For t >= s
+    a product of two computed factors has j >= s - 1 - i, so |c_i c_j| <=
+    a_i M_i, a = |odd| and M_i = max(a[s-1-i:]); if every fl(a_i M_i) is 0,
+    the product rounds to a zero too, and a product with a later factor is
+    zero by induction. Then the dot is a zero and c_t = ratio (0.0 - dot) / m
+    is +0.0. This assumes that the dot rounds each product on its own, alone
+    or fused with a zero partial sum, as OpenBLAS ddot (with or without FMA)
+    and numpy's own loop do; a dot that kept the products wider than a
+    double could sum thousands of them below 2^-1075 to a nonzero subnormal.
+    """
+    a = np.abs(odd)
+    # M_i, the greatest of a_(s-1), ..., a_(s-1-i): a running maximum of a reversed
+    return not np.any(a * np.maximum.accumulate(a[::-1]))
 
 
 #: From this x on the ratio is taken from the expansion at x itself, in

@@ -229,11 +229,15 @@ def _graded_history(data: np.ndarray, t: np.ndarray, exponent: float, scale: flo
         # block, so the moment differences below run over contiguous slabs
         shape = (b - lo, b - a)
         kernel = kernel_buf[: shape[0] * shape[1]].reshape(shape)
-        positive = mask_buf[: kernel.size].reshape(shape)
         np.subtract(t[a:b], t[lo:b, None], out=kernel)
-        np.maximum(kernel, 0.0, out=kernel)
-        np.greater(kernel, 0.0, out=positive)
-        np.power(kernel, exponent, out=kernel, where=positive)
+        # the head rows, nodes j < a, lie below every node of the block, so
+        # only the block's own rows hold entries j >= n to be set to 0
+        head, own = kernel[: a - lo], kernel[a - lo :]
+        np.power(head, exponent, out=head)
+        positive = mask_buf[: own.size].reshape(own.shape)
+        np.maximum(own, 0.0, out=own)
+        np.greater(own, 0.0, out=positive)
+        np.power(own, exponent, out=own, where=positive)
         # the moments stay elementwise: summing by parts against data
         # differences cancels badly where the near-origin slopes are large
         moments = moment_buf[: kernel.size - shape[1]].reshape(shape[0] - 1, shape[1])

@@ -59,6 +59,20 @@ def negative_stride_recurrence(beta, m, n_terms, snap_even=True):
     return g
 
 
+def full_length_recurrence(beta, m, n_terms):
+    """Reference recurrence, build_sequence's loop before it stopped at the
+    zero tail: every odd step runs, each dotting contiguous g[:k + 1] with a
+    reversed copy of g, on the same Gamma ratios."""
+    ratios = euler_beta._gamma_ratios(beta, beta * np.arange(0, n_terms - 1, 2) + 1.0).tolist()
+    g, g_rev = np.zeros(n_terms), np.zeros(n_terms)
+    g[0] = g_rev[-1] = g_k = 0.5
+    for k1, j, ratio in zip(range(1, n_terms, 2), range(n_terms - 1, 0, -2), ratios):
+        conv = float(g[:k1].dot(g_rev[j:]))
+        g[k1] = g_rev[j - 1] = ratio * (g_k - conv) / m
+        g_k = 0.0
+    return g
+
+
 #: How far build_sequence may lie from negative_stride_recurrence, relative:
 #: the reference's exp of log-Gamma differences is off by up to 2.9e-11 per
 #: ratio (at k < 10,000), and its coefficients by 9.5e-13 at n = 1024, while
@@ -279,6 +293,89 @@ class TestBuildSequence:
         assert shorter.n_terms == 10
         assert np.array_equal(shorter.raw_sign, seq.raw_sign[:10])
         assert np.array_equal(shorter.raw_log10, seq.raw_log10[:10])
+
+
+class TestZeroTail:
+    """build_sequence stops where euler_beta._zero_tail proves the rest +0.0."""
+
+    @staticmethod
+    def later_products_vanish(odd):
+        """Whether every product c_i c_j of two prefix entries that a later
+        step dots (i + j >= s - 1) rounds to a zero, pair by pair."""
+        s = len(odd)
+        return all(odd[i] * odd[j] == 0.0 for i in range(s) for j in range(s - 1 - i, s))
+
+    @pytest.mark.parametrize("n", (1024, 4096, 10000))
+    @pytest.mark.parametrize("m", (1.0, 3.0, 1e300))
+    @pytest.mark.parametrize("beta", (1e-4, 0.1, 0.5, 1.0))
+    def test_byte_equal_to_the_full_length_recurrence(self, beta, m, n):
+        assert build_sequence(beta, m, n).g.tobytes() == full_length_recurrence(beta, m, n).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(log_beta=st.floats(-4.0, 0.0), log_m=st.floats(0.0, 300.0),
+           n=st.sampled_from((1024, 4096, 10000)))
+    def test_byte_equal_on_any_order(self, log_beta, log_m, n):
+        beta, m = 10.0**log_beta, 10.0**log_m
+        assert build_sequence(beta, m, n).g.tobytes() == full_length_recurrence(beta, m, n).tobytes()
+
+    @pytest.mark.parametrize("odd, stops", [
+        ([0.25, 1e-170, 1e-300, 0.0], True),
+        # c_1 c_2 is a subnormal 1e-321, which the next step dots
+        ([0.25, 0.1, 1e-320, 0.0], False),
+        # c_2 c_4 = 1e-320 first shows two steps on: a_2 takes the greatest
+        # of a[3:], not a_3 = 0 alone
+        ([0.25, 0.0, 1e-160, 0.0, 1e-160, 0.0], False),
+        ([0.25, 0.0, 1e-200, 0.0, 1e-200, 0.0], True),
+        ([-0.25, 1e-320, -0.0, 0.0], True),
+    ])
+    def test_the_predicate_on_hand_made_prefixes(self, odd, stops):
+        assert self.later_products_vanish(odd) is stops
+        assert euler_beta._zero_tail(np.array(odd)) is stops
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from((0.0, -0.0, 5e-324, -1e-320, 1e-300, 1e-170, -1e-160,
+                                     0.01, -0.25)), min_size=1, max_size=12))
+    def test_the_predicate_is_the_pairwise_rule(self, odd):
+        assert euler_beta._zero_tail(np.array(odd)) == self.later_products_vanish(odd)
+
+    @staticmethod
+    def counted_build(monkeypatch, *args):
+        """build_sequence(*args).g and the number of dots its loop ran."""
+        calls = []
+
+        class Counting(np.ndarray):
+            def dot(self, other):
+                calls.append(1)
+                return super().dot(other)
+
+        zeros = np.zeros
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "zeros", lambda *a, **k: zeros(*a, **k).view(Counting))
+            g = build_sequence(*args).g
+        return g, len(calls)
+
+    def test_the_loop_stops_at_the_zero_tail(self, monkeypatch):
+        g, steps = self.counted_build(monkeypatch, 1.0, 3.0, 1024)
+        odd = g[1::2]
+        # the steps run end at the first odd zero past the last nonzero one
+        assert odd[steps - 2] != 0.0 and np.all(odd[steps - 1 :] == 0.0)
+        assert steps < 0.4 * odd.size
+        assert g.tobytes() == full_length_recurrence(1.0, 3.0, 1024).tobytes()
+
+    def test_a_failed_test_runs_on_and_waits(self, monkeypatch):
+        tested = []
+
+        def never(odd):
+            tested.append(odd.size)
+            return False
+
+        monkeypatch.setattr(euler_beta, "_zero_tail", never)
+        g, steps = self.counted_build(monkeypatch, 1.0, 3.0, 1024)
+        assert steps == 512
+        assert g.tobytes() == full_length_recurrence(1.0, 3.0, 1024).tobytes()
+        # each test follows a zero step; in the zero tail, one every _ZERO_TAIL_WAIT steps
+        assert tested and all(g[2 * size - 1] == 0.0 for size in tested)
+        assert np.all(np.diff(tested) == euler_beta._ZERO_TAIL_WAIT)
 
 
 class TestClosedForms:
