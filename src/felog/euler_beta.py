@@ -268,10 +268,9 @@ def _gamma_ratios(beta: float, x: np.ndarray) -> np.ndarray:
 
     cut = int(np.searchsorted(x, _RATIO_CUT))
     out = np.empty(x.size)
-    if cut:
-        low = x[:cut, None] + _RATIO_SHIFTS  # x + j, j < 15, in long double
-        z = low[:, -1] + 1.0
-        out[:cut] = np.exp(-beta * np.log(z) - series(z)) * np.prod((low + beta) / low, axis=1)
+    low = x[:cut, None] + _RATIO_SHIFTS  # x + j, j < 15, in long double
+    z = low[:, -1] + 1.0
+    out[:cut] = np.exp(-beta * np.log(z) - series(z)) * np.prod((low + beta) / low, axis=1)
     if cut < x.size:
         out[cut:] = np.power(x[cut:], -beta) * np.exp(-series(x[cut:]))
     return out
@@ -351,32 +350,30 @@ def closed_form_check(seq: BetaEulerSequence) -> Dict[int, float]:
 
     The closed forms are hand-substituted chains of Gamma-function products,
     an evaluation path independent of the convolution loop. Contract: every
-    residual <= 1e-10.
+    residual <= 1e-10. A ValueError names m and the first k where m^k, which
+    forms the k-th number, passes the double range (m^9 from m = 1.8e34).
     """
     _check_count("n_terms", seq.n_terms, 10, MAX_TERMS)
     beta = seq.beta
     p, _ = majorant_constants(beta)
-    g2, g3, g4, g5, g6, g7, g8 = (gamma_fn(k * beta + 1.0) for k in range(2, 9))
+    gam = {k: gamma_fn(k * beta + 1.0) for k in range(2, 10)}
+    g2, g3, g4, g5, g6, g7, g8 = (gam[k] for k in range(2, 9))
     r23 = g2 / g3
 
     closed = {
         3: -g2 * p**2,
         5: 2.0 * g4 * r23 * p**3,
         7: -4.0 * g6 * (g4 * g2 / (g5 * g3) + 0.25 * r23**2) * p**4,
-        9: 8.0
-        * g8
-        * (
-            g6 * g4 * g2 / (g7 * g5 * g3)
-            + 0.25 * (g6 / g7) * r23**2
-            + 0.5 * (g4 / g5) * r23**2
-        )
-        * p**5,
+        9: 8.0 * g8 * (g6 * g4 * g2 / (g7 * g5 * g3) + 0.25 * (g6 / g7) * r23**2
+                       + 0.5 * (g4 / g5) * r23**2) * p**5,
     }
 
     out: Dict[int, float] = {}
     for k, ref in closed.items():
-        from_recurrence = seq.g[k] * seq.m**k * gamma_fn(beta * k + 1.0)
-        out[k] = abs(from_recurrence - ref) / abs(ref)
+        try:
+            out[k] = abs(seq.g[k] * seq.m**k * gam[k] - ref) / abs(ref)
+        except OverflowError:  # from m**k alone
+            raise ValueError(f"m^{k} passes the double range at m = {seq.m!r}") from None
     return out
 
 

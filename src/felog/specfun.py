@@ -196,8 +196,8 @@ def classical_series_coeffs(n_max: int) -> List[float]:
 
 @dataclass(frozen=True)
 class BoundFlags:
-    """Outcome of the three inequality checks at one point (x, y); a flag is
-    None when the point lies outside that bound's stated domain."""
+    """Outcome of the three inequality checks at one point (x, y); a flag is None
+    outside that bound's stated domain and where rounding would decide it."""
 
     beta_bound: Optional[bool]       # B(x,y) <= 1/(xy), x,y > 1
     gamma_unit: Optional[bool]       # 2^(x-1) <= Gamma(x+1) <= 1, 0 <= x <= 1
@@ -209,33 +209,36 @@ class BoundFlags:
 _LN_GAMMA_ERR = 4.0 * _EPS
 
 
+def _decide(chain, size: float, n_ln_gamma: int, strict: bool) -> Optional[bool]:
+    """Whether log-space sides rise along the chain, a < b < ... (<= unless strict): decided
+    where each gap passes its rounding bound, 2 eps size plus _LN_GAMMA_ERR per log-Gamma
+    value, or, unless strict, is 0.0 (equal sides); else None, as where size is inf."""
+    gaps = [b - a for a, b in zip(chain, chain[1:])]
+    bound = 2.0 * _EPS * size + n_ln_gamma * _LN_GAMMA_ERR
+    decided = bound < math.inf and all(abs(d) > bound or d == 0.0 and not strict for d in gaps)
+    return all(d >= 0.0 for d in gaps) if decided else None
+
+
 def bound_predicates(x: float, y: Optional[float] = None) -> BoundFlags:
-    """Evaluate the three Gamma/Beta inequalities at a point: the Beta bound at
-    x, y > 1, the strict Gamma envelope at x > 1 and the unit-interval bound
-    (ties satisfy it) at 0 <= x <= 1. The first two compare log-Gamma values
-    (the Beta bound by _ln_beta, so that neither side overflows): a flag comes
-    only where each gap passes its rounding bound, 2 eps S plus _LN_GAMMA_ERR
-    per log-Gamma value, and else a ValueError names x and y, as for x < 0."""
+    """The three Gamma/Beta inequalities at a point: the Beta bound at x, y > 1, the strict
+    Gamma envelope at x > 1 and the unit-interval bound (ties satisfy it) at 0 <= x <= 1,
+    each decided alone by _decide on log-space sides (the Beta bound's by _ln_beta, so that
+    neither overflows). A flag left to rounding or past the double range is None."""
     x = _check_real("x", x, -math.inf, math.inf, "()")
     y = None if y is None else _check_real("y", y, -math.inf, math.inf, "()")
     if x < 0.0:
         raise ValueError("arguments lie outside the domain of every bound")
-    unit = 2.0 ** (x - 1.0) <= gamma_fn(x + 1.0) <= 1.0 if x <= 1.0 else None
-    sides = {}  # flag: (its pairs a < b, the size S of their values, their log-Gamma values)
+    beta = unit = envelope = None
     if y is not None and x > 1.0 and y > 1.0:
         ln_b, size = _ln_beta(x, y)
         ln_xy = math.log(x) + math.log(y)
-        sides["beta_bound"] = ([(ln_b, -ln_xy)], size + ln_xy, 3)
+        beta = _decide((ln_b, -ln_xy), size + ln_xy, 3, strict=False)
     if x > 1.0:
         lg, ln_x = ln_gamma(x), math.log(x)
         lo, hi = ((x - c) * ln_x - (x - 1.0) for c in (EULER_MASCHERONI, 0.5))
-        sides["gamma_envelope"] = ([(lo, lg), (lg, hi)],
-                                   abs(lg) + (x - EULER_MASCHERONI) * ln_x + (x - 1.0), 1)
-    flags = {}
-    for flag, (pairs, size, n_ln_gamma) in sides.items():
-        bound = 2.0 * _EPS * size + n_ln_gamma * _LN_GAMMA_ERR
-        if not all(abs(b - a) > bound for a, b in pairs):
-            raise ValueError(f"{flag} at x = {x!r}, y = {y!r} is left to rounding: its sides "
-                             f"are not {bound:.3g} apart, their rounding bound")
-        flags[flag] = all(a < b for a, b in pairs)
-    return BoundFlags(flags.get("beta_bound"), unit, flags.get("gamma_envelope"))
+        size = abs(lg) + (x - EULER_MASCHERONI) * ln_x + (x - 1.0)
+        envelope = _decide((lo, lg, hi), size, 1, strict=True)
+    else:  # its size also counts x + 1, whose rounding ln Gamma(x + 1) feels
+        lg, lo = ln_gamma(x + 1.0), (x - 1.0) * math.log(2.0)
+        unit = _decide((lo, lg, 0.0), abs(lo) + abs(lg) + x + 1.0, 1, strict=False)
+    return BoundFlags(beta, unit, envelope)

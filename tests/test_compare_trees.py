@@ -22,7 +22,8 @@ def test_a_tree_is_identical_to_itself():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == ["cli: identical (10 cases)",
                                         "library: identical (10 cases)",
-                                        "demos: identical (5 cases)"]
+                                        "demos: identical (5 cases)",
+                                        "claims: identical (10 cases)"]
 
 
 def _records(g5, text):

@@ -402,6 +402,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             closed_form_check(build_sequence(0.5, 1.0, 8))
 
+    def test_a_check_past_the_double_range_is_refused_by_name(self):
+        # m^9 passes the double range from m = 1.8e34; m^7 = 1e280 still fits
+        assert max(closed_form_check(build_sequence(0.7, 1e34, 12)).values()) <= 1e-10
+        with pytest.raises(ValueError, match=r"^m\^9 passes the double range at m = 1e\+40$"):
+            closed_form_check(build_sequence(0.7, 1e40, 12))
+
 
 class TestGammaRatioMonotonicity:
     @pytest.mark.parametrize("beta", BETA_GRID)

@@ -726,21 +726,25 @@ class TestStableLevyTail:
     @pytest.mark.parametrize("beta", (0.2, 0.5, 0.9))
     @pytest.mark.parametrize("lam", (0.1, 1.0, 3.0))
     def test_laplace_bits_match_the_inline_rule(self, beta, lam):
-        edges = np.linspace(0.0, 40.0 / max(lam, 1.0), 100_001)
+        # one window in u = lam z for every lam, scaled by lam^(beta-1)
+        edges = np.linspace(0.0, 40.0, 100_001)
         mids = 0.5 * (edges[:-1] + edges[1:])
         moments = (edges[1:] ** (1.0 - beta) - edges[:-1] ** (1.0 - beta)) / (1.0 - beta)
-        integral = float(np.dot(np.exp(-lam * mids), moments))
-        assert levy_tail_laplace(beta, lam) == integral / math.exp(ln_gamma(1.0 - beta))
+        integral = float(np.dot(np.exp(-mids), moments))
+        scale = math.exp((beta - 1.0) * math.log(lam))
+        assert levy_tail_laplace(beta, lam) == scale * (integral / math.exp(ln_gamma(1.0 - beta)))
 
     @pytest.mark.parametrize("beta", (0.1, 0.3, 0.7, 0.95))
-    def test_laplace_keeps_its_error_at_one_up_to_the_largest_double(self, beta):
-        # the range shrinks as 1/lam, so every lam > 1 sees the cells of lam = 1
-        # scaled: one relative error (1.3e-4 at beta = .95), and no overflow
+    def test_laplace_keeps_its_error_at_one_over_every_positive_double(self, beta):
+        # every lam sees the cells of lam = 1 in u = lam z, scaled: one relative
+        # error (1.3e-4 at beta = .95), no overflow, and no window cut short
+        # below lam = 1 (a window of 40 in z lost 50% at beta = .3, lam = .01)
         def error(lam):
             return abs(levy_tail_laplace(beta, lam) / math.exp((beta - 1.0) * math.log(lam)) - 1)
 
         bound = 1.001 * error(1.0)
-        for lam in [10.0**k for k in range(1, 309, 7)] + [sys.float_info.max]:
+        lams = [5e-324, sys.float_info.min] + [10.0**k for k in range(-300, 309, 7)]
+        for lam in lams + [0.01, sys.float_info.max]:
             assert error(lam) <= bound, lam
 
 

@@ -13,6 +13,7 @@ from felog import specfun
 from felog.euler_beta import MAX_TERMS
 from felog.specfun import (
     EULER_MASCHERONI,
+    BoundFlags,
     bernoulli_numbers,
     bernoulli_poly_exact,
     beta_fn,
@@ -109,8 +110,9 @@ DBL_MAX = sys.float_info.max
 
 # each call whose true value passes the double range, that the log form
 # cannot give to beta_fn's 1e-12, or whose flag rounding would decide: +inf
-# where the value is past the largest double, and a ValueError where a bad
-# number would come back (what the unguarded form gave, or raised, is in the
+# where the value is past the largest double, a ValueError where a bad number
+# would come back, and a None flag where its sides pass the double range or
+# rounding would decide it (what the unguarded form gave, or raised, is in the
 # comment)
 EDGES = [
     (ln_gamma, (DBL_MAX,), math.inf),  # OverflowError
@@ -123,18 +125,22 @@ EDGES = [
     (beta_fn, (1.0, 1e16), ValueError),  # 1.0, where B = 1e-16
     (beta_fn, (1.0, DBL_MAX), ValueError),  # OverflowError
     (beta_fn, (DBL_MAX, DBL_MAX), ValueError),  # x + y is inf
-    (bound_predicates, (DBL_MAX,), ValueError),  # OverflowError
-    (bound_predicates, (2.0, DBL_MAX), ValueError),  # a silent beta_bound = False
-    (bound_predicates, (1e14,), ValueError),  # gamma_envelope False; hi - ln Gamma is 0.081
-    (bound_predicates, (1.000000001, 1e10), ValueError),  # beta_bound False; the gap is 2e-8
-    (bound_predicates, (1 + 3e-8,), ValueError),  # gamma_envelope False; the gap is 3e-17
+    (bound_predicates, (DBL_MAX,), BoundFlags(None, None, None)),  # OverflowError
+    # a silent beta_bound = False
+    (bound_predicates, (2.0, DBL_MAX), BoundFlags(None, None, True)),
+    # gamma_envelope False; hi - ln Gamma is 0.081
+    (bound_predicates, (1e14,), BoundFlags(None, None, None)),
+    # beta_bound False; the gap is 2e-8
+    (bound_predicates, (1.000000001, 1e10), BoundFlags(None, None, None)),
+    # gamma_envelope False; the gap is 3e-17
+    (bound_predicates, (1 + 3e-8,), BoundFlags(None, None, None)),
 ]
 
 
 class TestDoubleRangeEdges:
     @pytest.mark.parametrize("call, args, outcome", EDGES,
                              ids=[f"{c.__name__}{a}" for c, a, _ in EDGES])
-    def test_each_edge_gives_inf_or_a_refusal(self, call, args, outcome):
+    def test_each_edge_gives_inf_a_refusal_or_a_none_flag(self, call, args, outcome):
         if outcome is ValueError:
             with pytest.raises(ValueError, match=r" at x = "):
                 call(*args)
@@ -423,9 +429,11 @@ class TestBoundPredicates:
                 err = abs(mp.mpf(ln_gamma(x)) - ref)
                 assert err <= eps * abs(ref) + specfun._LN_GAMMA_ERR, x
 
-    def test_flags_agree_with_40_digits_or_are_refused(self):
-        # criterion 9's grid, the points where rounding gave False, and x near 1,
-        # where the envelope's gap falls as 0.034 (x - 1)^2
+    def test_flags_agree_with_40_digits_or_are_none(self):
+        # criterion 9's grid, the points where rounding gave False, x near 1,
+        # where the envelope's gap falls as 0.034 (x - 1)^2, the 200 doubles
+        # next to 0 and on each side of 1, and points where one flag is decided
+        # and the other is not
         mp = pytest.importorskip("mpmath")
         crit9 = [1.01, 1.5, 2.0, 5.0, 10.0, 50.0]
         near_one = [1.0 + c * 10.0**-k for k in range(1, 16) for c in (1, 3)]
@@ -433,15 +441,19 @@ class TestBoundPredicates:
         points += [(x, 10.0**k) for x in (1 + 1e-9, 1 + 1e-6, 1.001) for k in range(2, 16)]
         points += [(x, y) for x in near_one[::3] for y in near_one[::3]]
         points += [(x, None) for x in np.linspace(0.0, 1.0, 41).tolist() + [1e12, 1e14]]
-        refused = []
+        below, above = [1.0], [1.0]
+        for _ in range(200):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], 2.0))
+        points += [(k * 5e-324, None) for k in range(1, 201)]
+        points += [(x, None) for x in below[1:] + above[1:]]
+        points += [(1 + 1e-8, 5.0), (1e13, 2.0)]
+        undecided = []
         with mp.workdps(40):
             for x, y in points:
-                try:
-                    flags = bound_predicates(x, y)
-                except ValueError as exc:
-                    assert f"at x = {x!r}, y = {y!r} is left to rounding" in str(exc)
-                    refused.append((x, y))
-                    continue
+                flags = bound_predicates(x, y)
+                if (flags.gamma_unit if x <= 1.0 else flags.gamma_envelope) is None:
+                    undecided.append((x, y))
                 X = mp.mpf(x)
                 if flags.beta_bound is not None:
                     Y = mp.mpf(y)
@@ -452,15 +464,18 @@ class TestBoundPredicates:
                     lo = (X - mp.mpf(EULER_MASCHERONI)) * mp.log(X) - (X - 1)
                     hi = (X - mp.mpf(0.5)) * mp.log(X) - (X - 1)
                     assert flags.gamma_envelope == (lo < mp.loggamma(X) < hi), x
-        assert (1e14, None) in refused and (1 + 3e-8, None) in refused
-        assert (1.000000001, 1e10) in refused
-        assert not set(refused) & {(x, y) for x in crit9 for y in crit9}
+        assert (1e14, None) in undecided and (1 + 3e-8, None) in undecided
+        assert bound_predicates(1.000000001, 1e10).beta_bound is None
+        assert not set(undecided) & {(x, y) for x in crit9 for y in crit9}
+        # three doubles below 1 that a bare float comparison called False
+        assert {(x, None) for x in (0.9999999999999997, 0.9999999999999996,
+                                    0.9999999999999994)} <= set(undecided)
 
-    def test_a_refusal_names_the_flag_and_the_point(self):
-        with pytest.raises(ValueError, match=r"^gamma_envelope at x = 1\.00000003, y = None is "
-                                             r"left to rounding: its sides are not 8\.88e-16 "
-                                             r"apart, their rounding bound$"):
-            bound_predicates(1 + 3e-8)
+    def test_an_undecided_flag_is_none_beside_a_decided_one(self):
+        # each beta_bound gap is far past its bound (1.3e-8 against 6.9e-15,
+        # 29.2 against 0.26); the envelope's is within its own
+        assert bound_predicates(1 + 1e-8, 5.0) == BoundFlags(True, None, None)
+        assert bound_predicates(1e13, 2.0) == BoundFlags(True, None, None)
 
 
 def test_euler_mascheroni_close_to_printed():

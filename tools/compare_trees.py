@@ -5,7 +5,7 @@
 OLD and NEW are checkouts of this repository, for example the parent of a
 change made with ``git archive PARENT | tar -x -C DIR``. One fixed case list,
 this file's, runs under each tree in a child interpreter that imports felog
-from that tree's ``src/``. It has three families:
+from that tree's ``src/``. It has four families:
 
 - cli: ``felog.cli.main`` in process, recording stdout (a JSON stdout as its
   parsed object, a CSV one as text), stderr and the exit code, for coeffs,
@@ -17,7 +17,13 @@ from that tree's ``src/``. It has three families:
   radius report's JSON dict, and verify termwise and pc, and l1 and integro
   on a graded grid of 400 cells to 0.7 domain_edge, so the graded history
   sums are checked outside the CLI's default grid too;
-- demos: the stdout of the five demos, less the times that demo 04 prints.
+- demos: the stdout of the five demos, less the times that demo 04 prints;
+- claims: the side checks of the paper's claims at fixed points, each
+  recording what it returns or raises: ``bound_predicates`` on criterion 9's
+  grid, on [0, 1], just below 1 and at points where rounding or the double
+  range decides a flag; ``levy_tail_laplace`` at beta in {.1, .3, .7, .95} and
+  lam from 1e-3 to 1e300; ``closed_form_check`` at m in {1, 1e34, 1e40}; and
+  ``sonine_check``, ``stable_levy_tail`` and the ``remark_*`` formulas.
 
 Every float is recorded as ``float.hex``, so "identical" means the same bits.
 For each family the report says "identical", or how many cases moved and then
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -69,6 +76,8 @@ def _plain(value):
 
     if isinstance(value, np.ndarray):
         value = value.tolist()
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -171,6 +180,34 @@ def _run_demo(path: Path) -> dict:
     return {"stdout": text}
 
 
+def _claim_cases() -> list:
+    """(function, args) for each side check; closed_form_check's args are the
+    (beta, m, n) of the sequence it checks."""
+    crit9 = (1.01, 1.5, 2.0, 5.0, 10.0, 50.0)
+    below_one = (0.9999999999999997, 0.9999999999999996, 0.9999999999999994)
+    cases = [("bound_predicates", (x, y)) for x in crit9 for y in crit9]
+    cases += [("bound_predicates", (x,)) for x in (0.0, 0.25, 0.5, 0.75, 1.0) + below_one]
+    # one flag decided, the other left to rounding; then the double range and rounding
+    cases += [("bound_predicates", args) for args in ((1 + 1e-8, 5.0), (1e13, 2.0),
+              (sys.float_info.max,), (2.0, sys.float_info.max), (1e14,),
+              (1.000000001, 1e10), (1 + 3e-8,))]
+    cases += [("levy_tail_laplace", (beta, lam)) for beta in (0.1, 0.3, 0.7, 0.95)
+              for lam in (1e-3, 0.01, 0.1, 1.0, 3.0, 1e300)]
+    cases += [("closed_form_check", (0.7, m, 12)) for m in (1.0, 1e34, 1e40)]
+    cases += [("sonine_check", (beta, [0.5, 2.0])) for beta in (0.1, 0.5, 0.9)]
+    cases += [("stable_levy_tail", args) for args in ((0.5, 1.0), (0.3, 2.0), (0.999999, 5e-324))]
+    cases += [(name, (0.75,)) for name in ("remark_radius", "remark_bound_pole")]
+    return cases + [("remark_bound", (beta, 0.5)) for beta in (0.75, 1.0)]
+
+
+def _run_claim(name: str, args: tuple):
+    import felog
+
+    if name == "closed_form_check":
+        return felog.closed_form_check(felog.build_sequence(*args))
+    return getattr(felog, name)(*args)
+
+
 def record(tree: Path, limit) -> dict:
     """Every family's cases under ``tree``: {family: [[label, output], ...]}."""
     src = (tree / "src").resolve()
@@ -185,7 +222,9 @@ def record(tree: Path, limit) -> dict:
                for b, m, n in _pick(_library_cases(), limit)]
     demos = [[path.name, _outcome(lambda: _run_demo(path))]
              for path in _pick(sorted((tree / "demos").glob("*.py")), limit)]
-    return {"cli": cli, "library": library, "demos": demos}
+    claims = [[f"{name}{args!r}", _outcome(lambda: _run_claim(name, args))]
+              for name, args in _pick(_claim_cases(), limit)]
+    return {"cli": cli, "library": library, "demos": demos, "claims": claims}
 
 
 def _numbers(text: str):
