@@ -229,11 +229,12 @@ class TestCaputoL1:
 
     @pytest.mark.parametrize("spacing", ("uniform", "graded"))
     def test_classical_order_gives_the_slope(self, spacing):
-        # at beta = 1 the newest cell's moment is the whole kernel mass, so
-        # linear data returns its slope at every node
-        g = make_grid(1.0, 64, spacing, 1.0)
-        out = caputo_l1_all(3.0 * g.nodes - 1.0, g)
-        assert np.allclose(out, 3.0, rtol=1e-13, atol=0.0)
+        # at beta = 1 the newest cell's moment is the whole kernel mass and
+        # every older one is 0, so each node gets its newest slope, to the bit
+        g = make_grid(2.2, 2000, spacing, 1.0)
+        w = 1.0 / (1.0 + np.exp(-g.nodes))
+        slopes = np.diff(w) / np.diff(g.nodes)
+        assert caputo_l1_all(w, g).tobytes() == slopes.tobytes()
 
 
 class TestFractionalIntegral:
@@ -246,6 +247,15 @@ class TestFractionalIntegral:
         out = fractional_integral_midpoint(np.ones(200), g)
         exact = g.nodes[1:] ** beta / math.exp(ln_gamma(beta + 1.0))
         assert np.allclose(out, exact, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("spacing", ("uniform", "graded"))
+    def test_classical_order_meets_the_per_node_loop(self, spacing):
+        # at beta = 1 the integral is a running sum of data times cell width
+        g = make_grid(2.2, 2000, spacing, 1.0)
+        t = g.nodes
+        w_mid = 1.0 / (1.0 + np.exp(-0.5 * (t[:-1] + t[1:])))
+        f_mid = w_mid - w_mid**2
+        _assert_near_reference(fractional_integral_midpoint(f_mid, g), f_mid, t, 1.0)
 
     def test_rejects_values_off_the_cells(self):
         g = uniform_grid(1.0, 10, 0.5)
@@ -299,6 +309,25 @@ def _oracle_cases(beta, cells):
             graded_history_loop(f_mid, t, beta, 1.0 / math.exp(ln_gamma(beta)) / beta),
         ),
     )
+
+
+def _assert_near_reference(got, data, t, exponent, want=None):
+    """``got`` within 16 eps of the scale sum_j |data_j| (t_n - t_j)^e of
+    ``want`` (by default the per-node loop) at every node n.
+
+    A moment that the helper takes as the difference of two kernel values,
+    each within half an ulp of (t_n - t_j)^e, errs by up to eps times that
+    kernel; its far moments and the reference's moments are within a few
+    ulps of themselves, which is no more. The worst seen over 1,500 random
+    cases was 1.8 of that scale; 16 leaves room for the rounding of the two
+    dot products.
+    """
+    if want is None:
+        want = graded_history_loop(data, t, exponent, 1.0)
+    eps = np.finfo(float).eps
+    for n in range(1, t.size):
+        scale = float(np.abs(data[:n]) @ (t[n] - t[:n]) ** exponent)
+        assert abs(got[n - 1] - want[n - 1]) <= 16.0 * eps * scale, n
 
 
 @st.composite
@@ -418,20 +447,49 @@ class TestGradedHistoryBlocks:
     @settings(max_examples=150, deadline=None)
     @given(_history_inputs())
     def test_random_grids_match_the_reference(self, case):
-        # A moment that the helper takes as the difference of two kernel
-        # values, each within half an ulp of (t_n - t_j)^e, errs by up to
-        # eps times that kernel; its far moments and the reference's moments
-        # are within a few ulps of themselves, which is no more. So the bound
-        # is a multiple of eps * sum_j |data_j| (t_n - t_j)^e. The worst seen
-        # over 1,500 random cases was 1.8 of that scale; 16 leaves room for
-        # the rounding of the two dot products.
+        # the exponents 0 and 1 take the O(N) sums, any other the blocks
         data, t, exponent = case
         got = fracops._graded_history(data, t, exponent, 1.0)
-        want = graded_history_loop(data, t, exponent, 1.0)
-        eps = np.finfo(float).eps
-        for n in range(1, t.size):
-            scale = float(np.abs(data[:n]) @ (t[n] - t[:n]) ** exponent)
-            assert abs(got[n - 1] - want[n - 1]) <= 16.0 * eps * scale
+        _assert_near_reference(got, data, t, exponent)
+
+    @pytest.mark.parametrize("exponent", (0.0, 1.0))
+    def test_integer_exponents_build_no_row_blocks(self, monkeypatch, exponent):
+        def refuse(t):
+            raise AssertionError("a row-block plan was built")
+
+        monkeypatch.setattr(fracops, "_row_blocks", refuse)
+        t = graded_grid(1.5, 2000, 0.5).nodes
+        data = np.sin(np.arange(2000.0))
+        got = fracops._graded_history(data, t, exponent, 0.75)
+        sums = data if exponent == 0.0 else np.cumsum(data * np.diff(t))
+        assert got.tobytes() == (sums * 0.75).tobytes() and not got.flags.writeable
+
+    @pytest.mark.parametrize("kind", ("uniform", "graded 2", "graded 4", "gaps"))
+    @pytest.mark.parametrize("closed", (0.0, 1.0))
+    def test_the_blocked_path_meets_the_closed_forms_at_their_seam(self, monkeypatch, kind,
+                                                                   closed):
+        # One ulp inside [0, 1] the blocked path runs, and it lands on the
+        # O(N) sum of the integer exponent within the reference's bound. Below
+        # 1 the ulp is 2^-53, which moves each kernel x by x^(-2^-53) - 1, or
+        # 2^-53 |ln x| relative: on these grids, whose least kernel is above
+        # 1e-11, that is under 13 eps. A grid spanning more decades
+        # moves the exact sum by more than rounding.
+        rng = np.random.default_rng(7)
+        cells = 600
+        t = {"uniform": np.linspace(0.0, 3.0, cells + 1),
+             "graded 2": 3.0 * (np.arange(cells + 1) / cells) ** 2,
+             "graded 4": 3.0 * (np.arange(cells + 1) / cells) ** 4,
+             "gaps": np.concatenate(([0.0], np.cumsum(rng.exponential(size=cells))))}[kind]
+        assert np.min(np.diff(t)) > 1e-11
+        data = rng.uniform(-1.0, 1.0, cells)
+        inside = np.nextafter(closed, 0.5)
+        plans = []
+        row_blocks = fracops._row_blocks
+        monkeypatch.setattr(fracops, "_row_blocks", lambda t: plans.append(1) or row_blocks(t))
+        near = fracops._graded_history(data, t, inside, 1.0)
+        assert plans
+        exact = fracops._graded_history(data, t, closed, 1.0)
+        _assert_near_reference(near, data, t, inside, exact)
 
 
 class TestVerify:
@@ -464,6 +522,29 @@ class TestVerify:
         rep_in = verify(sol, "integro", grid)
         assert rep_l1.sup_norm <= 1e-4
         assert rep_in.sup_norm <= 1e-4
+
+    @pytest.mark.parametrize("m", (1e10, 1e50))
+    def test_l1_sees_the_series_error_at_large_m(self, m):
+        # at beta = 1 the series at m = 1e10 and 1e50 is off the rescaled
+        # m = 1 series by 6.7e-6 and 7.1e-3. D^beta w alone scales as 1/m
+        # and passed both; m D^beta w - (w - w^2) does not, like integro's
+        # defect at 1e50
+        sol = SeriesSolution.build(1.0, m, 64)
+        grid = graded_grid(DEFAULT_VERIFY_WINDOW * sol.domain_edge, DEFAULT_VERIFY_CELLS, 1.0)
+        assert verify(sol, "l1", grid).sup_norm > VERIFY_TOLERANCES["l1"]
+        if m == 1e50:
+            assert verify(sol, "integro", grid).sup_norm > VERIFY_TOLERANCES["integro"]
+
+    def test_l1_defect_does_not_scale_with_m(self):
+        # the grid scales as m^(1/beta), and the defect is dimensionless. At
+        # beta = 1 there is no cusp; below 1 the fixed REPORT_START lies
+        # nearer the cusp in t / m^(1/beta) as m grows, so the sup grows too
+        sups = []
+        for m in (1.0, 2.0, 3.7):
+            sol = SeriesSolution.build(1.0, m, 256)
+            grid = graded_grid(DEFAULT_VERIFY_WINDOW * sol.domain_edge, 2000, 1.0)
+            sups.append(verify(sol, "l1", grid).sup_norm)
+        assert sups == pytest.approx([sups[0]] * 3, rel=1e-8)
 
     def test_pc_budget_at_default_step(self):
         sol = SeriesSolution.build(0.7, 1.0, 128)

@@ -12,11 +12,12 @@ from that tree's ``src/``. It has four families:
   eval, radius, compare and verify with each of its four methods, in json and
   csv, at beta in {1, .7, .3} (compare takes no beta), m in {1, 2} and n in
   {64, 256}: 176 cases;
-- library: 100 cases drawn from a fixed numpy seed, beta in [.05, 1] and m
-  in [1, 10], each recording g, an array and two scalar evaluations, the
-  radius report's JSON dict, and verify termwise and pc, and l1 and integro
-  on a graded grid of 400 cells to 0.7 domain_edge, so the graded history
-  sums are checked outside the CLI's default grid too;
+- library: 104 cases, 100 drawn from a fixed numpy seed, beta in [.05, 1)
+  and m in [1, 10], and 4 at beta = 1, m in {1, 3} and n in {64, 256}, each
+  recording g, an array and two scalar evaluations, the radius report's JSON
+  dict, and verify termwise and pc, and l1 and integro on a graded grid of
+  400 cells to 0.7 domain_edge, so the graded history sums are checked
+  outside the CLI's default grid too;
 - demos: the stdout of the five demos, less the times that demo 04 prints;
 - claims: the side checks of the paper's claims at fixed points, each
   recording what it returns or raises: ``bound_predicates`` on criterion 9's
@@ -132,8 +133,10 @@ def _library_cases() -> list:
     import numpy as np
 
     rng = np.random.default_rng(LIBRARY_SEED)
-    return [(float(rng.uniform(0.05, 1.0)), float(rng.uniform(1.0, 10.0)),
-             int(rng.choice((32, 64, 256, 1024)))) for _ in range(LIBRARY_CASES)]
+    drawn = [(float(rng.uniform(0.05, 1.0)), float(rng.uniform(1.0, 10.0)),
+              int(rng.choice((32, 64, 256, 1024)))) for _ in range(LIBRARY_CASES)]
+    # the draw never gives beta = 1, where the graded sums take their O(N) form
+    return drawn + [(1.0, m, n) for m in (1.0, 3.0) for n in (64, 256)]
 
 
 def _run_library(beta: float, m: float, n: int) -> dict:
