@@ -25,8 +25,8 @@ import sys
 
 import numpy as np
 
-from .euler_beta import (DEFAULT_TERMS, MAX_TERMS, _check_count, _check_real, _finite_or_null,
-                         build_sequence)
+from .euler_beta import (DEFAULT_TERMS, MAX_TERMS, _check_count, _check_m, _check_real,
+                         _finite_or_null, build_sequence)
 from .fracops import MAX_STEPS, VERIFY_TOLERANCES, make_grid, verify
 from .series_solution import SeriesSolution, _classical_curves, radius_report
 
@@ -68,7 +68,8 @@ def _t_grid(args: argparse.Namespace) -> np.ndarray:
     t1 = _check_real("t1", args.t1, -math.inf, math.inf, "()")
     if not t0 < t1:
         raise ValueError("t0 must be less than t1")
-    return np.linspace(t0, t1, args.steps + 1)
+    with np.errstate(over="ignore"):  # near 1.8e308 at the last point, which linspace sets to t1
+        return np.linspace(t0, t1, args.steps + 1)
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
@@ -137,6 +138,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     t = _t_grid(args)
+    _check_real("t1", args.t1, 0, math.pi * _check_m(args.m), "()")
     w, closed = _classical_curves(args.m, t, args.n_terms)
     deviation = np.abs(w - closed)
     payload = {key: getattr(args, key) for key in ("beta", "m", "n_terms", "t0", "t1", "steps")}

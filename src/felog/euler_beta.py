@@ -176,8 +176,8 @@ def build_sequence(beta: float, m: float, n_terms: int = DEFAULT_TERMS) -> BetaE
 
     The loop stops where _zero_tail proves that every later odd coefficient
     is +0.0, as np.zeros left it: the odd coefficients decay geometrically
-    and, in a long enough series, underflow for good. It tests only after a
-    step that gives 0.0, and after a failed test waits _ZERO_TAIL_WAIT steps.
+    and, in a long enough series, underflow for good. It tests after each
+    step that gives 0.0.
     """
     beta, m = _check_beta(beta), _check_m(m)
     n_terms = _check_count("n_terms", n_terms, 2, MAX_TERMS)
@@ -186,21 +186,13 @@ def build_sequence(beta: float, m: float, n_terms: int = DEFAULT_TERMS) -> BetaE
     # g_rev is g reversed, so even step k dots contiguous g[:k + 1] and g_rev[n_terms - 1 - k:]
     g, g_rev = np.zeros(n_terms), np.zeros(n_terms)
     g[0] = g_rev[-1] = g_k = 0.5
-    next_test = 0
     for k1, j, ratio in zip(range(1, n_terms, 2), range(n_terms - 1, 0, -2), gamma_ratios):
         conv = float(g[:k1].dot(g_rev[j:]))
         g[k1] = g_rev[j - 1] = g_odd = ratio * (g_k - conv) / m
         g_k = 0.0  # g_k of every later step: an even coefficient
-        if g_odd == 0.0 and k1 >= next_test:
-            if _zero_tail(g[1 : k1 + 1 : 2]):
-                break
-            next_test = k1 + 2 * _ZERO_TAIL_WAIT
+        if g_odd == 0.0 and _zero_tail(g[1 : k1 + 1 : 2]):
+            break
     return BetaEulerSequence(beta=beta, m=m, g=g)
-
-
-#: Odd steps that build_sequence runs after a failed _zero_tail test before
-#: it tests again, so that no input pays for the test at more than one step in 8.
-_ZERO_TAIL_WAIT = 8
 
 
 def _zero_tail(odd: np.ndarray) -> bool:

@@ -68,9 +68,9 @@ VERIFY_TOLERANCES = {
     "predictor_corrector": 1e-5,
 }
 
-#: Grid-based residual reports start here: at the origin the solution has a
-#: t^beta cusp, where the piecewise-linear L1 defect is O(1) no matter how
-#: fine the mesh, and the term-wise derivative blows up.
+#: Grid-based residual reports start here, in t / m^(1/beta): at the origin the
+#: solution has a t^beta cusp, where the piecewise-linear L1 defect is O(1) no
+#: matter how fine the mesh, and the term-wise derivative blows up.
 REPORT_START = 0.05
 
 #: Steps of recent history that solve_pc sums directly; older history goes
@@ -120,7 +120,8 @@ def uniform_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
     """n equal cells on [0, t1]."""
     t1 = _check_real("t1", t1, 0, math.inf, "()")
     n = _check_count("the cell count", n, 2, MAX_STEPS)
-    return QuadratureGrid(np.linspace(0.0, t1, n + 1), beta)
+    with np.errstate(over="ignore"):  # near 1.8e308 at the last node, which linspace sets to t1
+        return QuadratureGrid(np.linspace(0.0, t1, n + 1), beta)
 
 
 def graded_grid(t1: float, n: int, beta: float) -> QuadratureGrid:
@@ -441,17 +442,18 @@ def verify(
     from ``sol`` through ``sol.seq``, ``sol.domain_edge`` and ``sol.evaluate(t).w``.
 
     termwise: coefficient-wise defect of the recurrence (index grid);
-    l1/integro: pointwise defect on the grid nodes with t >= REPORT_START,
-    from one evaluation at the nodes (and, for integro, one at the cell
-    midpoints), each in a form free of the scale m: m D^beta w - (w - w^2)
-    for l1 and w - 1/2 - I^beta[(w - w^2)/m] for integro;
+    l1/integro: pointwise defect on the grid nodes with t >= t_min =
+    REPORT_START * m^(1/beta), from one evaluation at the nodes (and, for
+    integro, one at the cell midpoints), each in a form free of the scale m:
+    m D^beta w - (w - w^2) for l1 and w - 1/2 - I^beta[(w - w^2)/m] for integro;
     predictor_corrector: deviation from the solution stepped by solve_pc on
-    its own uniform grid up to the last grid node, at its steps with
-    t >= REPORT_START; of the grid it reads only that node and beta.
-    Grids must be built for the series' beta, stay within (0, 0.8 *
-    sol.domain_edge) and reach REPORT_START. A series value that is not
-    finite reaches no oracle: ValueError names the least t where the method
-    reads one ("the series is not finite at t = 2.25e+154 (w = nan)").
+    its own uniform grid up to the last grid node, at its steps with t >=
+    REPORT_START; of the grid it reads only that node and beta. Its step h is
+    absolute, and so is its window: its defect moves with m. Grids must be
+    built for the series' beta, stay within (0, 0.8 * sol.domain_edge) and
+    reach t_min. A series value that is not finite reaches no oracle:
+    ValueError names the least t where the method reads one ("the series is
+    not finite at t = 2.25e+154 (w = nan)").
     """
     method = "predictor_corrector" if method == "pc" else method
     if method not in VERIFY_TOLERANCES:
@@ -479,12 +481,13 @@ def verify(
 
     if method == "predictor_corrector":
         t, u_pc = solve_pc(seq.beta, seq.m, float(grid.nodes[-1]), pc_step)
+        t_min = REPORT_START
     else:
-        t = grid.nodes[1:]
-    keep = t >= REPORT_START
+        t, t_min = grid.nodes[1:], REPORT_START * _exp(math.log(seq.m) / seq.beta)
+    keep = t >= t_min
     if not keep.any():
         raise ValueError(
-            f"no node lies at or after t_min = {REPORT_START:g}; the last is {grid.nodes[-1]:.6g}"
+            f"no node lies at or after t_min = {t_min:g}; the last is {grid.nodes[-1]:.6g}"
         )
     t = t[keep]
 
@@ -500,7 +503,8 @@ def verify(
         # w(t) - w(0) = I^beta[(w - w^2)/m]: as printed, with w' on the left,
         # the two sides' Laplace symbols differ by a factor lambda and the
         # pointwise defect is O(1) for every grid.
-        w, w_mid = _series_values(sol, grid.nodes, 0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
+        # halves, then the sum: 0.5 * (a + b) overflows past about 9e307
+        w, w_mid = _series_values(sol, grid.nodes, 0.5 * grid.nodes[:-1] + 0.5 * grid.nodes[1:])
         rhs = fractional_integral_midpoint((w_mid - w_mid**2) / seq.m, grid)
         residual = ((w[1:] - 0.5) - rhs)[keep]
     return ResidualReport(method, t, np.abs(residual))

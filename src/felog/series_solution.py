@@ -282,8 +282,7 @@ class SeriesSolution:
             log_t = np.log(t_arr)
             tb = np.exp(beta * log_t)  # t^beta
             tau = tb * tb              # t^(2*beta)
-            # tau 2^(-s); at s = 0 the product would change no bit
-            tau_scaled = tau * self._tau_scale if self._tau_scale != 1.0 else tau
+            tau_scaled = tau * self._tau_scale  # tau 2^(-s)
             w = 0.5 + tb * self._horner_sum(tau_scaled.ravel()).reshape(t_arr.shape)
             last_term = self._last * np.exp(beta * self._k_last * log_t)
             ratio = self._q * tau / (m * m)

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -408,6 +409,9 @@ REFUSALS = {
     "compare --t0=-1": (2, "t0 must lie in [0, inf), got -1.0"),
     "compare --t0=-1.7e308 --t1=1.7e308": (2, "t0 must lie in [0, inf), got -1.7e+308"),
     "compare --steps -1": (2, "steps must be an integer from 1 to 1000000, got -1"),
+    # the beta = 1 series converges for t < pi * m, the closed form's poles
+    "compare --t1 10": (2, "t1 must lie in (0, 3.141592653589793), got 10.0"),
+    "compare --m nan --t1 10": (2, "m must lie in [1, inf), got nan"),
     # the closed form exists at beta = 1 alone, so compare has no --beta
     "compare --beta 1": (2, "unrecognized arguments: --beta 1"),
     "compare --beta 0.7": (2, "unrecognized arguments: --beta 0.7"),
@@ -466,12 +470,17 @@ REFUSALS = {
         2, "the default grid end is not positive (...); give --t1"),
     "verify --method pc --beta 0.02 -n 64": (
         2, "the default grid end is not positive (...); give --t1"),
+    # l1 and integro report from t_min = 0.05 * m^(1/beta) on
+    "verify --beta 1 --m 1e200 --t1 1e160 --method l1": (
+        2, "no node lies at or after t_min = 5e+198; the last is 1e+160"),
+    "verify --beta 0.5 --m 1e200 --t1 1e160 --method integro": (
+        2, "no node lies at or after t_min = inf; the last is 1e+160"),
     # verify: what the grid and the series give there. t^(2 beta) overflows
     # past the first nodes, so the series is NaN from grid node 3 (l1) and
     # cell midpoint 2 (integro) on, refused before any oracle sees it
-    "verify --beta 1 --m 1e200 --t1 1e160 --method l1": (
+    "verify --beta 1 --m 1e161 --t1 1e160 --method l1": (
         2, "the series is not finite at t = 2.25e+154 (w = nan)"),
-    "verify --beta 1 --m 1e200 --t1 1e160 --method integro": (
+    "verify --beta 1 --m 1e161 --t1 1e160 --method integro": (
         2, "the series is not finite at t = 1.625e+154 (w = nan)"),
     "verify --method l1 --beta 0.015 -n 256": (
         2, "a graded grid of 2000 cells at beta = 0.015 on (0, ...] underflows: "
@@ -562,6 +571,53 @@ class TestContract:
                                if w is None), argv
         else:
             assert out.getvalue() == ""
+
+
+#: Array names of the library. A refusal of the CLI names the flag the user
+#: gave, never one of these.
+LIBRARY_ARRAYS = ("t[", "t_grid[", "w_values[", "f_mid[")
+
+
+def _edge_argv(rng):
+    """An argv of any command, method and format, with beta down to 5e-324,
+    m and the grid end up to 1.8e308, and 1 to 200 steps."""
+    def scale(low):  # 1, a value spread evenly in its exponent, one above 8e307, or the top
+        return rng.choice((1.0, 10.0 ** rng.uniform(low, 308.25),
+                           10.0 ** rng.uniform(307.9, 308.25), sys.float_info.max))
+
+    command = rng.choice(("coeffs", "eval", "verify", "radius", "compare"))
+    argv = [command, "--m", repr(scale(0.0)), "-n", str(rng.choice((20, 64, 256))),
+            "--format", rng.choice(("json", "csv"))]
+    if command != "compare":
+        argv += ["--beta", repr(rng.choice((1.0, rng.random(), 10.0 ** rng.uniform(-323.3, 0.0))))]
+    if command in ("eval", "compare"):
+        t0 = rng.choice((0.0, 10.0 ** rng.uniform(-323.3, 308.0)))
+        argv += [f"--t0={t0!r}", f"--t1={t0 + scale(-3.0)!r}", "--steps", str(rng.randint(1, 200))]
+    if command == "verify":
+        method = rng.choice(("termwise", "l1", "integro", "pc"))
+        argv += ["--method", method]
+        if method in ("l1", "integro"):
+            argv += ["--steps", str(rng.randint(1, 200)), "--grid", rng.choice(("uniform", "graded"))]
+        if method != "termwise" and rng.random() < 0.8:
+            argv += ["--t1", repr(scale(-3.0))]
+    return argv
+
+
+def test_the_edge_of_the_double_range_meets_the_cli_contract():
+    # pyproject.toml turns a RuntimeWarning into an error, which main does not
+    # catch; a refusal is one "error:" line about what the user typed. Seed 6
+    # draws grids that end at 1.8e308 for eval, compare and verify, integro
+    # midpoints past 9e307 and compare grids past pi * m
+    rng = random.Random(6)
+    for argv in (_edge_argv(rng) for _ in range(200)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        if code == 2:
+            [line] = err.getvalue().splitlines()
+            assert line.startswith("error: "), argv
+            assert not any(name in line for name in LIBRARY_ARRAYS), (argv, line)
 
 
 class TestIOContract:

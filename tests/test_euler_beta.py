@@ -362,7 +362,7 @@ class TestZeroTail:
         assert steps < 0.4 * odd.size
         assert g.tobytes() == full_length_recurrence(1.0, 3.0, 1024).tobytes()
 
-    def test_a_failed_test_runs_on_and_waits(self, monkeypatch):
+    def test_a_failed_test_runs_on_and_tests_every_zero_step(self, monkeypatch):
         tested = []
 
         def never(odd):
@@ -373,9 +373,9 @@ class TestZeroTail:
         g, steps = self.counted_build(monkeypatch, 1.0, 3.0, 1024)
         assert steps == 512
         assert g.tobytes() == full_length_recurrence(1.0, 3.0, 1024).tobytes()
-        # each test follows a zero step; in the zero tail, one every _ZERO_TAIL_WAIT steps
-        assert tested and all(g[2 * size - 1] == 0.0 for size in tested)
-        assert np.all(np.diff(tested) == euler_beta._ZERO_TAIL_WAIT)
+        # a test follows each step that gives 0.0, and no other step
+        zero_steps = (np.flatnonzero(g[1::2] == 0.0) + 1).tolist()
+        assert zero_steps and tested == zero_steps
 
 
 class TestClosedForms:

@@ -535,16 +535,19 @@ class TestVerify:
         if m == 1e50:
             assert verify(sol, "integro", grid).sup_norm > VERIFY_TOLERANCES["integro"]
 
-    def test_l1_defect_does_not_scale_with_m(self):
-        # the grid scales as m^(1/beta), and the defect is dimensionless. At
-        # beta = 1 there is no cusp; below 1 the fixed REPORT_START lies
-        # nearer the cusp in t / m^(1/beta) as m grows, so the sup grows too
+    @pytest.mark.parametrize("method", ("l1", "integro"))
+    @pytest.mark.parametrize("beta", (0.3, 0.5, 0.7, 1.0))
+    def test_l1_defect_does_not_scale_with_m(self, beta, method):
+        # the grid and the report window scale as m^(1/beta), and the defect
+        # is dimensionless. Each sup is a difference of values near 1: besides
+        # 1e-8 relative, 1e-15 absolute holds integro's sup at beta = 1
+        # (4.0e-9), which rounding moves by 6e-17
         sups = []
         for m in (1.0, 2.0, 3.7):
-            sol = SeriesSolution.build(1.0, m, 256)
-            grid = graded_grid(DEFAULT_VERIFY_WINDOW * sol.domain_edge, 2000, 1.0)
-            sups.append(verify(sol, "l1", grid).sup_norm)
-        assert sups == pytest.approx([sups[0]] * 3, rel=1e-8)
+            sol = SeriesSolution.build(beta, m, 256)
+            grid = graded_grid(DEFAULT_VERIFY_WINDOW * sol.domain_edge, 2000, beta)
+            sups.append(verify(sol, method, grid).sup_norm)
+        assert sups == pytest.approx([sups[0]] * 3, rel=1e-8, abs=1e-15)
 
     def test_pc_budget_at_default_step(self):
         sol = SeriesSolution.build(0.7, 1.0, 128)
@@ -595,9 +598,10 @@ class TestVerify:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method, where", (("l1", "node 3"), ("integro", "midpoint 2")))
     def test_series_that_is_not_finite_is_refused_at_its_least_t(self, method, where):
-        # past t ~ 1e154 at m = 1e200, t^(2 beta) overflows and w is NaN;
-        # the refusal names the least t that the method reads there
-        sol = SeriesSolution.build(1.0, 1e200)
+        # past t ~ 1e154 at m = 1e161, t^(2 beta) overflows and w is NaN;
+        # the refusal names the least t that the method reads there, and
+        # t_min = 0.05 m lies below the grid end
+        sol = SeriesSolution.build(1.0, 1e161)
         grid = graded_grid(1e160, DEFAULT_VERIFY_CELLS, 1.0)
         nodes, mids = grid.nodes, 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
         read = np.concatenate((nodes, mids) if method == "integro" else (nodes,))
