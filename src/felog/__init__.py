@@ -17,18 +17,30 @@ Quick start:
 2.302...
 """
 
-from . import euler_beta, fracops, series_solution, specfun
-from .specfun import *
-from .euler_beta import *
-from .series_solution import *
-from .fracops import *
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    *specfun.__all__,
-    *euler_beta.__all__,
-    *series_solution.__all__,
-    *fracops.__all__,
-]
+# PEP 562: `import felog` loads none of the library modules, so a `felog`
+# subcommand loads only the layers it runs. The first name the package does
+# not hold (`__all__`, a public name or a submodule) loads all four in this
+# order, and the name is read from their `__all__` lists and kept here.
+_LIBRARY = ("specfun", "euler_beta", "series_solution", "fracops")
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    modules = [import_module(f"{__name__}.{home}") for home in _LIBRARY]
+    names = globals()  # importing a submodule binds it here
+    if name == "__all__":
+        names[name] = ["__version__", *(n for module in modules for n in module.__all__)]
+    elif name not in names:
+        home = next((module for module in modules if name in module.__all__), None)
+        if home is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        names[name] = getattr(home, name)
+    return names[name]
+
+
+def __dir__():
+    public = __getattr__("__all__")  # loads the library, which binds its submodules
+    return sorted(set(public) | set(globals()))

@@ -17,7 +17,6 @@ error or a defect that could not be computed, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -27,10 +26,21 @@ import numpy as np
 
 from .euler_beta import (DEFAULT_TERMS, MAX_TERMS, _check_count, _check_m, _check_real,
                          _finite_or_null, build_sequence)
-from .fracops import MAX_STEPS, VERIFY_TOLERANCES, make_grid, verify
-from .series_solution import SeriesSolution, _classical_curves, radius_report
+from .specfun import MAX_STEPS
 
+# Each subcommand imports the layers past euler_beta that it runs, so that a
+# felog process loads series_solution only for eval, radius, compare and
+# verify, and fracops only for verify.
 __all__ = ["VERIFY_TOLERANCES", "MAX_TERMS", "MAX_STEPS", "main"]
+
+
+def __getattr__(name):
+    """VERIFY_TOLERANCES lives in fracops, which this loads on first read (PEP 562)."""
+    if name != "VERIFY_TOLERANCES":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .fracops import VERIFY_TOLERANCES
+    return VERIFY_TOLERANCES
+
 
 #: Verification grids default to this fraction of ``domain_edge``: far enough
 #: in to be interesting, close enough that a default-length series stays well
@@ -50,6 +60,8 @@ def _emit(args: argparse.Namespace, payload: dict, header, rows) -> None:
     if args.format == "json":
         text = json.dumps(_finite_or_null(payload), allow_nan=False) + "\n"
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -81,6 +93,8 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .series_solution import SeriesSolution
+
     t = _t_grid(args)
     sol = SeriesSolution.build(args.beta, args.m, args.n_terms)
     res = sol.evaluate(t)
@@ -98,6 +112,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .fracops import VERIFY_TOLERANCES, make_grid, verify
+    from .series_solution import SeriesSolution
+
     tol = None if args.tol is None else _check_real("tol", args.tol, 0, math.inf, "[)")
     if args.method in ("termwise", "pc") and (args.steps is not None or args.grid is not None):
         raise ValueError("--steps and --grid apply only to --method l1 and integro")
@@ -131,12 +148,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_radius(args: argparse.Namespace) -> int:
+    from .series_solution import radius_report
+
     payload = radius_report(build_sequence(args.beta, args.m, args.n_terms))._quantities()
     _emit(args, payload, ["quantity", "value"], payload.items())
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .series_solution import _classical_curves
+
     t = _t_grid(args)
     _check_real("t1", args.t1, 0, math.pi * _check_m(args.m), "()")
     w, closed = _classical_curves(args.m, t, args.n_terms)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .euler_beta import (BetaEulerSequence, _as_real, _check_beta, _check_m, _gamma_ratios,
                          _read_only, _take_array, _take_real)
-from .specfun import _check_count, _check_real, _exp, gamma_fn, ln_gamma
+from .specfun import MAX_STEPS, _check_count, _check_real, _exp, gamma_fn, ln_gamma
 
 __all__ = [
     "QuadratureGrid",
@@ -77,10 +77,6 @@ REPORT_START = 0.05
 #: through FFT blocks of B0 * 2^k steps.
 B0 = 128
 _INNER = 16  # solve_pc's steps per inner block, a divisor of B0
-
-#: Most steps solve_pc takes (and most --steps the CLI accepts): far above
-#: any use, but small enough that no array they size can exhaust memory.
-MAX_STEPS = 1_000_000
 
 #: Kernel entries per row block of the graded-grid history sums: 2^15
 #: doubles, 256 KiB per temporary; a row with more near cells is a block.
@@ -593,8 +589,8 @@ def solve_pc(beta: float, m: float, t_end: float, h: float) -> Tuple[np.ndarray,
     step's equation u = base + c (u - u^2)/m is a quadratic in u, solved
     exactly, so the scheme's predictor is not needed. Returns (t, u). A step
     with a = h^beta / (Gamma(beta+2) m) > 1 can carry u past the equilibrium
-    1, so it raises ValueError, as does a run of more than MAX_STEPS steps,
-    before any array is built.
+    1, so it raises ValueError, as does a run of more than MAX_STEPS steps
+    (specfun's, the CLI's --steps limit too), before any array is built.
 
     The one history sum is a lower-triangular Toeplitz product of the past
     right-hand sides with the corrector weights, in three tiers. The steps go

@@ -41,6 +41,11 @@ EULER_MASCHERONI = 0.5772156649015329
 #: last Bernoulli number a table reaches: it bounds a length, not a time.
 MAX_TERMS = 10_000
 
+#: Most steps solve_pc takes and most cells a quadrature grid has (and most
+#: --steps the CLI accepts): far above any use, but small enough that no
+#: array they size can exhaust memory.
+MAX_STEPS = 1_000_000
+
 
 def _check_count(name: str, n, lo: int, hi: int) -> int:
     """A count that sizes an array or table must be an integer from lo to hi; returns int(n)."""

@@ -8,6 +8,8 @@ import dataclasses
 import doctest
 import importlib
 import inspect
+import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -60,6 +62,80 @@ def test_package_docstring_runs():
 def test_package_import_leaves_out_the_cli():
     code = "import sys, felog; assert 'felog.cli' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def _fresh(script: str) -> str:
+    """stdout of ``script`` in a fresh interpreter that finds felog in src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_each_subcommand_loads_only_the_layers_it_runs():
+    # modules only accumulate, so one interpreter runs the subcommands in the
+    # order of the layers they need and lists the library loaded after each
+    seen = json.loads(_fresh("""
+        import contextlib, io, json, sys
+        def loaded():
+            return [name for name in %r if name in sys.modules]
+        import felog
+        seen = [["import felog", loaded()]]
+        import felog.cli
+        for argv in (["coeffs", "-n", "4"], ["radius", "-n", "4"], ["eval", "--steps", "4"],
+                     ["compare", "--steps", "4"], ["verify", "--help"], ["verify", "-n", "8"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+                felog.cli.main(argv)
+            seen.append([" ".join(argv), loaded()])
+        print(json.dumps(seen))
+    """ % (LIBRARY,)))
+    rule, series = list(LIBRARY[:2]), list(LIBRARY[:3])
+    assert seen == [["import felog", []], ["coeffs -n 4", rule], ["radius -n 4", series],
+                    ["eval --steps 4", series], ["compare --steps 4", series],
+                    ["verify --help", series], ["verify -n 8", list(LIBRARY)]]
+
+
+#: What a bare `import felog` must still give, each read first in its process.
+LAZY_SURFACE = {
+    "dir": "assert set(felog.__all__) <= set(dir(felog))",
+    "star": """
+        ns = {}
+        exec("from felog import *", ns)
+        homes = [sys.modules[name] for name in LIBRARY]
+        assert ns.pop("__version__") == felog.__version__ and ns.pop("__builtins__")
+        assert len(ns) == 43 and ns.keys() == {name for home in homes for name in home.__all__}
+        assert all(ns[name] is getattr(home, name) for home in homes for name in home.__all__)
+    """,
+    "submodules": """
+        for name in ("felog.fracops",) + LIBRARY:
+            assert getattr(felog, name.partition(".")[2]) is sys.modules[name], name
+    """,
+    "unknown": """
+        try:
+            felog.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc), exc
+        else:
+            raise AssertionError("felog.no_such_name resolved")
+    """,
+    "cli": """
+        import felog.cli
+        assert "felog.fracops" not in sys.modules
+        assert felog.cli.VERIFY_TOLERANCES is felog.fracops.VERIFY_TOLERANCES
+    """,
+}
+
+
+@pytest.mark.parametrize("check", LAZY_SURFACE)
+def test_the_lazy_package_resolves_each_name_after_a_bare_import(check):
+    _fresh(textwrap.dedent(f"""
+        import sys
+        import felog
+        LIBRARY = {LIBRARY!r}
+        assert not set(LIBRARY) & set(sys.modules)
+    """) + textwrap.dedent(LAZY_SURFACE[check]))
 
 
 def test_value_types_store_only_their_inputs():
@@ -292,6 +368,7 @@ def test_each_count_has_one_check():
     for module in (euler_beta, fracops, cli):
         assert module._check_count is specfun._check_count, module.__name__
     assert euler_beta.MAX_TERMS is specfun.MAX_TERMS and cli.MAX_TERMS is specfun.MAX_TERMS
+    assert fracops.MAX_STEPS is specfun.MAX_STEPS and cli.MAX_STEPS is specfun.MAX_STEPS
     assert "must be >= 0" not in inspect.getsource(specfun)
     names = {node.id for node in ast.walk(_tree(cli.main)) if isinstance(node, ast.Name)}
     assert not names & {"MAX_TERMS", "MAX_STEPS"}

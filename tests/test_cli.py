@@ -248,7 +248,7 @@ class TestVerify:
 
     def test_default_grid_has_the_default_cells(self, cli, monkeypatch):
         grids = []
-        monkeypatch.setattr(cli_module, "make_grid", lambda *a: grids.append(a) or make_grid(*a))
+        monkeypatch.setattr(fracops, "make_grid", lambda *a: grids.append(a) or make_grid(*a))
         assert cli("verify", "--method", "l1")[0] == 0
         sol = SeriesSolution.build(0.5)
         assert grids == [(cli_module.DEFAULT_VERIFY_WINDOW * sol.domain_edge,
